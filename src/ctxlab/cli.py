@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -51,9 +50,9 @@ def _flt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _terms(labels, coeffs) -> str:
+def _form_text(form: Inequality | Equality) -> str:
     parts = []
-    for lab, c in zip(labels, coeffs):
+    for lab, c in zip(form.labels, form.coeffs):
         if c == 0:
             continue
         mag = abs(Fraction(c))
@@ -62,15 +61,13 @@ def _terms(labels, coeffs) -> str:
             parts.append(term if c > 0 else "-" + term)
         else:
             parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+    sense = "=" if isinstance(form, Equality) else "<="
+    return f"{' '.join(parts) if parts else '0'} {sense} {_frac(form.bound)}"
 
 
-def _ineq_text(ineq: Inequality) -> str:
-    return f"{_terms(ineq.labels, ineq.coeffs)} <= {_frac(ineq.bound)}"
-
-
-def _eq_text(eq: Equality) -> str:
-    return f"{_terms(eq.labels, eq.coeffs)} = {_frac(eq.bound)}"
+def _form_json(form: Inequality | Equality) -> dict:
+    return {"coeffs": [_frac(c) for c in form.coeffs],
+            "bound": _frac(form.bound), "text": _form_text(form)}
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -249,17 +246,13 @@ def _cmd_hull(args) -> int:
     lines = ["labels: " + " ".join(poly.labels),
              f"dim: {poly.affine_dim}",
              f"vertices: {len(poly.vertices)}"]
-    lines += [f"equality: {_eq_text(e)}" for e in poly.equalities]
-    lines += [f"facet: {_ineq_text(f)}" for f in poly.facets]
+    lines += [f"equality: {_form_text(e)}" for e in poly.equalities]
+    lines += [f"facet: {_form_text(f)}" for f in poly.facets]
     payload = {"command": "hull", "labels": list(poly.labels),
                "affine_dim": poly.affine_dim,
                "vertex_count": len(poly.vertices),
-               "equalities": [{"coeffs": [_frac(c) for c in e.coeffs],
-                               "bound": _frac(e.bound), "text": _eq_text(e)}
-                              for e in poly.equalities],
-               "facets": [{"coeffs": [_frac(c) for c in f.coeffs],
-                           "bound": _frac(f.bound), "text": _ineq_text(f)}
-                          for f in poly.facets]}
+               "equalities": [_form_json(e) for e in poly.equalities],
+               "facets": [_form_json(f) for f in poly.facets]}
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -268,6 +261,8 @@ def _cmd_member(args) -> int:
     logic = _logic(args)
     point = _read_assignment(args.assign)
     vset = vertices_from_states(logic, project=_project(args))
+    if not vset.vertices:
+        raise _DomainError("no vertices: the logic has no two-valued states")
     res = membership(point, vset)
     if res.inside:
         lines = ["inside: yes",
@@ -277,13 +272,11 @@ def _cmd_member(args) -> int:
                    "separator": None, "value": None, "max_over_vertices": None}
     else:
         lines = ["inside: no",
-                 f"separator: {_ineq_text(res.separator)}",
+                 f"separator: {_form_text(res.separator)}",
                  f"value: {_frac(res.value_at_point)}",
                  f"max_over_vertices: {_frac(res.max_over_vertices)}"]
         payload = {"command": "member", "inside": False, "weights": None,
-                   "separator": {"coeffs": [_frac(c) for c in res.separator.coeffs],
-                                 "bound": _frac(res.separator.bound),
-                                 "text": _ineq_text(res.separator)},
+                   "separator": _form_json(res.separator),
                    "value": _frac(res.value_at_point),
                    "max_over_vertices": _frac(res.max_over_vertices)}
     _emit(args, payload, "\n".join(lines))
@@ -298,7 +291,7 @@ def _cmd_axiom_check(args) -> int:
     logic = _logic(args)
     ineq = parse_inequality(args.ineq)
     res = axiom_implied(logic, ineq)
-    lines = [f"inequality: {_ineq_text(ineq)}",
+    lines = [f"inequality: {_form_text(ineq)}",
              f"implied: {'yes' if res.implied else 'no'}"]
     if res.region_empty:
         lines.append("region: empty")
@@ -307,7 +300,7 @@ def _cmd_axiom_check(args) -> int:
     if res.witness is not None:
         lines.append("witness: " + " ".join(
             f"{a}={_frac(w)}" for a, w in zip(logic.atoms, res.witness)))
-    payload = {"command": "axiom-check", "inequality": _ineq_text(ineq),
+    payload = {"command": "axiom-check", "inequality": _form_text(ineq),
                "implied": res.implied, "region_empty": res.region_empty,
                "optimum": None if res.optimum is None else _frac(res.optimum),
                "witness": None if res.witness is None
@@ -376,10 +369,10 @@ def _cmd_violate(args) -> int:
     lines = []
     results = []
     for ineq, value, satisfied in rep.evaluations:
-        lines += [f"inequality: {_ineq_text(ineq)}",
+        lines += [f"inequality: {_form_text(ineq)}",
                   f"value: {_flt(value)}",
                   f"violated: {'no' if satisfied else 'yes'}"]
-        results.append({"inequality": _ineq_text(ineq), "value": float(value),
+        results.append({"inequality": _form_text(ineq), "value": float(value),
                         "violated": not satisfied})
     payload = {"command": "violate", "psi": args.psi, "results": results,
                "any_violated": bool(rep.violated)}
@@ -425,6 +418,9 @@ def _cmd_certify_vi(args) -> int:
 def _cmd_urn(args) -> int:
     logic = _logic(args)
     states = enumerate_states(logic)
+    if not states:
+        raise _DomainError("logic has no two-valued states; there is no urn "
+                           "to draw from")
     if args.weights:
         weights = _read_weights(args.weights)
     else:
@@ -577,22 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> None:
-    raw = os.environ.get("CTXLAB_THREADS")
-    if raw is None:
-        return
-    try:
-        if int(raw) < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring CTXLAB_THREADS={raw!r} (want a positive "
-              "integer)", file=sys.stderr)
-    # single-process implementation: the cap is accepted but has no effect
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _thread_cap()
     try:
         return args.func(args)
     except (_DomainError, LogicError, RealizationError, UnknownEntry,

@@ -25,7 +25,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from ctxlab.exactlp import INFEASIBLE, OPTIMAL, solve_standard
-from ctxlab.logic import Logic, validate_logic
+from ctxlab.logic import ATOM_TOKEN, Logic, validate_logic
 from ctxlab.states import TwoValuedState, UnknownAtom, enumerate_states
 
 Vector = tuple[Fraction, ...]
@@ -45,9 +45,7 @@ class VertexSet:
 
 
 @dataclass(frozen=True)
-class Inequality:
-    """coeffs . x <= bound over the named coordinates."""
-
+class _LinearForm:
     labels: tuple[str, ...]
     coeffs: Vector
     bound: Fraction
@@ -64,22 +62,13 @@ class Inequality:
 
 
 @dataclass(frozen=True)
-class Equality:
+class Inequality(_LinearForm):
+    """coeffs . x <= bound over the named coordinates."""
+
+
+@dataclass(frozen=True)
+class Equality(_LinearForm):
     """coeffs . x == bound on every vertex (affine hull description)."""
-
-    labels: tuple[str, ...]
-    coeffs: Vector
-    bound: Fraction
-
-    def value_on(self, point: Mapping[str, object]):
-        total = 0
-        for a, c in zip(self.labels, self.coeffs):
-            if c == 0:
-                continue
-            if a not in point:
-                raise MissingCoordinate(f"point lacks coordinate {a!r}")
-            total += c * point[a]
-        return total
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,9 @@ class Polytope:
 class MembershipResult:
     """Inside: convex ``weights`` over the vertex list.  Outside: a
     ``separator`` facet (or violated hull equality) with its value at the
-    point and its exact maximum over the vertices."""
+    point and its exact maximum over the vertices.  An empty vertex set (a
+    logic with no two-valued states) contains no point: ``inside`` is False
+    and every certificate field is None."""
 
     inside: bool
     weights: tuple[Fraction, ...] | None = None
@@ -148,6 +139,20 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r], pivots
 
 
+def _nullspace(rr: list[list[Fraction]], piv: list[int], n: int) -> list[Vector]:
+    pivs = set(piv)
+    out = []
+    for f in range(n):
+        if f in pivs:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for j, p in enumerate(piv):
+            v[p] = -rr[j][f]
+        out.append(tuple(v))
+    return out
+
+
 def _integer_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Positive rescale to coprime integers (zero vector passes through)."""
     denoms = [v.denominator for v in values]
@@ -175,23 +180,14 @@ class _Hull:
         diffs = [[vi - wi for vi, wi in zip(v, self.v0)] for v in vertices[1:]]
         self.basis, self.pivots = _rref(diffs)
         self.dim = len(self.pivots)
-        n = len(self.v0)
-        self.free = [j for j in range(n) if j not in set(self.pivots)]
 
     def reduce(self, point: Vector) -> Vector:
         return tuple(point[p] - self.v0[p] for p in self.pivots)
 
-    def equality_rows(self) -> list[tuple[list[Fraction], Fraction]]:
+    def equality_rows(self) -> list[tuple[Vector, Fraction]]:
         """Null-space rows (a, a.v0): a . x == a . v0 on the whole hull."""
-        n = len(self.v0)
-        rows = []
-        for f in self.free:
-            a = [Fraction(0)] * n
-            a[f] = Fraction(1)
-            for j, p in enumerate(self.pivots):
-                a[p] = -self.basis[j][f]
-            rows.append((a, _dot(a, self.v0)))
-        return rows
+        return [(a, _dot(a, self.v0))
+                for a in _nullspace(self.basis, self.pivots, len(self.v0))]
 
     def lift_inequality(self, red_coeffs: Vector, red_bound: Fraction) -> tuple[list[Fraction], Fraction]:
         """Reduced-coordinate inequality back to ambient coordinates."""
@@ -309,17 +305,9 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
     as primitive integer vectors in a deterministic order.
     """
     d = len(M[0])
-    # initial simplicial subcone from the first d linearly independent rows
-    chosen: list[int] = []
-    probe: list[list[Fraction]] = []
-    for i, row in enumerate(M):
-        trial = probe + [list(row)]
-        rr, piv = _rref(trial)
-        if len(rr) > len(probe):
-            probe = [list(r) for r in rr]
-            chosen.append(i)
-            if len(chosen) == d:
-                break
+    # initial simplicial subcone from the first d linearly independent rows:
+    # the pivot columns of rref(M^T)
+    _, chosen = _rref([list(col) for col in zip(*M)])
     if len(chosen) < d:
         raise ValueError("cone is not pointed: constraint rows do not span")
 
@@ -460,6 +448,8 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     always tight on the polytope.
     """
     p = tuple(Fraction(point[a]) if a in point else _missing(a) for a in vset.labels)
+    if not vset.vertices:
+        return MembershipResult(inside=False)
     hull = _Hull(vset.vertices)
     equalities = _canonical_equalities(vset.labels, hull)
 
@@ -471,7 +461,7 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
             else:
                 sep = Inequality(vset.labels, tuple(-v for v in eq.coeffs), -eq.bound)
             return MembershipResult(inside=False, separator=sep,
-                                    value_at_point=sep.value_on(dict(zip(vset.labels, p))),
+                                    value_at_point=_dot(sep.coeffs, p),
                                     max_over_vertices=sep.bound)
 
     reduced = [hull.reduce(v) for v in vset.vertices]
@@ -542,39 +532,14 @@ def _polar_facet(reduced: list[Vector], centroid: Vector, y_p: Vector,
             # so an empty nullspace means the tight rows alone have full rank
             assert len(_rref(tight)[1]) == k, "purification stalled"
             break
-        w = null[0]
-        best = None
-        for r in rows:
-            g = _dot(r, w)
-            if g > 0:
-                step = (1 - _dot(r, z)) / g
-                if best is None or step < best:
-                    best = step
-        if best is None:
-            w = tuple(-v for v in w)
-            for r in rows:
-                g = _dot(r, w)
-                if g > 0:
-                    step = (1 - _dot(r, z)) / g
-                    if best is None or step < best:
-                        best = step
+        for w in (null[0], tuple(-v for v in null[0])):
+            steps = [(1 - _dot(r, z)) / g for r in rows if (g := _dot(r, w)) > 0]
+            if steps:
+                break
+        best = min(steps, default=None)
         assert best is not None and best > 0
         z = tuple(zi + best * wi for zi, wi in zip(z, w))
     return tuple(z)
-
-
-def _nullspace(rr: list[list[Fraction]], piv: list[int], n: int) -> list[Vector]:
-    pivs = set(piv)
-    out = []
-    for f in range(n):
-        if f in pivs:
-            continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for j, p in enumerate(piv):
-            v[p] = -rr[j][f]
-        out.append(tuple(v))
-    return out
 
 
 def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:
@@ -647,8 +612,8 @@ def parse_inequality(text: str) -> Inequality:
         else:
             coeff = sign
             atom = term
-        if not atom:
-            raise ValueError(f"empty atom in term {term!r}")
+        if not ATOM_TOKEN.match(atom):
+            raise ValueError(f"bad atom {atom!r} in term {term!r}")
         if atom not in coeffs:
             coeffs[atom] = Fraction(0)
             order.append(atom)

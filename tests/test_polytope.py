@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxlab.polytope import (Equality, Inequality, MissingCoordinate,
-                             VertexSet, axiom_implied, canonical_inequality,
-                             evaluate_inequality, facet_enumeration,
-                             membership, parse_inequality,
+from ctxlab.polytope import (Equality, Inequality, MembershipResult,
+                             MissingCoordinate, VertexSet, axiom_implied,
+                             canonical_inequality, evaluate_inequality,
+                             facet_enumeration, membership, parse_inequality,
                              vertices_from_states)
 from ctxlab.states import UnknownAtom, enumerate_states
 from helpers import load_logic
@@ -344,6 +344,9 @@ class TestMembership:
         assert r.inside and r.weights == (F(1),)
         r2 = membership({"x": F(0), "y": F(0)}, vs)
         assert not r2.inside
+        empty = vset(["x", "y"], [])
+        r3 = membership({"x": F(0), "y": F(0)}, empty)
+        assert r3 == MembershipResult(inside=False)
 
     @given(st.lists(st.integers(0, 100), min_size=11, max_size=11))
     @settings(max_examples=30, deadline=None)
@@ -456,6 +459,8 @@ class TestParseInequality:
             parse_inequality("x + y")
         with pytest.raises(ValueError):
             parse_inequality("x <= huh")
+        with pytest.raises(ValueError):
+            parse_inequality("2*3*x <= 1")
 
 
 @given(st.integers(2, 8), st.integers(2, 4), st.data())
