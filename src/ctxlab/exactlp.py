@@ -9,9 +9,16 @@ pivot rule, which makes every run deterministic and termination guaranteed.
 Infeasible problems return a Farkas certificate y (y.A <= 0, y.b > 0);
 optimal ones return the optimal basic solution and the dual vector.
 
+Several objectives are minimized lexicographically on one tableau: once an
+objective is optimal, every column with a positive reduced cost is barred from
+entering the basis (by complementary slackness those variables are zero on the
+whole optimal face), the next cost row is installed, and the simplex carries
+on from the same basis.  A single objective is the ordinary LP.
+
 This is deliberately a dense-tableau implementation: problem sizes here are
 tens of rows and at most a couple of hundred columns, where simplicity and
-exactness matter more than sparsity tricks.
+exactness matter more than sparse data structures.  The one concession is
+that pivots and cost rows skip zero entries, which are most of them.
 """
 
 from __future__ import annotations
@@ -23,6 +30,17 @@ from typing import Sequence
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+class InternalError(RuntimeError):
+    """An invariant of ctxlab's exact algorithms failed: a bug, not bad input."""
+
+
+def check_invariant(holds: bool, what: str) -> None:
+    """Raise :class:`InternalError` unless ``holds``; unlike ``assert`` this
+    stays in force under ``python -O``."""
+    if not holds:
+        raise InternalError(what)
 
 
 @dataclass(frozen=True)
@@ -40,6 +58,8 @@ class _Tableau:
     The tracking block starts as the identity over the (sign-fixed) rows and
     doubles as the phase-1 artificial columns; after any pivot sequence it
     holds the current basis inverse, which is where dual vectors come from.
+    Barred columns never enter the basis, so a barred nonbasic variable stays
+    at zero.
     """
 
     def __init__(self, A: list[list[Fraction]], b: list[Fraction], n: int):
@@ -54,7 +74,7 @@ class _Tableau:
             self.rows.append(row)
         self.basis = [self.n + i for i in range(self.m)]  # artificials
         self.cost: list[Fraction] = []
-        self.width = self.n + self.m + 1
+        self.barred = [False] * (self.n + self.m)
 
     def set_costs(self, costs: list[Fraction]) -> None:
         """Install a cost row reduced against the current basis."""
@@ -62,29 +82,32 @@ class _Tableau:
         for i, bv in enumerate(self.basis):
             cb = costs[bv]
             if cb:
-                r = self.rows[i]
-                for j in range(self.width):
-                    row[j] -= cb * r[j]
+                for j, v in enumerate(self.rows[i]):
+                    if v:
+                        row[j] -= cb * v
         self.cost = row
 
     def pivot(self, r: int, col: int) -> None:
-        piv = self.rows[r][col]
-        inv = 1 / piv
-        self.rows[r] = [v * inv for v in self.rows[r]]
-        for i in range(self.m):
-            if i != r and self.rows[i][col]:
-                f = self.rows[i][col]
-                ri, rr = self.rows[i], self.rows[r]
-                self.rows[i] = [a - f * bq for a, bq in zip(ri, rr)]
-        if self.cost and self.cost[col]:
-            f = self.cost[col]
-            self.cost = [a - f * bq for a, bq in zip(self.cost, self.rows[r])]
+        inv = 1 / self.rows[r][col]
+        rr = [v * inv if v else v for v in self.rows[r]]
+        self.rows[r] = rr
+        # tableaux here are mostly zeros: update only the pivot row's support
+        support = [j for j, v in enumerate(rr) if v]
+        others = [row for i, row in enumerate(self.rows) if i != r]
+        if self.cost:
+            others.append(self.cost)
+        for row in others:
+            f = row[col]
+            if f:
+                for j in support:
+                    row[j] -= f * rr[j]
         self.basis[r] = col
 
-    def run(self, eligible: int) -> str:
-        """Bland simplex over columns [0, eligible); returns a status."""
+    def run(self) -> str:
+        """Bland simplex over the columns not barred; returns a status."""
         while True:
-            col = next((j for j in range(eligible) if self.cost[j] < 0), None)
+            col = next((j for j, (d, barred) in enumerate(zip(self.cost, self.barred))
+                        if d < 0 and not barred), None)
             if col is None:
                 return OPTIMAL
             best_ratio = None
@@ -127,22 +150,42 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     ``dual . A <= c`` with ``dual . b == objective`` at optimality;
     ``farkas`` satisfies ``farkas . A <= 0`` with ``farkas . b > 0``.
     """
+    return solve_lexicographic([c], A, b)
+
+
+def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
+                        b: Sequence) -> LPResult:
+    """Minimize ``costs[0].x`` over ``A x = b, x >= 0``, then each later
+    objective over the optimal face of the ones before it, on one tableau.
+
+    ``x`` is the optimal basic solution of the last objective, so it is
+    optimal for every objective in turn.  ``objective`` and ``dual`` belong to
+    ``costs[0]`` and certify it as in :func:`solve_standard`: stages after the
+    first pivot only on columns whose first reduced cost is zero, which leaves
+    that reduced cost row unchanged.  INFEASIBLE carries the Farkas vector;
+    UNBOUNDED means some objective is unbounded below on the optimal face of
+    those before it.
+    """
     A = [[Fraction(v) for v in row] for row in A]
     b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
+    costs = [[Fraction(v) for v in c] for c in costs]
+    if not costs:
+        raise ValueError("no objective")
+    n = len(costs[0])
     m = len(A)
-    if any(len(row) != len(c) for row in A):
+    if any(len(c) != n for c in costs):
+        raise ValueError("objectives differ in length")
+    if any(len(row) != n for row in A):
         raise ValueError("ragged constraint matrix")
     if len(b) != m:
         raise ValueError("rhs length mismatch")
 
-    n = len(c)
     t = _Tableau(A, b, n)
 
     phase1 = [Fraction(0)] * n + [Fraction(1)] * m
     t.set_costs(phase1)
-    status = t.run(eligible=n + m)
-    assert status == OPTIMAL  # artificial objective is bounded below by 0
+    status = t.run()
+    check_invariant(status == OPTIMAL, "phase 1 objective is bounded below by 0")
     phase1_value = -t.cost[-1]
     if phase1_value > 0:
         y = t.dual_for(phase1)
@@ -156,13 +199,17 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
             if col is not None:
                 t.pivot(i, col)
 
-    phase2 = c + [Fraction(0)] * m
-    t.set_costs(phase2)
-    # artificial columns stay ineligible in phase 2
-    status = t.run(eligible=n)
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED)
+    # artificial columns never enter again
+    t.barred[n:] = [True] * m
+    padding = [Fraction(0)] * m
+    for k, c in enumerate(costs):
+        if k:  # keep to the optimal face of the objectives so far
+            t.barred = [barred or d > 0 for barred, d in zip(t.barred, t.cost)]
+        t.set_costs(c + padding)
+        if t.run() == UNBOUNDED:
+            return LPResult(status=UNBOUNDED)
     x = t.solution()
-    obj = sum(ci * xi for ci, xi in zip(c, x))
-    y = t.dual_for(phase2)
+    first = costs[0]
+    obj = sum(ci * xi for ci, xi in zip(first, x))
+    y = t.dual_for(first + padding)
     return LPResult(status=OPTIMAL, x=tuple(x), objective=obj, dual=tuple(y))

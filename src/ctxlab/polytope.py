@@ -24,7 +24,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping, Sequence
 
-from ctxlab.exactlp import INFEASIBLE, OPTIMAL, solve_standard
+from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, check_invariant,
+                             solve_lexicographic, solve_standard)
 from ctxlab.logic import ATOM_TOKEN, Logic, validate_logic
 from ctxlab.states import TwoValuedState, UnknownAtom, enumerate_states
 
@@ -224,7 +225,6 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
     Falls back to eliminating the equality pivot coordinates when no
     nonnegative representative exists.
     """
-    n = len(labels)
     coeffs = [Fraction(v) for v in coeffs]
     bound = Fraction(bound)
     eq_rows = [[Fraction(v) for v in e.coeffs] for e in equalities]
@@ -255,46 +255,37 @@ def _nonneg_representative(coeffs: list[Fraction],
                            eq_rows: list[list[Fraction]]) -> list[Fraction] | None:
     """Multipliers t making coeffs + t.E componentwise nonnegative, with the
     smallest coefficient sum and then lexicographically smallest coefficients.
-    None when no nonnegative representative exists."""
+    None when no nonnegative representative exists.
+
+    One LP in the resulting coefficients s = coeffs + t.E >= 0, reoptimized
+    lexicographically on a single tableau: first sum(s), then s_0, s_1, ...,
+    each over the optimal face of the objectives before it.
+    """
     n = len(coeffs)
     q = len(eq_rows)
     # variables: u_e, w_e (t_e = u_e - w_e), s_i = resulting coefficient i
     nvars = 2 * q + n
+    rows, rhs = [], []
+    for i in range(n):
+        row = [Fraction(0)] * nvars
+        for e in range(q):
+            row[e] = eq_rows[e][i]
+            row[q + e] = -eq_rows[e][i]
+        row[2 * q + i] = Fraction(-1)
+        rows.append(row)
+        rhs.append(-coeffs[i])
 
-    def base_rows():
-        rows, rhs = [], []
-        for i in range(n):
-            row = [Fraction(0)] * nvars
-            for e in range(q):
-                row[e] = eq_rows[e][i]
-                row[q + e] = -eq_rows[e][i]
-            row[2 * q + i] = Fraction(-1)
-            rows.append(row)
-            rhs.append(-coeffs[i])
-        return rows, rhs
-
-    rows, rhs = base_rows()
-    pins: list[tuple[list[Fraction], Fraction]] = []
-
-    def minimize(target: list[Fraction]):
-        A = rows + [p[0] for p in pins]
-        b = rhs + [p[1] for p in pins]
-        return solve_standard(target, A, b)
-
-    l1 = [Fraction(0)] * (2 * q) + [Fraction(1)] * n
-    res = minimize(l1)
-    if res.status == INFEASIBLE:
-        return None
-    assert res.status == OPTIMAL
-    pins.append((l1, res.objective))
+    objectives = [[Fraction(0)] * (2 * q) + [Fraction(1)] * n]
     for i in range(n):
         target = [Fraction(0)] * nvars
         target[2 * q + i] = Fraction(1)
-        res = minimize(target)
-        assert res.status == OPTIMAL
-        pins.append((target, res.objective))
-    # the last solution lies on the fully pinned face, which is one point;
-    # the multipliers are unique because the equality rows are independent
+        objectives.append(target)
+    res = solve_lexicographic(objectives, rows, rhs)
+    if res.status == INFEASIBLE:
+        return None
+    check_invariant(res.status == OPTIMAL, "coefficient objectives are bounded below by 0")
+    # the last objective leaves one point, s; the multipliers are unique
+    # because the equality rows are independent
     return [res.x[e] - res.x[q + e] for e in range(q)]
 
 
@@ -316,7 +307,7 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
     aug = [row + [Fraction(1) if j == i else Fraction(0) for j in range(d)]
            for i, row in enumerate(sub)]
     rr, piv = _rref(aug)
-    assert piv == list(range(d))
+    check_invariant(piv == list(range(d)), "initial cone rows are independent")
     inv_cols = [[rr[i][d + j] for i in range(d)] for j in range(d)]
     # ray_j satisfies M_chosen . ray_j = e_j
     rays = [_integer_primitive(inv_cols[j]) for j in range(d)]
@@ -362,7 +353,7 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
         processed.append(i)
 
     for r in rays:  # internal consistency: every kept ray satisfies the cone
-        assert all(_dot(row, r) >= 0 for row in M)
+        check_invariant(all(_dot(row, r) >= 0 for row in M), "ray leaves the cone")
     order = sorted(range(len(rays)), key=lambda t: rays[t])
     return [rays[t] for t in order]
 
@@ -399,7 +390,7 @@ def vertices_from_states(logic: Logic,
                      counts=tuple(counted[v] for v in ordered))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def facet_enumeration(vset: VertexSet) -> Polytope:
     """All facets of conv(vertices) inside its affine hull, plus the hull
     equalities, everything canonicalized and sorted.  Results are memoized;
@@ -423,7 +414,7 @@ def facet_enumeration(vset: VertexSet) -> Polytope:
 
     for f in facets:  # soundness: valid on every vertex and tight somewhere
         values = [_dot(f.coeffs, v) for v in vset.vertices]
-        assert max(values) == f.bound, "facet not supporting"
+        check_invariant(max(values) == f.bound, "facet not supporting")
 
     facets.sort(key=lambda f: (f.coeffs, f.bound))
     return Polytope(vset.labels, vset.vertices, vset.counts, hull.dim,
@@ -482,7 +473,7 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     sep = canonical_inequality(vset.labels, coeffs, bound, equalities)
     value = _dot(sep.coeffs, p)
     maxv = max(_dot(sep.coeffs, v) for v in vset.vertices)
-    assert maxv == sep.bound and value > maxv
+    check_invariant(maxv == sep.bound and value > maxv, "separator not tight or not violated")
     return MembershipResult(inside=False, separator=sep, value_at_point=value,
                             max_over_vertices=maxv)
 
@@ -518,10 +509,10 @@ def _polar_facet(reduced: list[Vector], centroid: Vector, y_p: Vector,
         cost[j] = -d[j]
         cost[k + j] = d[j]
     res = solve_standard(cost, A, b)
-    assert res.status == OPTIMAL
+    check_invariant(res.status == OPTIMAL, "polar LP is bounded: the vertices span the hull")
     z = [res.x[j] - res.x[k + j] for j in range(k)]
     opt = _dot(z, d)
-    assert opt > 1
+    check_invariant(opt > 1, "point outside the polytope violates the polar by more than 1")
 
     while True:
         tight = [list(r) for r in rows if _dot(r, z) == 1]
@@ -530,14 +521,14 @@ def _polar_facet(reduced: list[Vector], centroid: Vector, y_p: Vector,
         if not null:
             # at an optimum the objective lies in the span of the tight rows,
             # so an empty nullspace means the tight rows alone have full rank
-            assert len(_rref(tight)[1]) == k, "purification stalled"
+            check_invariant(len(_rref(tight)[1]) == k, "purification stalled")
             break
         for w in (null[0], tuple(-v for v in null[0])):
             steps = [(1 - _dot(r, z)) / g for r in rows if (g := _dot(r, w)) > 0]
             if steps:
                 break
         best = min(steps, default=None)
-        assert best is not None and best > 0
+        check_invariant(best is not None and best > 0, "purification step is not positive")
         z = tuple(zi + best * wi for zi, wi in zip(z, w))
     return tuple(z)
 
@@ -562,7 +553,7 @@ def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:
     res = solve_standard(c, A, b)
     if res.status == INFEASIBLE:
         return ImplicationResult(implied=True, optimum=None, region_empty=True)
-    assert res.status == OPTIMAL
+    check_invariant(res.status == OPTIMAL, "axiom region is bounded: every atom lies in a context")
     optimum = -res.objective
     implied = optimum <= ineq.bound
     witness = None if implied else res.x

@@ -131,7 +131,7 @@ def _check_valid(logic: Logic) -> None:
         raise ValueError(f"logic does not validate (rules: {', '.join(rules)})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     """All two-valued states of a valid logic, canonically ordered.
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxlab.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard
+from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lexicographic,
+                            solve_standard)
 
 F = Fraction
 
@@ -117,15 +118,16 @@ def test_ragged_matrix_rejected():
 
 small_ints = st.integers(-4, 4)
 
+# (m, n, A, b, c) with A m x n
+lp_instances = st.integers(1, 3).flatmap(lambda m: st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(m), st.just(n),
+    st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=m, max_size=m),
+    st.lists(small_ints, min_size=m, max_size=m),
+    st.lists(small_ints, min_size=n, max_size=n),
+)))
 
-@given(
-    st.integers(1, 3).flatmap(lambda m: st.integers(1, 4).flatmap(lambda n: st.tuples(
-        st.just(m), st.just(n),
-        st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=m, max_size=m),
-        st.lists(small_ints, min_size=m, max_size=m),
-        st.lists(small_ints, min_size=n, max_size=n),
-    )))
-)
+
+@given(lp_instances)
 @settings(max_examples=120, deadline=None)
 def test_matches_float_solver(args):
     scipy = pytest.importorskip("scipy")
@@ -147,3 +149,71 @@ def test_matches_float_solver(args):
         assert sum(y[i] * b[i] for i in range(m)) > 0
     else:
         assert ref.status == 3
+
+
+# ------------------------------------------------------ lexicographic objectives
+
+@given(lp_instances)
+@settings(max_examples=120, deadline=None)
+def test_single_objective_lexicographic_is_solve_standard(args):
+    _, _, A, b, c = args
+    lex = solve_lexicographic([c], A, b)
+    std = solve_standard(c, A, b)
+    assert (lex.status, lex.x, lex.objective, lex.dual, lex.farkas) == \
+        (std.status, std.x, std.objective, std.dual, std.farkas)
+
+
+def test_second_objective_breaks_tie():
+    # x + y - s = 1: min x + y is 1 on the whole segment x + y = 1, s = 0
+    A, b = [[1, 1, -1]], [1]
+    assert solve_lexicographic([[1, 1, 0], [1, 0, 0]], A, b).x == (F(0), F(1), F(0))
+    res = solve_lexicographic([[1, 1, 0], [0, 1, 0]], A, b)
+    assert res.x == (F(1), F(0), F(0))
+    # objective and dual certify the first objective
+    assert res.objective == 1
+    assert res.dual == (F(1),)
+
+
+@given(lp_instances, st.lists(small_ints, min_size=4, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_second_objective_matches_pinned_lp(args, c2):
+    # lexicographic optimum == minimize c2 over the face where c.x is optimal,
+    # written out as a second LP with the first optimum as an extra row
+    _, n, A, b, c = args
+    c2 = c2[:n]
+    lex = solve_lexicographic([c, c2], A, b)
+    first = solve_standard(c, A, b)
+    if first.status != OPTIMAL:
+        assert lex.status == first.status
+        return
+    pinned = solve_standard(c2, A + [c], b + [first.objective])
+    assert lex.status == pinned.status
+    if lex.status == OPTIMAL:
+        assert sum(ci * xi for ci, xi in zip(c, lex.x)) == first.objective
+        assert sum(ci * xi for ci, xi in zip(c2, lex.x)) == pinned.objective
+        assert lex.objective == first.objective
+
+
+def test_lexicographic_infeasible_farkas_certificate():
+    # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
+    A, b = [[1, 1], [1, 1]], [1, 2]
+    res = solve_lexicographic([[1, 0], [0, 1]], A, b)
+    assert res.status == INFEASIBLE
+    y = res.farkas
+    for j in range(2):
+        assert sum(y[i] * A[i][j] for i in range(2)) <= 0
+    assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+
+
+def test_lexicographic_unbounded():
+    # x - s = 1: min -x is unbounded, and so is min -s after min 0
+    A, b = [[1, -1]], [1]
+    assert solve_lexicographic([[-1, 0], [1, 0]], A, b).status == UNBOUNDED
+    assert solve_lexicographic([[0, 0], [0, -1]], A, b).status == UNBOUNDED
+
+
+def test_lexicographic_rejects_bad_objectives():
+    with pytest.raises(ValueError):
+        solve_lexicographic([], [[1]], [1])
+    with pytest.raises(ValueError):
+        solve_lexicographic([[1, 0], [1]], [[1, 1]], [1])

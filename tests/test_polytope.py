@@ -3,15 +3,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
-                             MissingCoordinate, VertexSet, axiom_implied,
-                             canonical_inequality, evaluate_inequality,
-                             facet_enumeration, membership, parse_inequality,
-                             vertices_from_states)
+                             MissingCoordinate, VertexSet, _nonneg_representative,
+                             _rref, axiom_implied, canonical_inequality,
+                             evaluate_inequality, facet_enumeration, membership,
+                             parse_inequality, vertices_from_states)
 from ctxlab.states import UnknownAtom, enumerate_states
+from canonical_oracle import nonneg_representative
 from helpers import load_logic
 from hull_oracle import brute_facets
 
@@ -223,6 +224,20 @@ class TestCanonicalInequality:
         f = canonical_inequality(vs.labels, [scale * c for c in coeffs],
                                  scale * bound, P.equalities)
         assert f == base
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.integers(1, n).flatmap(lambda q: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=q, max_size=q)))))
+    @example(([-1, -1], [[1, -1]]))  # no nonnegative representative
+    @example(([3, -1, 2], [[1, 1, 1]]))
+    @settings(max_examples=100, deadline=None)
+    def test_nonneg_representative_matches_lp_per_objective_oracle(self, args):
+        coeffs, rows = args
+        coeffs = [F(v) for v in coeffs]
+        rows = [[F(v) for v in row] for row in rows]
+        assume(len(_rref(rows)[1]) == len(rows))
+        assert _nonneg_representative(coeffs, rows) == nonneg_representative(coeffs, rows)
 
 
 class TestEvaluateInequality:
