@@ -5,8 +5,12 @@ subset of atoms).  Facets are enumerated with the double description method
 inside the affine hull of the vertex set; affine-hull equalities are reported
 separately from proper facets.  Membership tests run an exact rational LP and
 return either convex weights or a separating inequality that is simultaneously
-a facet.  Everything here is Fraction arithmetic; there is no floating-point
-fallback.
+a facet.  Everything here is exact rational or integer arithmetic; there is
+no floating-point fallback.  Double description runs on integers: constraint
+rows are scaled to primitive integers, rays are primitive int tuples, and the
+zero set of a ray is an int bitmask, so adjacency tests are bit operations.
+The soundness checks on facets and separators evaluate the integral form on
+vertices scaled by their common denominators.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, check_invariant,
@@ -130,11 +134,13 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
+        rows[r] = [v * inv if v else v for v in rows[r]]
+        support = [(k, b) for k, b in enumerate(rows[r]) if b]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                row, f = rows[i], rows[i][col]
+                for k, b in support:  # rows were copied above: update in place
+                    row[k] -= f * b
         pivots.append(col)
         r += 1
     return rows[:r], pivots
@@ -156,21 +162,43 @@ def _nullspace(rr: list[list[Fraction]], piv: list[int], n: int) -> list[Vector]
 
 def _integer_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Positive rescale to coprime integers (zero vector passes through)."""
-    denoms = [v.denominator for v in values]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [v * scale for v in values]
-    g = 0
-    for v in ints:
-        g = gcd(g, int(v))
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints)
     if g > 1:
-        ints = [v / g for v in ints]
+        ints = [v // g for v in ints]
     return tuple(Fraction(v) for v in ints)
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _integer_vertices(vertices: Sequence[Vector]) -> list[tuple[tuple[int, ...], int]]:
+    """Each vertex v as (integer numerators, common denominator s), v = num / s."""
+    out = []
+    for v in vertices:
+        s = lcm(*(x.denominator for x in v))
+        out.append((tuple(x.numerator * (s // x.denominator) for x in v), s))
+    return out
+
+
+def _supports(form: _LinearForm, scaled: list[tuple[tuple[int, ...], int]]) -> bool:
+    """Whether coeffs . x <= bound holds on every vertex, with equality on at
+    least one: the maximum over the vertices is the bound.  The form must be
+    integral (canonical forms are); vertices come from ``_integer_vertices``."""
+    check_invariant(form.bound.denominator == 1
+                    and all(c.denominator == 1 for c in form.coeffs),
+                    "canonical form is integral")
+    terms = [(k, c.numerator) for k, c in enumerate(form.coeffs) if c]
+    bound = form.bound.numerator
+    tight = False
+    for num, s in scaled:
+        lhs, rhs = sum(c * num[k] for k, c in terms), s * bound
+        if lhs > rhs:
+            return False
+        tight = tight or lhs == rhs
+    return tight
 
 
 class _Hull:
@@ -294,8 +322,19 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
 
     Requires the columns of M to span (the cone is pointed); rays come back
     as primitive integer vectors in a deterministic order.
+
+    The work is exact and integral: each row is scaled to primitive integers
+    (a positive row scaling leaves the cone unchanged), rays are primitive
+    int tuples, and the zero set of a ray (the processed rows it is tight
+    on) is an int bitmask with bit j for row j.  Two rays are adjacent when
+    no third ray's zero set contains their common one.  A new ray combines
+    its parents with positive weights and both are >= 0 on every processed
+    row, so it is zero on a row exactly when both parents are: its zero set
+    is theirs intersected, plus the row that created it.
     """
     d = len(M[0])
+    rows = [tuple(int(v) for v in _integer_primitive(row)) for row in M]
+    supports = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
     # initial simplicial subcone from the first d linearly independent rows:
     # the pivot columns of rref(M^T)
     _, chosen = _rref([list(col) for col in zip(*M)])
@@ -310,52 +349,46 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
     check_invariant(piv == list(range(d)), "initial cone rows are independent")
     inv_cols = [[rr[i][d + j] for i in range(d)] for j in range(d)]
     # ray_j satisfies M_chosen . ray_j = e_j
-    rays = [_integer_primitive(inv_cols[j]) for j in range(d)]
+    rays = [tuple(int(v) for v in _integer_primitive(inv_cols[j])) for j in range(d)]
+    chosen_bits = sum(1 << i for i in chosen)
+    zero_sets = [chosen_bits & ~(1 << i) for i in chosen]
 
-    processed = list(chosen)
-    zero_sets = [frozenset(chosen[t] for t in range(d) if t != j) for j in range(d)]
-
-    remaining = [i for i in range(len(M)) if i not in set(chosen)]
-    for i in remaining:
-        vals = [_dot(M[i], r) for r in rays]
-        pos = [t for t, v in enumerate(vals) if v > 0]
-        zero = [t for t, v in enumerate(vals) if v == 0]
+    in_chosen = set(chosen)
+    for i in range(len(rows)):
+        if i in in_chosen:
+            continue
+        bit = 1 << i
+        vals = [sum(a * r[k] for k, a in supports[i]) for r in rays]
         neg = [t for t, v in enumerate(vals) if v < 0]
         if not neg:
-            processed.append(i)
-            zero_sets = [zs | {i} if t in zero else zs
-                         for t, zs in enumerate(zero_sets)]
+            zero_sets = [zs | bit if v == 0 else zs for zs, v in zip(zero_sets, vals)]
             continue
-        new_rays: list[Vector] = []
-        new_zero: list[frozenset[int]] = []
+        pos = [t for t, v in enumerate(vals) if v > 0]
+        new_rays: list[tuple[int, ...]] = []
+        new_zero: list[int] = []
         for p in pos:
             for m_ in neg:
                 common = zero_sets[p] & zero_sets[m_]
-                if len(common) < d - 2:
+                if common.bit_count() < d - 2:
                     continue
-                adjacent = True
-                for t in range(len(rays)):
-                    if t not in (p, m_) and common <= zero_sets[t]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(common & ~zs == 0 for t, zs in enumerate(zero_sets)
+                       if t != p and t != m_):
                     continue
-                w = [vals[p] * bm - vals[m_] * bp
-                     for bp, bm in zip(rays[p], rays[m_])]
-                wn = _integer_primitive(w)
-                zs = frozenset(j for j in processed if _dot(M[j], wn) == 0) | {i}
-                new_rays.append(wn)
-                new_zero.append(zs)
-        keep = pos + zero
+                vp, vm = vals[p], vals[m_]
+                w = [vp * bm - vm * bp for bp, bm in zip(rays[p], rays[m_])]
+                g = gcd(*w)
+                new_rays.append(tuple(v // g for v in w))
+                new_zero.append(common | bit)
+        keep = pos + [t for t, v in enumerate(vals) if v == 0]
         rays = [rays[t] for t in keep] + new_rays
-        zero_sets = [zero_sets[t] | ({i} if t in zero else frozenset())
+        zero_sets = [zero_sets[t] | bit if vals[t] == 0 else zero_sets[t]
                      for t in keep] + new_zero
-        processed.append(i)
 
     for r in rays:  # internal consistency: every kept ray satisfies the cone
-        check_invariant(all(_dot(row, r) >= 0 for row in M), "ray leaves the cone")
-    order = sorted(range(len(rays)), key=lambda t: rays[t])
-    return [rays[t] for t in order]
+        check_invariant(all(sum(a * r[k] for k, a in s) >= 0 for s in supports),
+                        "ray leaves the cone")
+    rays.sort()
+    return [tuple(Fraction(v) for v in r) for r in rays]
 
 
 # ---------------------------------------------------------------- public api
@@ -412,9 +445,9 @@ def facet_enumeration(vset: VertexSet) -> Polytope:
         coeffs, bound = hull.lift_inequality(tuple(-v for v in c), c0)
         facets.append(canonical_inequality(vset.labels, coeffs, bound, equalities))
 
+    scaled = _integer_vertices(vset.vertices)
     for f in facets:  # soundness: valid on every vertex and tight somewhere
-        values = [_dot(f.coeffs, v) for v in vset.vertices]
-        check_invariant(max(values) == f.bound, "facet not supporting")
+        check_invariant(_supports(f, scaled), "facet not supporting")
 
     facets.sort(key=lambda f: (f.coeffs, f.bound))
     return Polytope(vset.labels, vset.vertices, vset.counts, hull.dim,
@@ -472,10 +505,10 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     coeffs, bound = hull.lift_inequality(z, red_bound)
     sep = canonical_inequality(vset.labels, coeffs, bound, equalities)
     value = _dot(sep.coeffs, p)
-    maxv = max(_dot(sep.coeffs, v) for v in vset.vertices)
-    check_invariant(maxv == sep.bound and value > maxv, "separator not tight or not violated")
+    check_invariant(_supports(sep, _integer_vertices(vset.vertices)) and value > sep.bound,
+                    "separator not tight or not violated")
     return MembershipResult(inside=False, separator=sep, value_at_point=value,
-                            max_over_vertices=maxv)
+                            max_over_vertices=sep.bound)
 
 
 def _missing(a: str):

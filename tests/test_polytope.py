@@ -2,17 +2,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ctxlab import polytope
+from ctxlab.exactlp import InternalError
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
-                             MissingCoordinate, VertexSet, _nonneg_representative,
-                             _rref, axiom_implied, canonical_inequality,
-                             evaluate_inequality, facet_enumeration, membership,
-                             parse_inequality, vertices_from_states)
+                             MissingCoordinate, VertexSet, _extreme_rays,
+                             _nonneg_representative, _rref, axiom_implied,
+                             canonical_inequality, evaluate_inequality,
+                             facet_enumeration, membership, parse_inequality,
+                             vertices_from_states)
 from ctxlab.states import UnknownAtom, enumerate_states
 from canonical_oracle import nonneg_representative
+from dd_oracle import extreme_rays
 from helpers import load_logic
 from hull_oracle import brute_facets
 
@@ -166,6 +171,25 @@ class TestFacetEnumeration:
         assert P1.facets == P2.facets
         assert list(P1.facets) == sorted(P1.facets,
                                          key=lambda f: (f.coeffs, f.bound))
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    @pytest.mark.parametrize("call", ["facet_enumeration", "membership"])
+    def test_soundness_check_rejects_a_shifted_bound(self, monkeypatch, shift, call):
+        canonical = polytope.canonical_inequality
+
+        def shifted(*args):
+            f = canonical(*args)
+            return Inequality(f.labels, f.coeffs, f.bound + shift)
+
+        vs = vset(["x", "y"], [[0, 0], [1, 0], [0, 1]])
+        facet_enumeration.cache_clear()
+        monkeypatch.setattr(polytope, "canonical_inequality", shifted)
+        with pytest.raises(InternalError):
+            if call == "facet_enumeration":
+                facet_enumeration(vs)
+            else:
+                membership({"x": F(1), "y": F(1)}, vs)
+        facet_enumeration.cache_clear()
 
 
 class TestCanonicalInequality:
@@ -492,3 +516,74 @@ def test_random_01_polytopes_match_brute_oracle(nverts, dim, data):
     for f in P.facets:
         vals = [_dot(f.coeffs, v) for v in vs.vertices]
         assert max(vals) == f.bound
+
+
+@given(st.integers(2, 8), st.integers(2, 4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_rational_polytopes_match_brute_oracle(nverts, dim, data):
+    values = [F(0), F(1), F(1, 2), F(-2, 3), F(3)]
+    rows = data.draw(st.lists(
+        st.tuples(*[st.sampled_from(values) for _ in range(dim)]),
+        min_size=nverts, max_size=nverts, unique=True))
+    vs = vset([f"x{i}" for i in range(dim)], rows)
+    P = facet_enumeration(vs)
+    assert facet_pairs(P) == brute_facets(vs)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)]),
+             min_size=n, max_size=n), min_size=1, max_size=6)))
+@settings(max_examples=100, deadline=None)
+def test_rref_is_reduced_and_spans_the_rows(rows):
+    rr, piv = _rref(rows)
+    assert piv == sorted(piv) and len(rr) == len(piv)
+    assert len(piv) == np.linalg.matrix_rank(np.array(rows, dtype=float))
+    for j, row in enumerate(rr):
+        assert [row[p] for p in piv] == [F(int(j == k)) for k in range(len(piv))]
+        assert all(v == 0 for v in row[:piv[j]])
+    for row in rows:  # each input row is its pivot entries times the rref rows
+        assert list(row) == [sum((row[p] * r[c] for p, r in zip(piv, rr)), F(0))
+                             for c in range(len(row))]
+
+
+@st.composite
+def cones(draw):
+    """Constraint rows of random cones {z : M z >= 0}: integer or rational
+    entries, with duplicated rows, or with many rows tight on one ray."""
+    d = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["integer", "rational", "duplicates", "one_ray"]))
+    entry = (st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)])
+             if kind == "rational" else st.integers(-3, 3).map(F))
+    rows = draw(st.lists(st.tuples(*[entry] * d), min_size=d, max_size=d + 5))
+    if kind == "duplicates":
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+        rows = draw(st.permutations(rows))
+    elif kind == "one_ray":
+        ray = draw(st.tuples(*[st.integers(-2, 2)] * (d - 1))) + (1,)
+        tight = draw(st.lists(st.tuples(*[entry] * (d - 1)), min_size=d, max_size=d + 6))
+        rows = [a + (-sum(x * r for x, r in zip(a, ray)),) for a in tight] + rows
+        rows = draw(st.permutations(rows))
+    return [tuple(row) for row in rows]
+
+
+@given(cones())
+@example([(F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(1), F(1))])
+@example([(F(1), F(0), F(0), F(0)), (F(1), F(1), F(0), F(0)),
+          (F(1), F(0), F(1), F(0)), (F(1), F(1), F(1), F(0)),
+          (F(1), F(1, 2), F(1, 2), F(1))])  # square pyramid: four rows through (0, 0, 0, 1)
+@settings(max_examples=100, deadline=None)
+def test_extreme_rays_match_fraction_oracle(M):
+    try:
+        want = extreme_rays(M)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _extreme_rays(M)
+        return
+    got = _extreme_rays(M)
+    assert got == want
+    assert all(type(v) is Fraction for ray in got for v in ray)
+
+
+def test_extreme_rays_reject_a_cone_that_is_not_pointed():
+    with pytest.raises(ValueError):
+        _extreme_rays([(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(1), F(1), F(0))])
