@@ -125,13 +125,20 @@ def _realization(args) -> tuple[Realization, bool]:
                        "entry that ships a realization")
 
 
+def _fraction(text: str, where: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise _DomainError(f"{where}: zero denominator in {text!r}") from None
+
+
 def _read_weights(path: str) -> MixtureWeights:
     values = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
-                values.append(Fraction(line))
+                values.append(_fraction(line, f"{path}:{lineno}"))
     return MixtureWeights(tuple(values))
 
 
@@ -147,7 +154,7 @@ def _read_assignment(path: str) -> dict[str, Fraction]:
                 raise _DomainError(f"{path}:{lineno}: expected 'atom value'")
             if parts[0] in out:
                 raise _DomainError(f"{path}:{lineno}: repeated atom {parts[0]!r}")
-            out[parts[0]] = Fraction(parts[1])
+            out[parts[0]] = _fraction(parts[1], f"{path}:{lineno}")
     if not out:
         raise _DomainError(f"{path}: no assignment lines")
     return out

@@ -15,9 +15,10 @@ vertices scaled by their common denominators.
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
 the one with all-nonnegative coefficients and smallest coefficient sum is
-chosen (smallest lexicographically on ties).  When no nonnegative
-representative exists, coefficients on the equality system's pivot coordinates
-are eliminated instead.
+chosen (smallest lexicographically on ties).  It comes from one LP in the
+coordinates of the equalities' reduced row echelon form, after the
+inequality's pivot coordinates are eliminated; when no nonnegative
+representative exists, that pivot-eliminated form is kept.
 """
 
 from __future__ import annotations
@@ -247,74 +248,59 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
                          equalities: Sequence[Equality] = ()) -> Inequality:
     """Canonical representative of an inequality modulo hull equalities.
 
-    Searches representatives ``coeffs + sum_e t_e . eq_e`` for the one with
-    all coefficients nonnegative and minimal coefficient sum, refined to the
-    lexicographically smallest coefficient vector; coprime-integer scaled.
-    Falls back to eliminating the equality pivot coordinates when no
-    nonnegative representative exists.
+    Eliminates the pivot coordinates of the reduced row echelon form of the
+    (consistent) equalities, then picks the representative with all
+    coefficients nonnegative and minimal coefficient sum, refined to the
+    lexicographically smallest coefficient vector; keeps the eliminated form
+    when none is nonnegative.  Coprime-integer scaled.
     """
-    coeffs = [Fraction(v) for v in coeffs]
-    bound = Fraction(bound)
-    eq_rows = [[Fraction(v) for v in e.coeffs] for e in equalities]
-    eq_bounds = [Fraction(e.bound) for e in equalities]
-    q = len(eq_rows)
-
-    if q:
-        picked = _nonneg_representative(coeffs, eq_rows)
-        if picked is not None:
-            t = picked
-            coeffs = [c + sum(t[e] * eq_rows[e][i] for e in range(q))
-                      for i, c in enumerate(coeffs)]
-            bound = bound + sum(t[e] * eq_bounds[e] for e in range(q))
-        else:
-            rr, piv = _rref([row + [b] for row, b in zip(eq_rows, eq_bounds)])
-            aug = coeffs + [bound]
-            for row, p in zip(rr, piv):
-                if aug[p]:
-                    f = aug[p]
-                    aug = [a - f * b for a, b in zip(aug, row)]
-            coeffs, bound = aug[:-1], aug[-1]
-
-    vec = _integer_primitive(coeffs + [bound])
+    aug = [Fraction(v) for v in coeffs] + [Fraction(bound)]
+    rr, piv = _rref([[Fraction(v) for v in e.coeffs] + [Fraction(e.bound)]
+                     for e in equalities])
+    if piv and piv[-1] == len(aug) - 1:
+        raise ValueError("equalities are inconsistent")
+    for row, p in zip(rr, piv):
+        if aug[p]:
+            f = aug[p]
+            aug = [a - f * b for a, b in zip(aug, row)]
+    if rr:
+        s = _nonneg_representative(aug[:-1], rr, piv)
+        if s is not None:
+            aug = s + [aug[-1] + sum(s[p] * row[-1] for row, p in zip(rr, piv))]
+    vec = _integer_primitive(aug)
     return Inequality(tuple(labels), vec[:-1], vec[-1])
 
 
-def _nonneg_representative(coeffs: list[Fraction],
-                           eq_rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """Multipliers t making coeffs + t.E componentwise nonnegative, with the
-    smallest coefficient sum and then lexicographically smallest coefficients.
-    None when no nonnegative representative exists.
-
-    One LP in the resulting coefficients s = coeffs + t.E >= 0, reoptimized
-    lexicographically on a single tableau: first sum(s), then s_0, s_1, ...,
-    each over the optimal face of the objectives before it.
+def _nonneg_representative(reduced: list[Fraction], rr: list[list[Fraction]],
+                           piv: list[int]) -> list[Fraction] | None:
+    """The representative s = reduced + sum_e s[piv_e] . rr_e with s >= 0,
+    the smallest coefficient sum and then lexicographically smallest
+    coefficients; None when no nonnegative representative exists.
+    ``rr`` is in reduced row echelon form with pivots ``piv`` and ``reduced``
+    is zero there, so s itself is the LP variable, with one row
+    s_j - sum_e rr_e[j] . s[piv_e] = reduced_j per non-pivot coordinate j,
+    reoptimized on a single tableau: first sum(s), then s_0, s_1, ...
     """
-    n = len(coeffs)
-    q = len(eq_rows)
-    # variables: u_e, w_e (t_e = u_e - w_e), s_i = resulting coefficient i
-    nvars = 2 * q + n
-    rows, rhs = [], []
-    for i in range(n):
-        row = [Fraction(0)] * nvars
-        for e in range(q):
-            row[e] = eq_rows[e][i]
-            row[q + e] = -eq_rows[e][i]
-        row[2 * q + i] = Fraction(-1)
+    n = len(reduced)
+    free = [j for j in range(n) if j not in piv]
+    rows = []
+    for j in free:
+        row = [Fraction(0)] * n
+        row[j] = Fraction(1)
+        for r, p in zip(rr, piv):
+            row[p] = -r[j]
         rows.append(row)
-        rhs.append(-coeffs[i])
 
-    objectives = [[Fraction(0)] * (2 * q) + [Fraction(1)] * n]
+    objectives = [[Fraction(1)] * n]
     for i in range(n):
-        target = [Fraction(0)] * nvars
-        target[2 * q + i] = Fraction(1)
+        target = [Fraction(0)] * n
+        target[i] = Fraction(1)
         objectives.append(target)
-    res = solve_lexicographic(objectives, rows, rhs)
+    res = solve_lexicographic(objectives, rows, [reduced[j] for j in free])
     if res.status == INFEASIBLE:
         return None
     check_invariant(res.status == OPTIMAL, "coefficient objectives are bounded below by 0")
-    # the last objective leaves one point, s; the multipliers are unique
-    # because the equality rows are independent
-    return [res.x[e] - res.x[q + e] for e in range(q)]
+    return list(res.x)
 
 
 def _extreme_rays(M: list[Vector]) -> list[Vector]:

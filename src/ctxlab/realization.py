@@ -112,8 +112,12 @@ def _real_value(token: str) -> float:
         return float(int(token))
     num, den = token.split("/", 1)
     if den.startswith("sqrt(") and den.endswith(")"):
-        return int(num) / sqrt(int(den[5:-1]))
-    return int(num) / int(den)
+        divisor = sqrt(int(den[5:-1]))
+    else:
+        divisor = int(den)
+    if not divisor:
+        raise ValueError(f"zero denominator in {token!r}")
+    return int(num) / divisor
 
 
 def parse_scalar(token: str) -> complex | float:

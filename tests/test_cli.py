@@ -152,6 +152,27 @@ class TestExitCodes:
         assert err == "" or (err.startswith("error: ")
                              and err.count("\n") == 1 and err.endswith("\n"))
 
+    @pytest.mark.parametrize("argv", [
+        ["mixture", "--catalog", "pentagon", "--weights", "zero.weights"],
+        ["urn", "--catalog", "pentagon", "--context", "0", "--seed", "1",
+         "--weights", "zero.weights"],
+        ["member", "--catalog", "specker_bug", "--assign", "zero.assign"],
+        ["realization-check", "--catalog", "triangle4d", "--vectors", "zero.vec"],
+        ["realization-check", "--catalog", "triangle4d", "--vectors", "sqrt0.vec"],
+        ["born", "--catalog", "triangle4d", "--psi", "1/0 0 0 0"],
+        ["born", "--catalog", "triangle4d", "--psi", "(0,1/sqrt(0)) 0 0 0"],
+    ])
+    def test_zero_denominator_exits_1(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "zero.weights").write_text("1/2\n1/0\n")
+        (tmp_path / "zero.assign").write_text("a 1/0\n")
+        (tmp_path / "zero.vec").write_text("vec 1 1 0 0\nvec 2 0 1/0 0\n")
+        (tmp_path / "sqrt0.vec").write_text("vec 1 1/sqrt(0) 0 0\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero denominator" in err
+
     def test_missing_coordinate_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "short.assign"
         path.write_text("1 1/2\n")

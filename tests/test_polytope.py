@@ -11,10 +11,10 @@ from ctxlab import polytope
 from ctxlab.exactlp import InternalError
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
                              MissingCoordinate, VertexSet, _extreme_rays,
-                             _nonneg_representative, _rref, axiom_implied,
-                             canonical_inequality, evaluate_inequality,
-                             facet_enumeration, membership, parse_inequality,
-                             vertices_from_states)
+                             _integer_primitive, _nonneg_representative, _rref,
+                             axiom_implied, canonical_inequality,
+                             evaluate_inequality, facet_enumeration,
+                             membership, parse_inequality, vertices_from_states)
 from ctxlab.states import UnknownAtom, enumerate_states
 from canonical_oracle import nonneg_representative
 from dd_oracle import extreme_rays
@@ -35,6 +35,39 @@ def facet_pairs(poly):
 
 def int_coeffs(f):
     return tuple(int(c) for c in f.coeffs)
+
+
+def eliminate_pivots(values, rr, piv):
+    """Zero the pivot coordinates of ``values`` against echelon rows."""
+    values = list(values)
+    for row, p in zip(rr, piv):
+        if values[p]:
+            f = values[p]
+            values = [a - f * b for a, b in zip(values, row)]
+    return values
+
+
+def canonical_form_oracle(coeffs, bound, equalities):
+    """(coeffs, bound) of the canonical form by two separate paths: the
+    nonnegative representative from ``canonical_oracle`` when one exists,
+    otherwise the form with the pivot coordinates of the rref of the
+    equalities eliminated."""
+    coeffs = [F(v) for v in coeffs]
+    bound = F(bound)
+    rows = [list(e.coeffs) for e in equalities]
+    bounds = [e.bound for e in equalities]
+    if rows:
+        t = nonneg_representative(coeffs, rows)
+        if t is not None:
+            coeffs = [c + sum(te * row[i] for te, row in zip(t, rows))
+                      for i, c in enumerate(coeffs)]
+            bound += sum(te * b for te, b in zip(t, bounds))
+        else:
+            rr, piv = _rref([row + [b] for row, b in zip(rows, bounds)])
+            aug = eliminate_pivots(coeffs + [bound], rr, piv)
+            coeffs, bound = aug[:-1], aug[-1]
+    vec = _integer_primitive(coeffs + [bound])
+    return vec[:-1], vec[-1]
 
 
 class TestVerticesFromStates:
@@ -260,8 +293,46 @@ class TestCanonicalInequality:
         coeffs, rows = args
         coeffs = [F(v) for v in coeffs]
         rows = [[F(v) for v in row] for row in rows]
-        assume(len(_rref(rows)[1]) == len(rows))
-        assert _nonneg_representative(coeffs, rows) == nonneg_representative(coeffs, rows)
+        rr, piv = _rref(rows)
+        assume(len(piv) == len(rows))
+        t = nonneg_representative(coeffs, rows)
+        expected = None if t is None else [
+            c + sum(te * row[i] for te, row in zip(t, rows))
+            for i, c in enumerate(coeffs)]
+        assert _nonneg_representative(eliminate_pivots(coeffs, rr, piv),
+                                      rr, piv) == expected
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        st.integers(-4, 4),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=1, max_size=n),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                 max_size=2))))
+    @example(([-1, 0], 0, [0, 0], [[1, -1]], []))  # no nonnegative representative
+    @example(([1, -2, 3], 2, [1, 0, 2], [[1, 1, 0], [0, 1, 1], [1, 0, 1]], []))  # q = n
+    @example(([2, -1, 0], 1, [0, 1, 0], [[1, 1, 1]], [(1, 1), (2, 0)]))  # dependent rows
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_inequality_matches_oracle(self, args):
+        # consistent systems: every equality holds at the point x0; the extra
+        # rows are sums of existing ones, so the system may have dependent rows
+        coeffs, bound, x0, rows, extra = args
+        rows = list(rows)
+        for i, j in extra:
+            rows.append([a + b for a, b in zip(rows[i % len(rows)],
+                                               rows[j % len(rows)])])
+        labels = tuple(f"x{i}" for i in range(len(coeffs)))
+        equalities = [Equality(labels, tuple(F(v) for v in row),
+                               F(sum(a * x for a, x in zip(row, x0))))
+                      for row in rows]
+        f = canonical_inequality(labels, [F(v) for v in coeffs], F(bound), equalities)
+        assert (f.coeffs, f.bound) == canonical_form_oracle(coeffs, bound, equalities)
+
+    def test_inconsistent_equalities_rejected(self):
+        eqs = [Equality(("x",), (F(1),), F(0)), Equality(("x",), (F(1),), F(1))]
+        with pytest.raises(ValueError, match="inconsistent"):
+            canonical_inequality(("x",), [F(1)], F(1), eqs)
 
 
 class TestEvaluateInequality:
