@@ -4,10 +4,10 @@ Two-phase primal simplex on the standard form
 
     minimize c.x   subject to   A x = b,  x >= 0
 
-with all arithmetic in :class:`fractions.Fraction` and Bland's smallest-index
-pivot rule, which makes every run deterministic and termination guaranteed.
-Infeasible problems return a Farkas certificate y (y.A <= 0, y.b > 0);
-optimal ones return the optimal basic solution and the dual vector.
+with Bland's smallest-index pivot rule, which makes every run deterministic
+and termination guaranteed.  Infeasible problems return a Farkas certificate
+y (y.A <= 0, y.b > 0); optimal ones return the optimal basic solution and
+the dual vector.
 
 Several objectives are minimized lexicographically on one tableau: once an
 objective is optimal, every column with a positive reduced cost is barred from
@@ -15,16 +15,24 @@ entering the basis (by complementary slackness those variables are zero on the
 whole optimal face), the next cost row is installed, and the simplex carries
 on from the same basis.  A single objective is the ordinary LP.
 
-This is deliberately a dense-tableau implementation: problem sizes here are
-tens of rows and at most a couple of hundred columns, where simplicity and
-exactness matter more than sparse data structures.  The one concession is
-that pivots and cost rows skip zero entries, which are most of them.
+The tableau is dense and fraction-free, in the manner of Bareiss (Math. Comp.
+22, 1968) and of Avis's lrs: every row, cost row included, is a primitive
+integer row that is a positive multiple of the rational tableau row, so the
+pivot loop does integer arithmetic only.  Each decision the simplex makes is
+the sign of an entry or a comparison of two ratios rhs_i / a_i, and a
+positive scaling of a row changes neither; the pivot sequence, and with it
+every solution, dual and Farkas vector, is the one the rational tableau
+takes.  Fractions are built only when a result is read off, as entries over
+their row's scale.  Problem sizes here are tens of rows and at most a couple
+of hundred columns, where simplicity and exactness matter more than sparse
+data structures; pivots leave rows with a zero in the pivot column alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -52,55 +60,75 @@ class LPResult:
     farkas: tuple[Fraction, ...] | None = None
 
 
-class _Tableau:
-    """Rows of [A | B^-1-tracking block | rhs] plus a maintained cost row.
+def _rationals(values: Sequence) -> list:
+    """The values as exact rationals: ints and Fractions as they are,
+    anything else through ``Fraction``."""
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
 
-    The tracking block starts as the identity over the (sign-fixed) rows and
-    doubles as the phase-1 artificial columns; after any pivot sequence it
-    holds the current basis inverse, which is where dual vectors come from.
-    Barred columns never enter the basis, so a barred nonbasic variable stays
-    at zero.
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a zero row passes through)."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+class _Tableau:
+    """Rows of [A | B^-1-tracking block | rhs] plus a maintained cost row,
+    as primitive integer rows.
+
+    Row i is a positive multiple of the rational tableau row; its entry in
+    its basic column is the multiple (the row's scale) where the rational
+    row has a 1.  The cost row is a positive multiple of the reduced costs,
+    of which only the signs are ever read, so its scale is not kept.  The
+    tracking block starts as the identity over the (sign-fixed) rows, times
+    each row's scale, and doubles as the phase-1 artificial columns; after
+    any pivot sequence it holds the scaled rows of the current basis
+    inverse, which is where dual vectors come from.  Barred columns never
+    enter the basis, so a barred nonbasic variable stays at zero.
     """
 
-    def __init__(self, A: list[list[Fraction]], b: list[Fraction], n: int):
+    def __init__(self, A: list[list], b: list, n: int):
         self.m = len(A)
         self.n = n
-        self.sign = [Fraction(-1) if bi < 0 else Fraction(1) for bi in b]
+        self.sign = [-1 if bi < 0 else 1 for bi in b]
         self.rows = []
         for i in range(self.m):
-            row = [self.sign[i] * v for v in A[i]]
-            row += [Fraction(1) if j == i else Fraction(0) for j in range(self.m)]
-            row.append(self.sign[i] * b[i])
+            scale = lcm(*(v.denominator for v in A[i]), b[i].denominator)
+            s = self.sign[i] * scale
+            row = [v.numerator * (s // v.denominator) for v in A[i]]
+            row += [scale if j == i else 0 for j in range(self.m)]
+            row.append(b[i].numerator * (s // b[i].denominator))
             self.rows.append(row)
         self.basis = [self.n + i for i in range(self.m)]  # artificials
-        self.cost: list[Fraction] = []
+        self.cost: list[int] = []
         self.barred = [False] * (self.n + self.m)
 
-    def set_costs(self, costs: list[Fraction]) -> None:
+    def set_costs(self, costs: list) -> None:
         """Install a cost row reduced against the current basis."""
-        row = list(costs) + [Fraction(0)]
-        for i, bv in enumerate(self.basis):
-            cb = costs[bv]
-            if cb:
-                for j, v in enumerate(self.rows[i]):
-                    if v:
-                        row[j] -= cb * v
+        scale = lcm(*(c.denominator for c in costs))
+        row = _primitive([c.numerator * (scale // c.denominator) for c in costs] + [0])
+        for basic_row, bv in zip(self.rows, self.basis):
+            f = row[bv]
+            if f:
+                p = basic_row[bv]
+                row = _primitive([p * d - f * v for d, v in zip(row, basic_row)])
         self.cost = row
 
     def pivot(self, r: int, col: int) -> None:
-        inv = 1 / self.rows[r][col]
-        rr = [v * inv if v else v for v in self.rows[r]]
-        self.rows[r] = rr
-        # tableaux here are mostly zeros: update only the pivot row's support
-        support = [j for j, v in enumerate(rr) if v]
-        others = [row for i, row in enumerate(self.rows) if i != r]
-        if self.cost:
-            others.append(self.cost)
-        for row in others:
+        """Make ``col`` basic in row r: every other row with a nonzero f in
+        ``col`` becomes ``p * row - f * rr`` over its gcd (p = rr[col] > 0),
+        a positive multiple of the rational update."""
+        rr = self.rows[r]
+        if rr[col] < 0:  # only when phase 1 drives an artificial out
+            rr = self.rows[r] = [-v for v in rr]
+        p = rr[col]
+        for i, row in enumerate(self.rows):
             f = row[col]
-            if f:
-                for j in support:
-                    row[j] -= f * rr[j]
+            if f and i != r:
+                self.rows[i] = _primitive([p * v - f * w for v, w in zip(row, rr)])
+        f = self.cost[col] if self.cost else 0
+        if f:
+            self.cost = _primitive([p * v - f * w for v, w in zip(self.cost, rr)])
         self.basis[r] = col
 
     def run(self) -> str:
@@ -110,35 +138,38 @@ class _Tableau:
                         if d < 0 and not barred), None)
             if col is None:
                 return OPTIMAL
-            best_ratio = None
+            # smallest ratio rhs / a over a > 0, compared by cross-multiplying:
+            # a row's scale cancels in its ratio
             leave = None
-            for i in range(self.m):
-                a = self.rows[i][col]
+            for i, row in enumerate(self.rows):
+                a = row[col]
                 if a > 0:
-                    ratio = self.rows[i][-1] / a
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio and self.basis[i] < self.basis[leave])):
-                        best_ratio, leave = ratio, i
+                    if leave is None:
+                        leave, rhs, den = i, row[-1], a
+                        continue
+                    lhs, best = row[-1] * den, rhs * a
+                    if lhs < best or (lhs == best and self.basis[i] < self.basis[leave]):
+                        leave, rhs, den = i, row[-1], a
             if leave is None:
                 return UNBOUNDED
             self.pivot(leave, col)
 
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n
-        for i, bv in enumerate(self.basis):
+        for row, bv in zip(self.rows, self.basis):
             if bv < self.n:
-                x[bv] = self.rows[i][-1]
+                x[bv] = Fraction(row[-1], row[bv])
         return x
 
-    def dual_for(self, costs: list[Fraction]) -> list[Fraction]:
+    def dual_for(self, costs: list) -> list[Fraction]:
         """y = c_B . B^-1 in the original row order and scaling."""
         y = []
         for j in range(self.m):
             col = self.n + j
             acc = Fraction(0)
-            for i, bv in enumerate(self.basis):
-                if costs[bv]:
-                    acc += costs[bv] * self.rows[i][col]
+            for row, bv in zip(self.rows, self.basis):
+                if costs[bv] and row[col]:
+                    acc += costs[bv] * Fraction(row[col], row[bv])
             y.append(acc * self.sign[j])
         return y
 
@@ -146,8 +177,8 @@ class _Tableau:
 def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     """Minimize ``c.x`` over ``A x = b, x >= 0`` exactly.
 
-    All inputs are coerced to Fraction.  ``dual`` satisfies
-    ``dual . A <= c`` with ``dual . b == objective`` at optimality;
+    Inputs are read as exact rationals (see :func:`_rationals`).  ``dual``
+    satisfies ``dual . A <= c`` with ``dual . b == objective`` at optimality;
     ``farkas`` satisfies ``farkas . A <= 0`` with ``farkas . b > 0``.
     """
     return solve_lexicographic([c], A, b)
@@ -166,9 +197,9 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
     UNBOUNDED means some objective is unbounded below on the optimal face of
     those before it.
     """
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    costs = [[Fraction(v) for v in c] for c in costs]
+    A = [_rationals(row) for row in A]
+    b = _rationals(b)
+    costs = [_rationals(c) for c in costs]
     if not costs:
         raise ValueError("no objective")
     n = len(costs[0])
@@ -182,12 +213,11 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
 
     t = _Tableau(A, b, n)
 
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+    phase1 = [0] * n + [1] * m
     t.set_costs(phase1)
     status = t.run()
     check_invariant(status == OPTIMAL, "phase 1 objective is bounded below by 0")
-    phase1_value = -t.cost[-1]
-    if phase1_value > 0:
+    if t.cost[-1] < 0:  # the phase-1 optimum is positive
         y = t.dual_for(phase1)
         return LPResult(status=INFEASIBLE, farkas=tuple(y))
 
@@ -201,7 +231,7 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
 
     # artificial columns never enter again
     t.barred[n:] = [True] * m
-    padding = [Fraction(0)] * m
+    padding = [0] * m
     for k, c in enumerate(costs):
         if k:  # keep to the optimal face of the objectives so far
             t.barred = [barred or d > 0 for barred, d in zip(t.barred, t.cost)]

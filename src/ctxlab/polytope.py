@@ -254,11 +254,26 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
     lexicographically smallest coefficient vector; keeps the eliminated form
     when none is nonnegative.  Coprime-integer scaled.
     """
-    aug = [Fraction(v) for v in coeffs] + [Fraction(bound)]
+    rr, piv = _equality_rref(equalities, len(coeffs))
+    return _canonical_form(labels, coeffs, bound, rr, piv)
+
+
+def _equality_rref(equalities: Sequence[Equality],
+                   n: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of the augmented rows [coeffs | bound] of
+    the equalities on n coordinates; raises on inconsistent equalities."""
     rr, piv = _rref([[Fraction(v) for v in e.coeffs] + [Fraction(e.bound)]
                      for e in equalities])
-    if piv and piv[-1] == len(aug) - 1:
+    if piv and piv[-1] == n:
         raise ValueError("equalities are inconsistent")
+    return rr, piv
+
+
+def _canonical_form(labels: tuple[str, ...], coeffs: Sequence[Fraction],
+                    bound: Fraction, rr: list[list[Fraction]],
+                    piv: list[int]) -> Inequality:
+    """:func:`canonical_inequality` given the equalities' ``_equality_rref``."""
+    aug = [Fraction(v) for v in coeffs] + [Fraction(bound)]
     for row, p in zip(rr, piv):
         if aug[p]:
             f = aug[p]
@@ -423,13 +438,14 @@ def facet_enumeration(vset: VertexSet) -> Polytope:
 
     reduced = [hull.reduce(v) for v in vset.vertices]
     M = [(Fraction(1),) + y for y in reduced]
+    rr, piv = _equality_rref(equalities, len(vset.labels))
     facets = []
     for ray in _extreme_rays(M):
         c0, c = ray[0], ray[1:]
         if all(v == 0 for v in c):
             continue
         coeffs, bound = hull.lift_inequality(tuple(-v for v in c), c0)
-        facets.append(canonical_inequality(vset.labels, coeffs, bound, equalities))
+        facets.append(_canonical_form(vset.labels, coeffs, bound, rr, piv))
 
     scaled = _integer_vertices(vset.vertices)
     for f in facets:  # soundness: valid on every vertex and tight somewhere

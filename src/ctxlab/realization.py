@@ -108,16 +108,19 @@ class ViolationReport:
 
 
 def _real_value(token: str) -> float:
-    if "/" not in token:
-        return float(int(token))
-    num, den = token.split("/", 1)
-    if den.startswith("sqrt(") and den.endswith(")"):
-        divisor = sqrt(int(den[5:-1]))
-    else:
-        divisor = int(den)
-    if not divisor:
-        raise ValueError(f"zero denominator in {token!r}")
-    return int(num) / divisor
+    try:
+        if "/" not in token:
+            return float(int(token))
+        num, den = token.split("/", 1)
+        if den.startswith("sqrt(") and den.endswith(")"):
+            divisor = sqrt(int(den[5:-1]))
+        else:
+            divisor = int(den)
+        if not divisor:
+            raise ValueError(f"zero denominator in {token!r}")
+        return int(num) / divisor
+    except OverflowError as err:
+        raise ValueError("component is out of float range") from err
 
 
 def parse_scalar(token: str) -> complex | float:

@@ -15,6 +15,8 @@ from ctxlab.polytope import parse_inequality
 
 from helpers import DATA
 
+HUGE = "9" * 400  # an integer past the float range
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -172,6 +174,23 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "zero denominator" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["realization-check", "--catalog", "triangle4d", "--vectors", "huge.vec"],
+        ["born", "--catalog", "triangle4d", "--psi", f"1 {HUGE} 0 0"],
+        ["born", "--catalog", "triangle4d", "--psi", f"({HUGE},0) 0 0 0"],
+        ["born", "--catalog", "triangle4d", "--psi", f"1/sqrt({HUGE}) 0 0 0"],
+    ])
+    def test_oversized_component_exits_1(self, capsys, tmp_path, monkeypatch, argv):
+        # an integer too large for a float is a malformed component
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge.vec").write_text(f"vec 1 {HUGE} 0 0\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out of float range" in err
+        if argv[0] == "realization-check":
+            assert "line 1, column 7" in err
 
     def test_missing_coordinate_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "short.assign"

@@ -1,14 +1,21 @@
-"""Exact simplex: optima, duals, Farkas certificates, Bland termination."""
+"""Exact simplex: optima, duals, Farkas certificates, Bland termination,
+and agreement with the Fraction reference tableau in ``lp_oracle``."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctxlab import exactlp
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lexicographic,
                             solve_standard)
+
+import lp_oracle
 
 F = Fraction
 
@@ -217,3 +224,105 @@ def test_lexicographic_rejects_bad_objectives():
         solve_lexicographic([], [[1]], [1])
     with pytest.raises(ValueError):
         solve_lexicographic([[1, 0], [1]], [[1, 1]], [1])
+
+
+# ------------------------------------------------ integer rows vs the reference
+
+# zero-heavy rational entries: degenerate vertices, zero and sparse rows
+rationals = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=7))
+
+
+@st.composite
+def rational_lps(draw):
+    """(costs, A, b): up to 4 rows of rationals, some of them appended as
+    multiples of others (zero rows when the multiple is 0), rhs of either
+    sign, one to three objectives."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    A = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(rationals, min_size=m, max_size=m))
+    if m:
+        for k, f in draw(st.lists(st.tuples(st.integers(0, m - 1), rationals),
+                                  max_size=2)):
+            A.append([f * v for v in A[k]])
+            b.append(f * b[k])
+    costs = draw(st.lists(row, min_size=1, max_size=3))
+    return costs, A, b
+
+
+def assert_matches_oracle(costs, A, b):
+    got = solve_lexicographic(costs, A, b)
+    want = lp_oracle.solve_lexicographic(costs, A, b)
+    assert (got.status, got.x, got.objective, got.dual, got.farkas) == \
+        (want.status, want.x, want.objective, want.dual, want.farkas)
+    return got
+
+
+def assert_integer_tableau(t):
+    """Every row integral and primitive, positive in its basic column and 0
+    in the other basic columns; the cost row integral, primitive and 0 on
+    the basis."""
+    for i, (row, bv) in enumerate(zip(t.rows, t.basis)):
+        assert all(type(v) is int for v in row)
+        assert gcd(*row) == 1 and row[bv] > 0
+        assert all(other[bv] == 0 for k, other in enumerate(t.rows) if k != i)
+    if t.cost:
+        assert all(type(v) is int for v in t.cost)
+        assert gcd(*t.cost) in (0, 1)
+        assert all(t.cost[bv] == 0 for bv in t.basis)
+
+
+@contextmanager
+def checked_tableau():
+    """Check the integer-row invariants after every pivot and cost row."""
+    pivot, set_costs = exactlp._Tableau.pivot, exactlp._Tableau.set_costs
+
+    def checked_pivot(t, r, col):
+        pivot(t, r, col)
+        assert_integer_tableau(t)
+
+    def checked_set_costs(t, costs):
+        set_costs(t, costs)
+        assert_integer_tableau(t)
+
+    with mock.patch.object(exactlp._Tableau, "pivot", checked_pivot), \
+            mock.patch.object(exactlp._Tableau, "set_costs", checked_set_costs):
+        yield
+
+
+@given(rational_lps())
+@settings(max_examples=400, deadline=None)
+def test_integer_tableau_matches_fraction_oracle(lp):
+    with checked_tableau():
+        assert_matches_oracle(*lp)
+
+
+def test_artificial_driven_out_on_negative_pivot():
+    # -x1 - x2 = 0 forces x = 0.  Phase 1 is optimal at once with the
+    # artificial basic at zero, and driving it out pivots on the -1 of x1.
+    # The row must then be negated, or min -x1 + x2 reads as unbounded.
+    with checked_tableau():
+        res = assert_matches_oracle([[-1, 1]], [[-1, -1]], [0])
+    assert res.status == OPTIMAL and res.x == (0, 0)
+    # the same on a row of scale 2: -2 x2 - x3/2 = 0 forces x2 = x3 = 0
+    with checked_tableau():
+        res = assert_matches_oracle([[-2, 1, 0]],
+                                    [[F(1, 2), 1, 0], [0, -2, F(-1, 2)]], [2, 0])
+    assert (res.x, res.objective, res.dual) == ((4, 0, 0), -8, (-4, 0))
+
+
+def test_large_scales_stay_exact():
+    # rows over distinct primes 101..139: every row's scale and the cost
+    # row's entries run to products of several primes before the gcds
+    # bring them back down
+    primes = [101, 103, 107, 109, 113, 127, 131, 137, 139]
+    A = [[F(1 + (i * j) % 5, primes[(i + j) % 9]) for j in range(6)]
+         + [F(1) if k == i else F(0) for k in range(4)] for i in range(4)]
+    b = [F(i + 1, primes[-1 - i]) for i in range(4)]
+    costs = [[F(-1, primes[j % 9]) for j in range(6)] + [F(0)] * 4,
+             [F(0)] * 6 + [F(1, 7)] * 4]
+    with checked_tableau():
+        res = assert_matches_oracle(costs, A, b)
+    assert res.status == OPTIMAL

@@ -208,7 +208,8 @@ class TestFacetEnumeration:
     @pytest.mark.parametrize("shift", [1, -1])
     @pytest.mark.parametrize("call", ["facet_enumeration", "membership"])
     def test_soundness_check_rejects_a_shifted_bound(self, monkeypatch, shift, call):
-        canonical = polytope.canonical_inequality
+        # every canonical form, facet or separator, comes from _canonical_form
+        canonical = polytope._canonical_form
 
         def shifted(*args):
             f = canonical(*args)
@@ -216,7 +217,7 @@ class TestFacetEnumeration:
 
         vs = vset(["x", "y"], [[0, 0], [1, 0], [0, 1]])
         facet_enumeration.cache_clear()
-        monkeypatch.setattr(polytope, "canonical_inequality", shifted)
+        monkeypatch.setattr(polytope, "_canonical_form", shifted)
         with pytest.raises(InternalError):
             if call == "facet_enumeration":
                 facet_enumeration(vs)
