@@ -246,9 +246,16 @@ def validate_logic(logic: Logic) -> ValidationReport:
             violations.append(Violation("unused-atom", f"atom {a!r} in no context", (a,)))
 
     sets = logic.context_sets
-    for i in range(len(sets)):
-        for j in range(len(sets)):
-            if i != j and sets[i] <= sets[j] and (i < j or sets[i] != sets[j]):
+    holders: dict[str, set[int]] = {}  # atom -> the contexts that hold it
+    for j, s in enumerate(sets):
+        for a in s:
+            holders.setdefault(a, set()).add(j)
+    for i, s in enumerate(sets):
+        # its supersets hold all of its atoms: intersecting from the smallest
+        # set keeps each step small, and an empty context is in every context
+        holding = sorted((holders[a] for a in s), key=len) or [set(range(len(sets)))]
+        for j in sorted(set.intersection(*holding)):
+            if i != j and (i < j or s != sets[j]):
                 violations.append(Violation(
                     "subset-context",
                     f"context {i} is a subset of context {j}", (i, j)))

@@ -21,7 +21,6 @@ from ctxlab.polytope import Inequality, evaluate_inequality
 from ctxlab.states import MissingAtom, ProbabilityAssignment
 
 DEFAULT_TOLERANCE = 1e-9
-ALGEBRA_TOLERANCE = 1e-12
 
 _REAL = r"[+-]?\d+(?:/(?:\d+|sqrt\(\d+\)))?"
 _REAL_TOKEN = re.compile(_REAL + r"\Z")

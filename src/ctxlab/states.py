@@ -131,58 +131,49 @@ def _check_valid(logic: Logic) -> None:
         raise ValueError(f"logic does not validate (rules: {', '.join(rules)})")
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' characters to bits
+
+
 @lru_cache(maxsize=256)
 def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     """All two-valued states of a valid logic, canonically ordered.
 
     Depth-first search over contexts in declaration order: pick the single
-    true atom of each context, propagate forced zeros, prune on conflict.
-    The complete list is then sorted by bit string, so the result does not
-    depend on search order.
+    true atom of each context, mark its other atoms false, prune on conflict.
+    The search pops (next context, true mask, false mask) triples of ints
+    off an explicit stack, so Python's recursion limit does not bound its
+    depth.  Atom i sits at bit n-1-i, as in :func:`brute_force_states`, so
+    the numeric order of the true masks is the lexicographic order of the
+    bit strings, and sorting them gives the canonical order.
     """
     _check_valid(logic)
-    atoms = logic.atoms
-    n = len(atoms)
+    n = len(logic.atoms)
     idx = logic.atom_index
-    ctx_idx = [tuple(idx[a] for a in c) for c in logic.contexts]
-
-    assignment = [-1] * n
-    found: list[tuple[int, ...]] = []
-
-    def walk(ci: int) -> None:
-        if ci == len(ctx_idx):
-            found.append(tuple(assignment))
-            return
-        ctx = ctx_idx[ci]
-        ones = [i for i in ctx if assignment[i] == 1]
-        if len(ones) > 1:
-            return
-        if len(ones) == 1:
-            touched = []
-            for i in ctx:
-                if assignment[i] == -1:
-                    assignment[i] = 0
-                    touched.append(i)
-            walk(ci + 1)
-            for i in touched:
-                assignment[i] = -1
-            return
-        for choice in ctx:
-            if assignment[choice] == 0:
-                continue
-            touched = [choice]
-            assignment[choice] = 1
-            for i in ctx:
-                if assignment[i] == -1:
-                    assignment[i] = 0
-                    touched.append(i)
-            walk(ci + 1)
-            for i in touched:
-                assignment[i] = -1
-
-    walk(0)
+    masks = [sum(1 << (n - 1 - idx[a]) for a in c) for c in logic.contexts]
+    found: list[int] = []
+    # bit n of the true mask is a constant 1: format() then keeps the leading
+    # zeros, and the empty logic still gives one state with bits ()
+    stack = [(0, 1 << n, 0)]
+    while stack:
+        ci, true, false = stack.pop()
+        if ci == len(masks):
+            found.append(true)
+            continue
+        ctx = masks[ci]
+        hit = true & ctx
+        if hit:
+            if not hit & (hit - 1):  # exactly one true atom already
+                stack.append((ci + 1, true, false | (ctx ^ hit)))
+            continue
+        free = ctx & ~false
+        while free:
+            bit = free & -free
+            free ^= bit
+            stack.append((ci + 1, true | bit, false | (ctx ^ bit)))
     found.sort()
-    return tuple(TwoValuedState(atoms, bits) for bits in found)
+    return tuple(TwoValuedState(logic.atoms,
+                                tuple(format(v, "b")[1:].encode().translate(_BIT_VALUES)))
+                 for v in found)
 
 
 def brute_force_states(logic: Logic) -> tuple[TwoValuedState, ...]:
@@ -253,8 +244,8 @@ def pair_property(logic: Logic, antecedent: str, target: str) -> PairProperty:
     for a in (antecedent, target):
         if a not in logic.atom_index:
             raise UnknownAtom(f"no atom {a!r} in logic {logic.name or '<anonymous>'}")
-    states = enumerate_states(logic)
-    target_values = {s[target] for s in states if s[antecedent] == 1}
+    i, t = logic.atom_index[antecedent], logic.atom_index[target]
+    target_values = {s.bits[t] for s in enumerate_states(logic) if s.bits[i]}
     if not target_values:
         return PairProperty.ANTECEDENT_NEVER_TRUE
     if target_values == {0}:

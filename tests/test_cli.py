@@ -92,6 +92,11 @@ class TestExitCodes:
         assert code == 1
         assert "no logic" in err
 
+    def test_deep_chain_states_count(self, capsys, tmp_path):
+        chain = tmp_path / "chain.logic"
+        chain.write_text("".join(f"context c{i} c{i + 1}\n" for i in range(10_000)))
+        assert run(capsys, "states", "--logic", str(chain), "--count") == (0, "2\n", "")
+
     def test_invalid_logic_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.logic"
         bad.write_text("atom lonely\ncontext x y z\n")

@@ -242,7 +242,34 @@ def test_serialize_parse_roundtrip(l):
     assert parse_logic(serialize_logic(l)) == l
 
 
-valid_logics = logics().filter(lambda l: validate_logic(l).ok and l.contexts)
+@st.composite
+def context_lists(draw):
+    """Contexts over a small pool, empty, repeated, nested and undeclared ones
+    included."""
+    pool = ["a", "b", "c", "d", "z"]
+    contexts = draw(st.lists(st.lists(st.sampled_from(pool), max_size=4), max_size=8))
+    return Logic(tuple(pool[:4]), tuple(tuple(c) for c in contexts))
+
+
+@given(context_lists())
+@settings(max_examples=200, deadline=None)
+def test_subset_context_rule_matches_pairwise_check(l):
+    sets = l.context_sets
+    expected = [(i, j) for i in range(len(sets)) for j in range(len(sets))
+                if i != j and sets[i] <= sets[j] and (i < j or sets[i] != sets[j])]
+    found = [v.offenders for v in validate_logic(l).by_rule("subset-context")]
+    assert found == expected
+
+
+def _drop_unused_atoms(l):
+    used = {a for c in l.contexts for a in c}
+    return Logic(tuple(a for a in l.atoms if a in used), l.contexts, name=l.name)
+
+
+# every valid logic is its own image, so the map only spares the filter from
+# rejecting most draws for an unused atom (Hypothesis's filter_too_much check)
+valid_logics = logics().map(_drop_unused_atoms).filter(
+    lambda l: validate_logic(l).ok and l.contexts)
 
 
 @given(valid_logics, valid_logics)

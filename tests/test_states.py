@@ -73,6 +73,18 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_states(Logic(("a", "b", "x"), (("a", "b"),)))
 
+    def test_empty_logic_has_one_empty_state(self):
+        states = enumerate_states(Logic((), ()))
+        assert states == brute_force_states(Logic((), ()))
+        assert [s.bits for s in states] == [()]
+
+    def test_deep_chain_has_two_alternating_states(self):
+        n = 10_000
+        logic = parse_logic("".join(f"context c{i} c{i + 1}\n" for i in range(n)))
+        states = enumerate_states(logic)
+        assert [s.bits for s in states] == [
+            tuple((i + j) % 2 for i in range(n + 1)) for j in (0, 1)]
+
 
 class TestBruteForce:
     def test_agrees_with_enumeration_on_small_logics(self):
