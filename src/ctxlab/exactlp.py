@@ -66,6 +66,14 @@ def _rationals(values: Sequence) -> list:
     return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
 
 
+def scale_to_integers(values: Sequence) -> tuple[list[int], int]:
+    """``(ints, scale)`` with ints = scale * values, where scale is the lcm of
+    the denominators of the values (ints or Fractions): the smallest positive
+    integer multiple of the vector."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _primitive(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries (a zero row passes through)."""
     g = gcd(*row)
@@ -93,20 +101,18 @@ class _Tableau:
         self.sign = [-1 if bi < 0 else 1 for bi in b]
         self.rows = []
         for i in range(self.m):
-            scale = lcm(*(v.denominator for v in A[i]), b[i].denominator)
-            s = self.sign[i] * scale
-            row = [v.numerator * (s // v.denominator) for v in A[i]]
-            row += [scale if j == i else 0 for j in range(self.m)]
-            row.append(b[i].numerator * (s // b[i].denominator))
-            self.rows.append(row)
+            ints, scale = scale_to_integers([*A[i], b[i]])
+            if self.sign[i] < 0:
+                ints = [-v for v in ints]
+            self.rows.append(ints[:-1] + [scale if j == i else 0 for j in range(self.m)]
+                             + ints[-1:])
         self.basis = [self.n + i for i in range(self.m)]  # artificials
         self.cost: list[int] = []
         self.barred = [False] * (self.n + self.m)
 
     def set_costs(self, costs: list) -> None:
         """Install a cost row reduced against the current basis."""
-        scale = lcm(*(c.denominator for c in costs))
-        row = _primitive([c.numerator * (scale // c.denominator) for c in costs] + [0])
+        row = _primitive(scale_to_integers(costs)[0] + [0])
         for basic_row, bv in zip(self.rows, self.basis):
             f = row[bv]
             if f:

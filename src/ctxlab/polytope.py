@@ -5,12 +5,14 @@ subset of atoms).  Facets are enumerated with the double description method
 inside the affine hull of the vertex set; affine-hull equalities are reported
 separately from proper facets.  Membership tests run an exact rational LP and
 return either convex weights or a separating inequality that is simultaneously
-a facet.  Everything here is exact rational or integer arithmetic; there is
-no floating-point fallback.  Double description runs on integers: constraint
+a facet.  Both take all they derive from the vertex set (hull equalities,
+reduced coordinates, scaled vertices, canonical forms) from one ``_Hull``.
+Everything here is exact rational or integer arithmetic; there is no
+floating-point fallback.  Double description runs on integers: constraint
 rows are scaled to primitive integers, rays are primitive int tuples, and the
 zero set of a ray is an int bitmask, so adjacency tests are bit operations.
 The soundness checks on facets and separators evaluate the integral form on
-vertices scaled by their common denominators.
+the scaled vertices.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -25,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd
 from typing import Mapping, Sequence
 
-from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, check_invariant,
-                             solve_lexicographic, solve_standard)
+from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
+                             scale_to_integers, solve_lexicographic,
+                             solve_standard)
 from ctxlab.logic import ATOM_TOKEN, Logic, validate_logic
 from ctxlab.states import TwoValuedState, UnknownAtom, enumerate_states
 
@@ -163,84 +166,84 @@ def _nullspace(rr: list[list[Fraction]], piv: list[int], n: int) -> list[Vector]
 
 def _integer_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Positive rescale to coprime integers (zero vector passes through)."""
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return tuple(Fraction(v) for v in _primitive(scale_to_integers(values)[0]))
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _integer_vertices(vertices: Sequence[Vector]) -> list[tuple[tuple[int, ...], int]]:
-    """Each vertex v as (integer numerators, common denominator s), v = num / s."""
-    out = []
-    for v in vertices:
-        s = lcm(*(x.denominator for x in v))
-        out.append((tuple(x.numerator * (s // x.denominator) for x in v), s))
-    return out
-
-
-def _supports(form: _LinearForm, scaled: list[tuple[tuple[int, ...], int]]) -> bool:
-    """Whether coeffs . x <= bound holds on every vertex, with equality on at
-    least one: the maximum over the vertices is the bound.  The form must be
-    integral (canonical forms are); vertices come from ``_integer_vertices``."""
-    check_invariant(form.bound.denominator == 1
-                    and all(c.denominator == 1 for c in form.coeffs),
-                    "canonical form is integral")
-    terms = [(k, c.numerator) for k, c in enumerate(form.coeffs) if c]
-    bound = form.bound.numerator
-    tight = False
-    for num, s in scaled:
-        lhs, rhs = sum(c * num[k] for k, c in terms), s * bound
-        if lhs > rhs:
-            return False
-        tight = tight or lhs == rhs
-    return tight
-
-
 class _Hull:
-    """Affine hull data of a vertex list: base point, basis, reduction maps."""
+    """The affine hull of a nonempty vertex set, and all that facet
+    enumeration and membership read off it.
 
-    def __init__(self, vertices: Sequence[Vector]):
-        self.v0 = vertices[0]
-        diffs = [[vi - wi for vi, wi in zip(v, self.v0)] for v in vertices[1:]]
+    ``v0`` is the first vertex and ``basis``/``pivots`` the reduced row
+    echelon form of the differences v - v0: a point of the hull is fixed by
+    its ``dim`` pivot coordinates minus v0's (its reduced coordinates, see
+    ``reduce``).  ``equalities`` are the canonical hull equalities, one per
+    null-space vector a, reading a . x == a . v0.  The vertices in reduced
+    coordinates (``reduced``), the equalities' ``rref`` and the vertices
+    scaled to integers (``scaled``) are computed on first use: a point off
+    the hull needs none of them, a point inside only ``reduced``.
+    """
+
+    def __init__(self, vset: VertexSet):
+        self.labels = vset.labels
+        self.vertices = vset.vertices
+        self.v0 = vset.vertices[0]
+        diffs = [[vi - wi for vi, wi in zip(v, self.v0)] for v in vset.vertices[1:]]
         self.basis, self.pivots = _rref(diffs)
         self.dim = len(self.pivots)
+        equalities = []
+        for a in _nullspace(self.basis, self.pivots, len(self.v0)):
+            vec = _integer_primitive(list(a) + [_dot(a, self.v0)])
+            coeffs, bound = vec[:-1], vec[-1]
+            if next(v for v in coeffs if v != 0) < 0:
+                coeffs, bound = tuple(-v for v in coeffs), -bound
+            equalities.append(Equality(self.labels, coeffs, bound))
+        self.equalities = tuple(equalities)
 
     def reduce(self, point: Vector) -> Vector:
         return tuple(point[p] - self.v0[p] for p in self.pivots)
 
-    def equality_rows(self) -> list[tuple[Vector, Fraction]]:
-        """Null-space rows (a, a.v0): a . x == a . v0 on the whole hull."""
-        return [(a, _dot(a, self.v0))
-                for a in _nullspace(self.basis, self.pivots, len(self.v0))]
+    @cached_property
+    def reduced(self) -> list[Vector]:
+        return [self.reduce(v) for v in self.vertices]
 
-    def lift_inequality(self, red_coeffs: Vector, red_bound: Fraction) -> tuple[list[Fraction], Fraction]:
-        """Reduced-coordinate inequality back to ambient coordinates."""
-        n = len(self.v0)
-        coeffs = [Fraction(0)] * n
+    @cached_property
+    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
+        return _equality_rref(self.equalities, len(self.labels))
+
+    @cached_property
+    def scaled(self) -> list[tuple[list[int], int]]:
+        """Each vertex v as (ints, s) with v = ints / s."""
+        return [scale_to_integers(v) for v in self.vertices]
+
+    def canonical(self, red_coeffs: Sequence[Fraction], red_bound: Fraction) -> Inequality:
+        """Canonical form of red_coeffs . y <= red_bound in reduced coordinates."""
+        coeffs = [Fraction(0)] * len(self.labels)
         bound = red_bound
-        for j, p in enumerate(self.pivots):
-            coeffs[p] = red_coeffs[j]
-            bound += red_coeffs[j] * self.v0[p]
-        return coeffs, bound
+        for c, p in zip(red_coeffs, self.pivots):
+            coeffs[p] = c
+            bound += c * self.v0[p]
+        return _canonical_form(self.labels, coeffs, bound, *self.rref)
 
-
-def _canonical_equalities(labels: tuple[str, ...], hull: _Hull) -> tuple[Equality, ...]:
-    out = []
-    for a, b in hull.equality_rows():
-        vec = _integer_primitive(list(a) + [b])
-        coeffs, bound = vec[:-1], vec[-1]
-        first = next((v for v in coeffs if v != 0), Fraction(1))
-        if first < 0:
-            coeffs = tuple(-v for v in coeffs)
-            bound = -bound
-        out.append(Equality(labels, coeffs, bound))
-    return tuple(out)
+    def supports(self, form: _LinearForm) -> bool:
+        """Whether coeffs . x <= bound holds on every vertex, with equality on
+        at least one: the maximum over the vertices is the bound.  The form
+        must be integral (canonical forms are)."""
+        check_invariant(form.bound.denominator == 1
+                        and all(c.denominator == 1 for c in form.coeffs),
+                        "canonical form is integral")
+        terms = [(k, c.numerator) for k, c in enumerate(form.coeffs) if c]
+        bound = form.bound.numerator
+        tight = False
+        for ints, s in self.scaled:
+            lhs, rhs = sum(c * ints[k] for k, c in terms), s * bound
+            if lhs > rhs:
+                return False
+            tight = tight or lhs == rhs
+        return tight
 
 
 def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
@@ -334,7 +337,7 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
     is theirs intersected, plus the row that created it.
     """
     d = len(M[0])
-    rows = [tuple(int(v) for v in _integer_primitive(row)) for row in M]
+    rows = [_primitive(scale_to_integers(row)[0]) for row in M]
     supports = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
     # initial simplicial subcone from the first d linearly independent rows:
     # the pivot columns of rref(M^T)
@@ -350,7 +353,7 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
     check_invariant(piv == list(range(d)), "initial cone rows are independent")
     inv_cols = [[rr[i][d + j] for i in range(d)] for j in range(d)]
     # ray_j satisfies M_chosen . ray_j = e_j
-    rays = [tuple(int(v) for v in _integer_primitive(inv_cols[j])) for j in range(d)]
+    rays = [tuple(_primitive(scale_to_integers(col)[0])) for col in inv_cols]
     chosen_bits = sum(1 << i for i in chosen)
     zero_sets = [chosen_bits & ~(1 << i) for i in chosen]
 
@@ -431,29 +434,19 @@ def facet_enumeration(vset: VertexSet) -> Polytope:
     vertex sets hash by value."""
     if not vset.vertices:
         raise ValueError("no vertices")
-    hull = _Hull(vset.vertices)
-    equalities = _canonical_equalities(vset.labels, hull)
+    hull = _Hull(vset)
     if hull.dim == 0:
-        return Polytope(vset.labels, vset.vertices, vset.counts, 0, equalities, ())
+        return Polytope(vset.labels, vset.vertices, vset.counts, 0, hull.equalities, ())
 
-    reduced = [hull.reduce(v) for v in vset.vertices]
-    M = [(Fraction(1),) + y for y in reduced]
-    rr, piv = _equality_rref(equalities, len(vset.labels))
-    facets = []
-    for ray in _extreme_rays(M):
-        c0, c = ray[0], ray[1:]
-        if all(v == 0 for v in c):
-            continue
-        coeffs, bound = hull.lift_inequality(tuple(-v for v in c), c0)
-        facets.append(_canonical_form(vset.labels, coeffs, bound, rr, piv))
-
-    scaled = _integer_vertices(vset.vertices)
+    M = [(Fraction(1),) + y for y in hull.reduced]
+    facets = [hull.canonical(tuple(-v for v in ray[1:]), ray[0])
+              for ray in _extreme_rays(M) if any(ray[1:])]
     for f in facets:  # soundness: valid on every vertex and tight somewhere
-        check_invariant(_supports(f, scaled), "facet not supporting")
+        check_invariant(hull.supports(f), "facet not supporting")
 
     facets.sort(key=lambda f: (f.coeffs, f.bound))
     return Polytope(vset.labels, vset.vertices, vset.counts, hull.dim,
-                    equalities, tuple(facets))
+                    hull.equalities, tuple(facets))
 
 
 def evaluate_inequality(ineq: Inequality, point: Mapping[str, object],
@@ -476,10 +469,8 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     p = tuple(Fraction(point[a]) if a in point else _missing(a) for a in vset.labels)
     if not vset.vertices:
         return MembershipResult(inside=False)
-    hull = _Hull(vset.vertices)
-    equalities = _canonical_equalities(vset.labels, hull)
-
-    for eq in equalities:
+    hull = _Hull(vset)
+    for eq in hull.equalities:
         val = _dot(eq.coeffs, p)
         if val != eq.bound:
             if val > eq.bound:
@@ -490,7 +481,7 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
                                     value_at_point=_dot(sep.coeffs, p),
                                     max_over_vertices=sep.bound)
 
-    reduced = [hull.reduce(v) for v in vset.vertices]
+    reduced = hull.reduced
     y_p = hull.reduce(p)
     m = len(reduced)
     k = hull.dim
@@ -504,10 +495,9 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     centroid = tuple(sum(r[j] for r in reduced) / m for j in range(k))
     z = _polar_facet(reduced, centroid, y_p, k)
     red_bound = 1 + _dot(z, centroid)
-    coeffs, bound = hull.lift_inequality(z, red_bound)
-    sep = canonical_inequality(vset.labels, coeffs, bound, equalities)
+    sep = hull.canonical(z, red_bound)
     value = _dot(sep.coeffs, p)
-    check_invariant(_supports(sep, _integer_vertices(vset.vertices)) and value > sep.bound,
+    check_invariant(hull.supports(sep) and value > sep.bound,
                     "separator not tight or not violated")
     return MembershipResult(inside=False, separator=sep, value_at_point=value,
                             max_over_vertices=sep.bound)

@@ -326,16 +326,17 @@ def check_measure(logic: Logic, assignment: Mapping[str, Number],
     """Check nonnegativity and per-context unit sums of an assignment.
 
     ``tolerance`` 0 means exact comparison (the natural mode for rational
-    assignments); pass a small float for floating-point inputs.
+    assignments); pass a small float for floating-point inputs.  A NaN value
+    fails both checks.
     """
     for a in logic.atoms:
         if a not in assignment:
             raise MissingAtom(f"assignment lacks atom {a!r}")
-    nonneg = tuple((a, assignment[a]) for a in logic.atoms if assignment[a] < -tolerance)
+    nonneg = tuple((a, assignment[a]) for a in logic.atoms if not assignment[a] >= -tolerance)
     bad_sums = []
     for i, ctx in enumerate(logic.contexts):
         total = sum(assignment[a] for a in ctx)
-        if abs(total - 1) > tolerance:
+        if not abs(total - 1) <= tolerance:
             bad_sums.append((i, total))
     return MeasureReport(ok=not nonneg and not bad_sums,
                          nonneg_failures=nonneg,

@@ -11,15 +11,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from ctxlab.polytope import (VertexSet, _dot, _Hull, _integer_primitive,
-                             _nullspace, _rref, canonical_inequality,
-                             _canonical_equalities)
+                             _nullspace, _rref)
 
 
 def brute_facets(vset: VertexSet) -> set[tuple]:
     """All facets as canonical (coeffs, bound) pairs."""
-    hull = _Hull(vset.vertices)
+    hull = _Hull(vset)
     k = hull.dim
-    equalities = _canonical_equalities(vset.labels, hull)
     red = [hull.reduce(v) for v in vset.vertices]
     raw = set()
     for sub in combinations(range(len(red)), k):
@@ -40,7 +38,6 @@ def brute_facets(vset: VertexSet) -> set[tuple]:
         raw.add(_integer_primitive(tuple(normal) + (base,)))
     out = set()
     for vec in raw:
-        coeffs, bound = hull.lift_inequality(vec[:-1], vec[-1])
-        f = canonical_inequality(vset.labels, coeffs, bound, equalities)
+        f = hull.canonical(vec[:-1], vec[-1])
         out.add((f.coeffs, f.bound))
     return out

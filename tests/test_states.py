@@ -227,6 +227,17 @@ class TestCheckMeasure:
         with pytest.raises(MissingAtom):
             check_measure(load_logic("pentagon"), {"1": Fraction(1)})
 
+    @pytest.mark.parametrize("tolerance", [0, 1e-9])
+    def test_nan_atom_fails(self, tolerance):
+        logic = load_logic("pentagon")
+        p = {a: (Fraction(1, 2) if int(a) % 2 else Fraction(0)) for a in logic.atoms}
+        p["1"] = float("nan")
+        report = check_measure(logic, p, tolerance=tolerance)
+        assert not report.ok
+        assert [a for a, _ in report.nonneg_failures] == ["1"]
+        assert ([i for i, _ in report.context_sum_failures]
+                == [i for i, ctx in enumerate(logic.contexts) if "1" in ctx])
+
 
 class TestCertifyValueIndefiniteness:
     def test_fig5_pair_certifies(self):
