@@ -2,6 +2,8 @@
 
 Each entry bundles a logic shipped as a data file, the classification the
 state machinery must reproduce, any known vector realization, and short notes.
+A realization's vector file is parsed on the first read of
+``entry.realization``, so listing or loading entries never needs numpy.
 One entry, ``impossible_fig6``, intentionally carries no logic at all: it is
 the record of an angle-window obstruction, so only its feasibility data is
 meaningful and structure-requiring operations must be refused by callers.
@@ -10,7 +12,7 @@ meaningful and structure-requiring operations must be refused by callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations
 
@@ -38,12 +40,21 @@ class ExpectedStates:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One fixture; ``realized`` says whether it ships a vector file."""
+
     name: str
     logic: Logic | None
     expected: ExpectedStates | None
-    realization: Realization | None = None
+    realized: bool = False
     notes: str = ""
     angle_window: FeasibilityWindow | None = None
+
+    @cached_property
+    def realization(self) -> Realization | None:
+        """The shipped vectors, parsed on first read; None if not realized."""
+        if not self.realized:
+            return None
+        return parse_vectors(_data_text(self.name + ".vec"))
 
 
 CATALOG_NAMES = (
@@ -140,9 +151,6 @@ def catalog_get(name: str) -> CatalogEntry:
         return CatalogEntry(name=name, logic=None, expected=None,
                             notes=_NOTES[name],
                             angle_window=bug_pasting_feasibility())
-    logic = parse_logic(_data_text(name + ".logic"))
-    realization = None
-    if name in _REALIZED:
-        realization = parse_vectors(_data_text(name + ".vec"))
-    return CatalogEntry(name=name, logic=logic, expected=_EXPECTED[name],
-                        realization=realization, notes=_NOTES[name])
+    return CatalogEntry(name=name, logic=parse_logic(_data_text(name + ".logic")),
+                        expected=_EXPECTED[name], realized=name in _REALIZED,
+                        notes=_NOTES[name])

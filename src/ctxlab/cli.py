@@ -458,11 +458,11 @@ def _cmd_catalog(args) -> int:
             lines.append(f"{name} atoms={len(e.logic.atoms)} "
                          f"contexts={len(e.logic.contexts)} "
                          f"states={e.expected.state_count} "
-                         f"realized={'yes' if e.realization else 'no'}")
+                         f"realized={'yes' if e.realized else 'no'}")
             entries.append({"name": name, "atoms": len(e.logic.atoms),
                             "contexts": len(e.logic.contexts),
                             "states": e.expected.state_count,
-                            "realized": e.realization is not None,
+                            "realized": e.realized,
                             "angle_window": None, "notes": e.notes})
         else:
             w = e.angle_window

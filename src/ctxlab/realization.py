@@ -4,7 +4,10 @@ Atoms become unit vectors, contexts become orthonormal bases, and the Born
 rule turns a state vector into a probability assignment.  Arithmetic is
 64-bit floating point; vector files use an exact token grammar (integers,
 a/b, a/sqrt(b), complex pairs) so inputs stay reproducible.  Angles are
-measured between rays, so the sign of a vector never matters.
+measured between rays, so the sign of a vector never matters.  numpy is
+imported by the functions that build or compute with a vector, not by this
+module, so the combinatorial layers and the CLI load without it.  Every
+tolerance test is written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import acos, asin, sqrt
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ctxlab.logic import Logic
 from ctxlab.polytope import Inequality, evaluate_inequality
 from ctxlab.states import MissingAtom, ProbabilityAssignment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -132,12 +136,16 @@ def parse_scalar(token: str) -> complex | float:
     raise ValueError(f"bad component token {token!r}")
 
 
+def _array(values: Sequence[complex | float]) -> np.ndarray:
+    """Parsed components as a complex vector if any is complex, else float."""
+    import numpy as np
+    is_complex = any(isinstance(v, complex) for v in values)
+    return np.array(values, dtype=complex if is_complex else float)
+
+
 def parse_vector(tokens: Sequence[str]) -> np.ndarray:
     """Component tokens to a float or complex vector."""
-    values = [parse_scalar(t) for t in tokens]
-    if any(isinstance(v, complex) for v in values):
-        return np.array(values, dtype=complex)
-    return np.array(values, dtype=float)
+    return _array([parse_scalar(t) for t in tokens])
 
 
 def parse_vectors(text: str, dim: int | None = None,
@@ -173,10 +181,7 @@ def parse_vectors(text: str, dim: int | None = None,
         if len(comps) != dim:
             raise VectorParseError(
                 f"expected {dim} components, got {len(comps)}", lineno, col)
-        if any(isinstance(v, complex) for v in comps):
-            vectors[atom] = np.array(comps, dtype=complex)
-        else:
-            vectors[atom] = np.array(comps, dtype=float)
+        vectors[atom] = _array(comps)
     if not vectors:
         raise VectorParseError("no vectors", 1)
     return Realization(dimension=dim, vectors=vectors, tolerance=tolerance)
@@ -184,6 +189,7 @@ def parse_vectors(text: str, dim: int | None = None,
 
 def _inner(u: np.ndarray, v: np.ndarray) -> complex:
     # conjugate-linear in the first argument
+    import numpy as np
     return complex(np.vdot(u, v))
 
 
@@ -209,7 +215,7 @@ def check_realization(logic: Logic, r: Realization,
         if a not in r.vectors:
             continue
         sq = _inner(r.vectors[a], r.vectors[a]).real
-        if abs(sq - 1) > tol:
+        if not abs(sq - 1) <= tol:
             norm_failures.append((a, sq))
 
     context_failures = []
@@ -221,7 +227,7 @@ def check_realization(logic: Logic, r: Realization,
         for j, a in enumerate(ctx):
             for b in ctx[j + 1:]:
                 val = _inner(r.vectors[a], r.vectors[b])
-                if abs(val) > tol:
+                if not abs(val) <= tol:
                     context_failures.append(ContextFailure(
                         i, (a, b), val.real if val.imag == 0 else abs(val)))
 
@@ -243,6 +249,7 @@ def check_realization(logic: Logic, r: Realization,
 
 
 def _state_vector(r: Realization, psi) -> np.ndarray:
+    import numpy as np
     if isinstance(psi, str):
         vec = r.vector(psi)
     else:
@@ -250,7 +257,7 @@ def _state_vector(r: Realization, psi) -> np.ndarray:
         if vec.shape != (r.dimension,):
             raise ValueError(f"psi is not {r.dimension}-dimensional")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1) > r.tolerance:
+    if not abs(norm - 1) <= r.tolerance:
         raise NonUnitState(f"psi has norm {norm}, expected 1")
     return vec
 
@@ -272,9 +279,10 @@ def born_probabilities(logic: Logic, r: Realization, psi) -> ProbabilityAssignme
 
 def projector(v, tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Rank-1 projector v v-dagger onto the ray of a unit vector."""
+    import numpy as np
     vec = np.asarray(v)
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1) > tolerance:
+    if not abs(norm - 1) <= tolerance:
         raise NonUnitVector(f"norm {norm}, expected 1")
     return np.outer(vec, vec.conj())
 
@@ -291,12 +299,13 @@ def maximal_operator(vectors: Sequence[np.ndarray],
         raise ValueError("need one eigenvalue per vector")
     if len(set(eigenvalues)) != len(eigenvalues):
         raise RepeatedEigenvalue(f"eigenvalues not distinct: {eigenvalues}")
+    import numpy as np
     vecs = [np.asarray(v) for v in vectors]
     for i, u in enumerate(vecs):
-        if abs(float(np.linalg.norm(u)) - 1) > tolerance:
+        if not abs(float(np.linalg.norm(u)) - 1) <= tolerance:
             raise NonOrthonormalContext(f"vector {i} is not unit norm")
         for j in range(i + 1, len(vecs)):
-            if abs(_inner(u, vecs[j])) > tolerance:
+            if not abs(_inner(u, vecs[j])) <= tolerance:
                 raise NonOrthonormalContext(
                     f"vectors {i} and {j} are not orthogonal")
     out = np.zeros((vecs[0].shape[0], vecs[0].shape[0]),
@@ -316,6 +325,7 @@ def recover_projectors(A: np.ndarray,
     """
     if len(set(eigenvalues)) != len(eigenvalues):
         raise RepeatedEigenvalue(f"eigenvalues not distinct: {eigenvalues}")
+    import numpy as np
     A = np.asarray(A)
     eye = np.eye(A.shape[0], dtype=A.dtype)
     out = []
@@ -330,9 +340,10 @@ def recover_projectors(A: np.ndarray,
 
 def angle(u, v, tolerance: float = DEFAULT_TOLERANCE) -> float:
     """Angle between the rays of two unit vectors, in [0, pi/2]."""
+    import numpy as np
     uu, vv = np.asarray(u), np.asarray(v)
     for w in (uu, vv):
-        if abs(float(np.linalg.norm(w)) - 1) > tolerance:
+        if not abs(float(np.linalg.norm(w)) - 1) <= tolerance:
             raise NonUnitVector(f"norm {float(np.linalg.norm(w))}, expected 1")
     return acos(min(abs(_inner(uu, vv)), 1.0))
 

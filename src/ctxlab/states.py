@@ -359,21 +359,24 @@ def certify_value_indefiniteness(tifs_logic: Logic, tits_logic: Logic,
     """
     prop = pair_property(tifs_logic, antecedent, target)
     if prop is not PairProperty.TRUE_IMPLIES_FALSE:
+        i, t = tifs_logic.atom_index[antecedent], tifs_logic.atom_index[target]
         witness = next((s for s in enumerate_states(tifs_logic)
-                        if s[antecedent] == 1 and s[target] == 1), None)
+                        if s.bits[i] == 1 and s.bits[t] == 1), None)
         raise ConditionFailed("tifs-side",
                               f"first logic has {prop.value}, needs TrueImpliesFalse",
                               witness)
     prop = pair_property(tits_logic, antecedent, target)
     if prop is not PairProperty.TRUE_IMPLIES_TRUE:
+        i, t = tits_logic.atom_index[antecedent], tits_logic.atom_index[target]
         witness = next((s for s in enumerate_states(tits_logic)
-                        if s[antecedent] == 1 and s[target] == 0), None)
+                        if s.bits[i] == 1 and s.bits[t] == 0), None)
         raise ConditionFailed("tits-side",
                               f"second logic has {prop.value}, needs TrueImpliesTrue",
                               witness)
     pasted = paste_logics(tifs_logic, tits_logic)
     pasted_states = enumerate_states(pasted)
-    offender = next((s for s in pasted_states if s[antecedent] == 1), None)
+    i = pasted.atom_index[antecedent]
+    offender = next((s for s in pasted_states if s.bits[i] == 1), None)
     if offender is not None:
         raise ConditionFailed("pasted-antecedent",
                               "pasted logic still has a state with the antecedent true",

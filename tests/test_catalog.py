@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from ctxlab.catalog import (CATALOG_NAMES, CatalogEntry, UnknownEntry,
                             catalog_get, catalog_list)
+from ctxlab.cli import main
 from ctxlab.logic import validate_logic
 from ctxlab.realization import check_realization
 from ctxlab.states import classify_states, pair_property
@@ -25,6 +27,7 @@ SHAPES = {
 }
 
 WITH_LOGIC = tuple(n for n in CATALOG_NAMES if n != "impossible_fig6")
+REALIZED = {"triangle4d", "square4d", "specker_bug"}
 
 
 class TestListing:
@@ -87,6 +90,17 @@ class TestEntries:
                      "tifs_fig5a", "tits_fig5b", "indefinite_fig5c",
                      "impossible_fig6"):
             assert catalog_get(name).realization is None
+
+    @pytest.mark.parametrize("name", sorted(REALIZED))
+    def test_realization_parsed_once(self, name):
+        assert catalog_get(name).realized
+        assert catalog_get(name).realization is catalog_get(name).realization
+
+    def test_catalog_json_reports_realized_entries(self, capsys):
+        assert main(["catalog", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert {e["name"] for e in entries if e["realized"]} == REALIZED
+        assert all(type(e["realized"]) is bool for e in entries)
 
     @pytest.mark.parametrize("name", ["triangle4d", "square4d"])
     def test_full_realizations_check_out(self, name):

@@ -293,6 +293,44 @@ class TestAngle:
             angle([1.0, 1.0], [1.0, 0.0])
 
 
+class TestNaN:
+    """NaN compares false both ways, so every tolerance test must reject it."""
+
+    def test_nan_components_fail_the_check(self):
+        from ctxlab.logic import Logic
+        tiny = Logic(atoms=("a", "b"), contexts=(("a", "b"),))
+        nan = float("nan")
+        rep = check_realization(
+            tiny, Realization(2, {"a": np.array([nan, 0.0]),
+                                  "b": np.array([0.0, 1.0])}))
+        assert not rep.ok
+        assert [a for a, _ in rep.norm_failures] == ["a"]
+        assert [f.pair for f in rep.context_failures] == [("a", "b")]
+
+    def test_nan_psi_rejected(self):
+        lg = load_logic("triangle4d")
+        r = load_realization("triangle4d")
+        with pytest.raises(NonUnitState):
+            born_probabilities(lg, r, np.array([float("nan"), 0.0, 0.0, 0.0]))
+
+    def test_nan_vector_rejected_by_angle(self):
+        with pytest.raises(NonUnitVector):
+            angle([float("nan"), 0.0], [1.0, 0.0])
+        with pytest.raises(NonUnitVector):
+            angle([1.0, 0.0], [0.0, float("nan")])
+
+    def test_nan_vector_rejected_by_projector(self):
+        with pytest.raises(NonUnitVector):
+            projector([float("nan"), 0.0])
+
+    def test_nan_vector_rejected_by_maximal_operator(self):
+        e0 = np.array([1.0, 0.0])
+        with pytest.raises(NonOrthonormalContext):
+            maximal_operator([np.array([float("nan"), 0.0]), e0], (1.0, 2.0))
+        with pytest.raises(NonOrthonormalContext):
+            maximal_operator([e0, np.array([float("nan"), 1.0])], (1.0, 2.0))
+
+
 class TestFeasibility:
     def test_window(self):
         w = bug_pasting_feasibility()
