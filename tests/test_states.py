@@ -253,12 +253,17 @@ class TestCertifyValueIndefiniteness:
         assert err.value.which == "tits-side"
         assert err.value.witness is not None
         assert err.value.witness["a"] == 1 and err.value.witness["b"] == 0
+        # the first such state in canonical order
+        assert err.value.witness == next(
+            s for s in enumerate_states(bug) if s["a"] == 1 and s["b"] == 0)
 
     def test_tifs_side_failure(self):
+        tits = load_logic("tits_fig5b")
         with pytest.raises(ConditionFailed) as err:
-            certify_value_indefiniteness(load_logic("tits_fig5b"),
-                                         load_logic("tifs_fig5a"), "a", "b")
+            certify_value_indefiniteness(tits, load_logic("tifs_fig5a"), "a", "b")
         assert err.value.which == "tifs-side"
+        assert err.value.witness == next(
+            s for s in enumerate_states(tits) if s["a"] == 1 and s["b"] == 1)
 
 
 class TestSerialization:
