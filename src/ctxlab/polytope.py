@@ -35,7 +35,8 @@ from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
                              scale_to_integers, solve_lexicographic,
                              solve_standard)
 from ctxlab.logic import ATOM_TOKEN, Logic, validate_logic
-from ctxlab.states import TwoValuedState, UnknownAtom, enumerate_states
+from ctxlab.states import (TwoValuedState, UnknownAtom, enumerate_states,
+                           require_own_states)
 
 Vector = tuple[Fraction, ...]
 
@@ -418,12 +419,16 @@ def vertices_from_states(logic: Logic,
             if a in seen:
                 raise ValueError(f"projection repeats atom {a!r}")
             seen.add(a)
-    counted: dict[Vector, int] = {}
+    require_own_states(logic, states)
+    positions = [logic.atom_index[a] for a in labels]
+    counted: dict[tuple[int, ...], int] = {}
     for s in states:
-        v = tuple(Fraction(s[a]) for a in labels)
+        bits = s.bits
+        v = tuple(bits[k] for k in positions)
         counted[v] = counted.get(v, 0) + 1
     ordered = sorted(counted)
-    return VertexSet(labels=labels, vertices=tuple(ordered),
+    return VertexSet(labels=labels,
+                     vertices=tuple(tuple(Fraction(b) for b in v) for v in ordered),
                      counts=tuple(counted[v] for v in ordered))
 
 

@@ -297,6 +297,8 @@ def maximal_operator(vectors: Sequence[np.ndarray],
     """
     if len(vectors) != len(eigenvalues):
         raise ValueError("need one eigenvalue per vector")
+    if not vectors:
+        raise ValueError("need at least one vector")
     if len(set(eigenvalues)) != len(eigenvalues):
         raise RepeatedEigenvalue(f"eigenvalues not distinct: {eigenvalues}")
     import numpy as np
@@ -327,6 +329,9 @@ def recover_projectors(A: np.ndarray,
         raise RepeatedEigenvalue(f"eigenvalues not distinct: {eigenvalues}")
     import numpy as np
     A = np.asarray(A)
+    if A.shape != (len(eigenvalues),) * 2:
+        raise ValueError(f"need one eigenvalue per dimension: {len(eigenvalues)} "
+                         f"eigenvalues for an operator of shape {A.shape}")
     eye = np.eye(A.shape[0], dtype=A.dtype)
     out = []
     for i, li in enumerate(eigenvalues):

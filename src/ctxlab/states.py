@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 from ctxlab.logic import Logic, LogicError, paste_logics, validate_logic
@@ -39,6 +40,10 @@ class WeightsNotNormalized(LogicError):
     pass
 
 
+class ForeignStates(LogicError):
+    """States that are not over the logic's atoms in the logic's order."""
+
+
 class ConditionFailed(LogicError):
     """One of the indefiniteness certificate conditions does not hold.
 
@@ -53,7 +58,6 @@ class ConditionFailed(LogicError):
 
 
 BRUTE_FORCE_ATOM_LIMIT = 24
-
 
 @dataclass(frozen=True)
 class TwoValuedState:
@@ -196,22 +200,45 @@ def brute_force_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     return tuple(out)
 
 
+def require_own_states(logic: Logic, states: Iterable[TwoValuedState]) -> None:
+    """Raise :class:`ForeignStates` unless every state is over the logic's
+    atoms in the logic's order, as :func:`enumerate_states` gives them.
+    Callers read a state's ``bits`` by the logic's atom positions."""
+    atoms = logic.atoms
+    for s in states:
+        if s.atoms is not atoms and s.atoms != atoms:
+            raise ForeignStates("states are not over the atoms of logic "
+                                f"{logic.name or '<anonymous>'} in its order")
+
+
+def _columns(logic: Logic, states: Sequence[TwoValuedState]) -> list[bytes]:
+    """One bytes column per atom: byte i of atom j's column is its value in
+    state i, sliced as ``blob[j::n]`` from all states' bits joined."""
+    require_own_states(logic, states)
+    n = len(logic.atoms)
+    blob = b"".join(bytes(s.bits) for s in states)
+    return [blob[j::n] for j in range(n)]
+
+
 def atom_state_sets(logic: Logic,
                     states: Sequence[TwoValuedState] | None = None) -> dict[str, frozenset[int]]:
-    """For each atom, the set of state indices where it is valued 1."""
+    """For each atom, the set of state indices where it is valued 1: the
+    positions of the 1 bytes in its column (see :func:`_columns`)."""
     if states is None:
         states = enumerate_states(logic)
-    sets: dict[str, set[int]] = {a: set() for a in logic.atoms}
-    for i, s in enumerate(states):
-        for a, b in zip(s.atoms, s.bits):
-            if b:
-                sets[a].add(i)
-    return {a: frozenset(v) for a, v in sets.items()}
+    indices = range(len(states))
+    return {a: frozenset(compress(indices, col))
+            for a, col in zip(logic.atoms, _columns(logic, states))}
 
 
 def classify_states(logic: Logic,
                     states: Sequence[TwoValuedState] | None = None) -> StateSpaceReport:
     """Count states and report unitality and separability.
+
+    Reads one bytes column per atom (see :func:`_columns`).  An atom is
+    non-unital when its column holds no 1, and two atoms are inseparable
+    when their columns are equal.  Pairing each atom, in atom order, with
+    the later atoms of its column's group lists the pairs in index order.
 
     A logic with no states at all is reported non-unital on every atom and
     vacuously separating.
@@ -219,22 +246,20 @@ def classify_states(logic: Logic,
     if states is None:
         states = enumerate_states(logic)
     count = len(states)
-    sets = atom_state_sets(logic, states)
-    non_unital = tuple(a for a in logic.atoms if not sets[a])
     if count == 0:
         return StateSpaceReport(count=0, unital=False, non_unital_atoms=tuple(logic.atoms),
                                 separating=True, inseparable_pairs=())
-    idx = logic.atom_index
+    cols = _columns(logic, states)
+    non_unital = tuple(compress(logic.atoms, [1 not in col for col in cols]))
+    groups: dict[bytes, list[str]] = {}
+    for a, col in zip(logic.atoms, cols):
+        groups.setdefault(col, []).append(a)
     pairs = []
-    groups: dict[frozenset[int], list[str]] = {}
-    for a in logic.atoms:
-        groups.setdefault(sets[a], []).append(a)
-    for members in groups.values():
-        members.sort(key=idx.__getitem__)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    pairs.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
+    for col in cols:
+        # the group's atoms before this one were popped on their own turn
+        later = groups[col]
+        a = later.pop(0)
+        pairs.extend(zip(repeat(a), later))
     return StateSpaceReport(count=count, unital=not non_unital, non_unital_atoms=non_unital,
                             separating=not pairs, inseparable_pairs=tuple(pairs))
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from ctxlab.logic import Logic
 from ctxlab.states import (MixtureWeights, TwoValuedState, WeightCountMismatch,
-                           atom_state_sets, enumerate_states)
+                           atom_state_sets, enumerate_states, require_own_states)
 
 RNG_ID = "mt19937-u64"
 
@@ -114,9 +114,11 @@ def urn_simulate(logic: Logic,
         scaled.append(math.ceil(acc * (1 << 64)))
 
     # ball type -> true atom of this context, precomputed per state
+    require_own_states(logic, states)
+    slots = [(a, logic.atom_index[a]) for a in context]
     true_atom = []
     for s in states:
-        true_atom.append(next(a for a in context if s[a] == 1))
+        true_atom.append(next(a for a, k in slots if s.bits[k] == 1))
 
     rng = random.Random(seed)
     counts = {a: 0 for a in context}

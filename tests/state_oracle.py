@@ -1,0 +1,58 @@
+"""Reference for the state-space bookkeeping: per-state set building.
+
+The loops ``atom_state_sets`` and ``classify_states`` ran before they read
+one bytes column per atom.  Each state's bits are walked atom by atom into
+one Python set per atom; atoms with equal sets are grouped and the pairs
+sorted by atom index.  Slow on large state spaces, so only meant as an
+oracle.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from ctxlab.logic import Logic
+from ctxlab.states import StateSpaceReport, TwoValuedState, enumerate_states
+
+
+def atom_state_sets(logic: Logic,
+                    states: Sequence[TwoValuedState] | None = None) -> dict[str, frozenset[int]]:
+    """For each atom, the set of state indices where it is valued 1."""
+    if states is None:
+        states = enumerate_states(logic)
+    sets: dict[str, set[int]] = {a: set() for a in logic.atoms}
+    for i, s in enumerate(states):
+        for a, b in zip(s.atoms, s.bits):
+            if b:
+                sets[a].add(i)
+    return {a: frozenset(v) for a, v in sets.items()}
+
+
+def classify_states(logic: Logic,
+                    states: Sequence[TwoValuedState] | None = None) -> StateSpaceReport:
+    """Count states and report unitality and separability.
+
+    A logic with no states at all is reported non-unital on every atom and
+    vacuously separating.
+    """
+    if states is None:
+        states = enumerate_states(logic)
+    count = len(states)
+    sets = atom_state_sets(logic, states)
+    non_unital = tuple(a for a in logic.atoms if not sets[a])
+    if count == 0:
+        return StateSpaceReport(count=0, unital=False, non_unital_atoms=tuple(logic.atoms),
+                                separating=True, inseparable_pairs=())
+    idx = logic.atom_index
+    pairs = []
+    groups: dict[frozenset[int], list[str]] = {}
+    for a in logic.atoms:
+        groups.setdefault(sets[a], []).append(a)
+    for members in groups.values():
+        members.sort(key=idx.__getitem__)
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                pairs.append((members[i], members[j]))
+    pairs.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
+    return StateSpaceReport(count=count, unital=not non_unital, non_unital_atoms=non_unital,
+                            separating=not pairs, inseparable_pairs=tuple(pairs))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,15 @@ class TestVerticesFromStates:
         assert vs.vertices == ((F(0),), (F(1),))
         # atom 1 is true in 3 of the 11 states
         assert vs.counts == (8, 3)
+        for name in ("pentagon", "specker_bug_combo", "tifs_fig5a"):
+            lg = load_logic(name)
+            states = enumerate_states(lg)
+            for labels in (lg.atoms[::-3], lg.atoms[1:2]):
+                vs = vertices_from_states(lg, project=labels)
+                assert list(vs.vertices) == sorted(vs.vertices)
+                assert all(type(x) is F for v in vs.vertices for x in v)
+                assert dict(zip(vs.vertices, vs.counts)) == Counter(
+                    tuple(F(s[a]) for a in labels) for s in states)
 
     def test_projection_unknown_atom(self):
         lg = load_logic("pentagon")

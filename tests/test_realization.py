@@ -242,6 +242,18 @@ class TestOperators:
         with pytest.raises(ValueError):
             maximal_operator([np.array([1.0, 0.0])], (1.0, 2.0))
 
+    def test_empty_context_rejected(self):
+        with pytest.raises(ValueError):
+            maximal_operator([], [])
+
+    def test_recover_needs_one_eigenvalue_per_dimension(self):
+        with pytest.raises(ValueError):
+            recover_projectors(np.diag([1.0, 2.0, 3.0]), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            recover_projectors(np.diag([1.0, 2.0]), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            recover_projectors(np.array([1.0, 2.0]), [1.0, 2.0])
+
     def test_recover_diag(self):
         Es = recover_projectors(np.diag([1.0, 2.0, 3.0]), (1.0, 2.0, 3.0))
         for i, E in enumerate(Es):

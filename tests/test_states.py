@@ -11,9 +11,11 @@ from ctxlab.logic import Logic, parse_logic
 from ctxlab.states import (
     BRUTE_FORCE_ATOM_LIMIT,
     ConditionFailed,
+    ForeignStates,
     MissingAtom,
     MixtureWeights,
     PairProperty,
+    StateSpaceReport,
     TooLarge,
     TwoValuedState,
     UnknownAtom,
@@ -29,12 +31,35 @@ from ctxlab.states import (
     pair_property,
     states_table,
 )
+from ctxlab.catalog import catalog_get, catalog_list
 from ctxlab.logic import same_structure
+from ctxlab.polytope import vertices_from_states
+from ctxlab.urn import partition_representation, urn_simulate
 from helpers import load_logic
 import reference_sets
+import state_oracle
 
 
 NO_STATE_CYCLE = parse_logic("context 1 2\ncontext 2 3\ncontext 3 1\n")
+
+
+def cycle(k: int) -> Logic:
+    """k three-atom contexts (s_i, m_i, s_i+1) closed into a cycle."""
+    return parse_logic("".join(f"context s{i} m{i} s{(i + 1) % k}\n" for i in range(k)))
+
+
+def chain(n: int) -> Logic:
+    """n two-atom contexts (c_i, c_i+1) in a row: two alternating states."""
+    return parse_logic("".join(f"context c{i} c{i + 1}\n" for i in range(n)))
+
+
+def catalog_logics() -> list[Logic]:
+    return [e.logic for e in map(catalog_get, catalog_list()) if e.logic is not None]
+
+
+def assert_matches_oracle(logic, states=None):
+    assert classify_states(logic, states) == state_oracle.classify_states(logic, states)
+    assert atom_state_sets(logic, states) == state_oracle.atom_state_sets(logic, states)
 
 
 class TestEnumerate:
@@ -142,6 +167,73 @@ class TestClassify:
         for x, y in report.inseparable_pairs:
             logic = load_logic("specker_bug_combo")
             assert logic.atom_index[x] < logic.atom_index[y]
+
+
+class TestColumnsMatchOracle:
+    """The bytes-column classification against the per-state loops."""
+
+    def test_catalog(self):
+        logics = catalog_logics()
+        assert len(logics) >= 9
+        for logic in logics:
+            assert_matches_oracle(logic)
+
+    @pytest.mark.parametrize("k", range(3, 15))
+    def test_cycles(self, k):
+        assert_matches_oracle(cycle(k))
+
+    def test_chain_pairs_by_parity(self):
+        n = 600
+        logic = chain(n)
+        report = classify_states(logic)
+        # c_i and c_j agree in both states exactly when i and j have the same parity
+        want = tuple((f"c{i}", f"c{j}") for i in range(n + 1) for j in range(i + 2, n + 1, 2))
+        assert len(want) == 301 * 300 // 2 + 300 * 299 // 2
+        assert report == StateSpaceReport(count=2, unital=True, non_unital_atoms=(),
+                                          separating=False, inseparable_pairs=want)
+        assert_matches_oracle(logic)
+
+    def test_zero_state_logic(self):
+        assert_matches_oracle(NO_STATE_CYCLE)
+        assert atom_state_sets(NO_STATE_CYCLE) == {a: frozenset() for a in "123"}
+
+    def test_explicit_states_argument(self):
+        logic = load_logic("specker_bug_combo")
+        states = enumerate_states(logic)
+        assert_matches_oracle(logic, states)
+        assert_matches_oracle(logic, states[5:40])
+
+
+
+def _urn(logic, states):
+    return urn_simulate(logic, states, [Fraction(1, len(states))] * len(states), 0, 10, seed=1)
+
+
+class TestForeignStates:
+    """States are read by position, so they must be over the logic's atoms in
+    its order; any other atom tuple is refused, even one of the same size."""
+
+    @pytest.mark.parametrize("fn", [classify_states, atom_state_sets, partition_representation,
+                                    vertices_from_states, _urn])
+    def test_rejected(self, fn):
+        logic = load_logic("pentagon")
+        permuted = Logic(atoms=logic.atoms[::-1], contexts=logic.contexts)
+        renamed = Logic(atoms=tuple(a + "'" for a in logic.atoms),
+                        contexts=tuple(tuple(a + "'" for a in c) for c in logic.contexts))
+        own = enumerate_states(logic)
+        for other in (permuted, renamed, load_logic("specker_bug"), parse_logic("context x y\n")):
+            states = enumerate_states(other)
+            with pytest.raises(ForeignStates):
+                fn(logic, states)
+            with pytest.raises(ForeignStates):
+                fn(logic, own[:3] + states[:1])
+
+    def test_equal_atom_tuple_accepted(self):
+        logic = load_logic("pentagon")
+        copy = Logic(atoms=tuple(list(logic.atoms)), contexts=logic.contexts)
+        states = enumerate_states(copy)
+        assert states[0].atoms is not logic.atoms
+        assert classify_states(logic, states) == classify_states(logic)
 
 
 class TestPairProperty:
@@ -310,3 +402,12 @@ def test_mixtures_satisfy_measure_axioms(raw):
     weights = [Fraction(w, total) for w in raw]
     p = convex_mixture(states, weights)
     assert check_measure(logic, p, tolerance=0).ok
+
+
+@given(small_valid_logics())
+@settings(max_examples=150, deadline=None)
+def test_classification_matches_oracle_on_brute_force_states(logic):
+    from ctxlab.logic import validate_logic
+    if not validate_logic(logic).ok:
+        return
+    assert_matches_oracle(logic, brute_force_states(logic))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from ctxlab.states import (MixtureWeights, TwoValuedState, WeightCountMismatch,
 from ctxlab.urn import (RNG_ID, UnknownContext, partition_representation,
                         urn_simulate)
 
+from ctxlab.catalog import catalog_get, catalog_list
 from helpers import load_logic
 from reference_sets import INDEX_SETS, STATE_COUNTS
+import state_oracle
 
 
 def uniform(n: int) -> MixtureWeights:
@@ -67,6 +70,23 @@ class TestPartitionRepresentation:
             [frozenset({1}), frozenset({2}), frozenset({3})]
         assert rep.faithful
 
+    def test_catalog_matches_per_state_oracle(self):
+        checked = 0
+        for name in catalog_list():
+            logic = catalog_get(name).logic
+            states = enumerate_states(logic) if logic is not None else ()
+            if not states:
+                continue
+            sets = {a: frozenset(i + 1 for i in v)
+                    for a, v in state_oracle.atom_state_sets(logic, states).items()}
+            report = state_oracle.classify_states(logic, states)
+            rep = partition_representation(logic)
+            assert rep.atom_sets == sets, name
+            assert rep.state_count == len(states), name
+            assert rep.faithful == (report.unital and report.separating), name
+            checked += 1
+        assert checked >= 9
+
     def test_bad_states_rejected(self):
         logic = Logic(atoms=("x", "y", "z"), contexts=(("x", "y", "z"),))
         dead = TwoValuedState(atoms=("x", "y", "z"), bits=(0, 0, 0))
@@ -83,6 +103,18 @@ class TestUrnSimulate:
             res = urn_simulate(logic, states, indicator(11, k), 1, 50, seed=7)
             for a in res.context:
                 assert res.frequencies[a] == Fraction(states[k][a])
+
+    def test_true_atom_read_by_name(self):
+        logic = load_logic("specker_bug_combo")
+        states = enumerate_states(logic)
+        res = urn_simulate(logic, states, uniform(len(states)), 5, 4000, seed=11)
+        # the same draws, with each ball's true atom looked up by atom name
+        counts = {a: 0 for a in res.context}
+        rng = random.Random(11)
+        for _ in range(4000):
+            s = states[rng.getrandbits(64) * len(states) >> 64]
+            counts[next(a for a in res.context if s[a] == 1)] += 1
+        assert res.counts == counts
 
     def test_single_draw_is_one_hot(self):
         logic = load_logic("pentagon")
