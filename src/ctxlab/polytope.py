@@ -1,18 +1,18 @@
 """Correlation polytopes spanned by two-valued states, in exact arithmetic.
 
 Vertices are truth assignments read as 0/1 vectors (optionally projected to a
-subset of atoms).  Facets are enumerated with the double description method
-inside the affine hull of the vertex set; affine-hull equalities are reported
-separately from proper facets.  Membership tests run an exact rational LP and
-return either convex weights or a separating inequality that is simultaneously
-a facet.  Both take all they derive from the vertex set (hull equalities,
-reduced coordinates, scaled vertices, canonical forms) from one ``_Hull``.
-Everything here is exact rational or integer arithmetic; there is no
-floating-point fallback.  Double description runs on integers: constraint
-rows are scaled to primitive integers, rays are primitive int tuples, and the
-zero set of a ray is an int bitmask, so adjacency tests are bit operations.
-The soundness checks on facets and separators evaluate the integral form on
-the scaled vertices.
+subset of atoms); coordinates must be ints or Fractions.  Facets are
+enumerated with the double description method inside the affine hull of the
+vertex set; affine-hull equalities are reported separately from proper
+facets.  Membership tests run an exact rational LP and return either convex
+weights or a separating inequality that is simultaneously a facet.  Both take
+all they derive from the vertex set (hull equalities, reduced coordinates,
+canonical forms) from one ``_Hull``.  Everything here is exact rational or
+integer arithmetic; there is no floating-point fallback.  Linear algebra
+runs on integers: ``_rref`` eliminates fraction-free, ``_Hull`` scales the
+vertices once to a common denominator, and double description keeps rows
+and rays primitive int tuples, with a ray's zero set an int bitmask.
+Fractions are built where a result leaves the module.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
@@ -125,43 +125,46 @@ class ImplicationResult:
 
 # ---------------------------------------------------------------- helpers
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of int or Fraction rows: the
+    nonzero rows, each a primitive positive multiple of its rational RREF row
+    (entry c is ``Fraction(row[c], row[piv[j]])``), and the pivot columns."""
+    rows = [_primitive(scale_to_integers(r)[0]) for r in rows]
     pivots: list[int] = []
     r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv if v else v for v in rows[r]]
-        support = [(k, b) for k, b in enumerate(rows[r]) if b]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                row, f = rows[i], rows[i][col]
-                for k, b in support:  # rows were copied above: update in place
-                    row[k] -= f * b
+        top = rows[r] = rows[r] if rows[r][col] > 0 else [-v for v in rows[r]]
+        p = top[col]
+        support = [(k, w) for k, w in enumerate(top) if w]
+        for i, row in enumerate(rows):  # p * row - f * top, like _Tableau.pivot
+            if i != r and (f := row[col]):
+                row = [p * v for v in row] if p != 1 else row  # copied above
+                for k, w in support:
+                    row[k] -= f * w
+                rows[i] = _primitive(row)
         pivots.append(col)
         r += 1
     return rows[:r], pivots
 
 
-def _nullspace(rr: list[list[Fraction]], piv: list[int], n: int) -> list[Vector]:
+def _nullspace(rr: list[list[int]], piv: list[int], n: int) -> list[list[int]]:
+    """Null-space basis of ``_rref`` rows: per free column f, the vector that
+    is 1 at f and 0 at the other free ones, times the lcm of the pivots."""
+    scale = lcm(*(row[p] for row, p in zip(rr, piv)))
     pivs = set(piv)
     out = []
     for f in range(n):
         if f in pivs:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for j, p in enumerate(piv):
-            v[p] = -rr[j][f]
-        out.append(tuple(v))
+        v = [0] * n
+        v[f] = scale
+        for row, p in zip(rr, piv):
+            v[p] = -row[f] * (scale // row[p])
+        out.append(v)
     return out
 
 
@@ -176,56 +179,58 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 class _Hull:
     """The affine hull of a nonempty vertex set, and all that facet
-    enumeration and membership read off it.
+    enumeration and membership read off it, in integers.
 
-    ``v0`` is the first vertex and ``basis``/``pivots`` the reduced row
-    echelon form of the differences v - v0: a point of the hull is fixed by
-    its ``dim`` pivot coordinates minus v0's (its reduced coordinates, see
-    ``reduce``).  ``equalities`` are the canonical hull equalities, one per
-    null-space vector a, reading a . x == a . v0.  The vertices in reduced
-    coordinates (``reduced``), the equalities' ``rref`` and the vertices
-    scaled to integers (``scaled``) are computed on first use: a point off
-    the hull needs none of them, a point inside only ``reduced``.
+    ``ints`` are the vertices (ints or Fractions) times ``scale``, the lcm
+    of their denominators; ``v0`` is the first and ``basis``/``pivots`` the
+    RREF of the differences v - v0.  A point x of the hull is fixed by its
+    ``dim`` reduced coordinates, scale * x - v0 on the pivots (``reduce``).
+    ``equalities`` are the canonical hull equalities, one per null-space
+    vector, and ``equality_ints`` the same as integer [coeffs | bound].  The
+    vertices in reduced coordinates (``reduced``) and the equalities'
+    ``rref`` are computed on first use: a point off the hull needs neither,
+    a point inside only ``reduced``.
     """
 
     def __init__(self, vset: VertexSet):
         self.labels = vset.labels
-        self.vertices = vset.vertices
-        self.v0 = vset.vertices[0]
-        diffs = [[vi - wi for vi, wi in zip(v, self.v0)] for v in vset.vertices[1:]]
-        self.basis, self.pivots = _rref(diffs)
+        n = len(self.labels)
+        for v in vset.vertices:
+            if len(v) != n:
+                raise ValueError(f"vertex has {len(v)} coordinates for {n} labels")
+            for x in v:
+                if not isinstance(x, (int, Fraction)):
+                    raise ValueError(f"vertex coordinate {x!r} is not an int or a Fraction")
+        self.scale = scale = lcm(*(x.denominator for v in vset.vertices for x in v))
+        self.ints = [[x.numerator * (scale // x.denominator) for x in v] for v in vset.vertices]
+        self.v0 = v0 = self.ints[0]
+        self.basis, self.pivots = _rref([[a - b for a, b in zip(v, v0)]
+                                         for v in self.ints[1:]])
         self.dim = len(self.pivots)
-        equalities = []
-        for a in _nullspace(self.basis, self.pivots, len(self.v0)):
-            vec = _integer_primitive(list(a) + [_dot(a, self.v0)])
-            coeffs, bound = vec[:-1], vec[-1]
-            if next(v for v in coeffs if v != 0) < 0:
-                coeffs, bound = tuple(-v for v in coeffs), -bound
-            equalities.append(Equality(self.labels, coeffs, bound))
-        self.equalities = tuple(equalities)
+        self.equality_ints = []
+        for a in _nullspace(self.basis, self.pivots, n):  # a . x == a . v0 / scale
+            vec = _primitive([scale * c for c in a] + [sum(c * w for c, w in zip(a, v0))])
+            self.equality_ints.append(vec if next(c for c in vec if c) > 0 else [-c for c in vec])
+        self.equalities = tuple(Equality(self.labels, tuple(map(Fraction, vec[:-1])),
+                                         Fraction(vec[-1])) for vec in self.equality_ints)
 
     def reduce(self, point: Vector) -> Vector:
-        return tuple(point[p] - self.v0[p] for p in self.pivots)
+        return tuple(self.scale * point[p] - self.v0[p] for p in self.pivots)
 
     @cached_property
-    def reduced(self) -> list[Vector]:
-        return [self.reduce(v) for v in self.vertices]
+    def reduced(self) -> list[tuple[int, ...]]:
+        return [tuple(v[p] - self.v0[p] for p in self.pivots) for v in self.ints]
 
     @cached_property
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         return _equality_rref(self.equalities, len(self.labels))
 
-    @cached_property
-    def scaled(self) -> list[tuple[list[int], int]]:
-        """Each vertex v as (ints, s) with v = ints / s."""
-        return [scale_to_integers(v) for v in self.vertices]
-
     def canonical(self, red_coeffs: Sequence[Fraction], red_bound: Fraction) -> Inequality:
         """Canonical form of red_coeffs . y <= red_bound in reduced coordinates."""
-        coeffs = [Fraction(0)] * len(self.labels)
+        coeffs = [0] * len(self.labels)
         bound = red_bound
         for c, p in zip(red_coeffs, self.pivots):
-            coeffs[p] = c
+            coeffs[p] = self.scale * c
             bound += c * self.v0[p]
         return _canonical_form(self.labels, coeffs, bound, *self.rref)
 
@@ -237,10 +242,10 @@ class _Hull:
                         and all(c.denominator == 1 for c in form.coeffs),
                         "canonical form is integral")
         terms = [(k, c.numerator) for k, c in enumerate(form.coeffs) if c]
-        bound = form.bound.numerator
+        rhs = self.scale * form.bound.numerator
         tight = False
-        for ints, s in self.scaled:
-            lhs, rhs = sum(c * ints[k] for k, c in terms), s * bound
+        for v in self.ints:
+            lhs = sum(c * v[k] for k, c in terms)
             if lhs > rhs:
                 return False
             tight = tight or lhs == rhs
@@ -270,7 +275,7 @@ def _equality_rref(equalities: Sequence[Equality],
                      for e in equalities])
     if piv and piv[-1] == n:
         raise ValueError("equalities are inconsistent")
-    return rr, piv
+    return [[Fraction(v, row[p]) for v in row] for row, p in zip(rr, piv)], piv
 
 
 def _canonical_form(labels: tuple[str, ...], coeffs: Sequence[Fraction],
@@ -341,20 +346,20 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
     rows = [_primitive(scale_to_integers(row)[0]) for row in M]
     supports = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
     # initial simplicial subcone from the first d linearly independent rows:
-    # the pivot columns of rref(M^T)
-    _, chosen = _rref([list(col) for col in zip(*M)])
+    # the pivot columns of rref(rows^T)
+    _, chosen = _rref([list(col) for col in zip(*rows)])
     if len(chosen) < d:
         raise ValueError("cone is not pointed: constraint rows do not span")
 
-    # columns of the inverse of the chosen submatrix are the initial rays
-    sub = [list(M[i]) for i in chosen]
-    aug = [row + [Fraction(1) if j == i else Fraction(0) for j in range(d)]
-           for i, row in enumerate(sub)]
+    # columns of the inverse of the chosen rows are the initial rays: ray_j
+    # satisfies rows_chosen . ray_j = e_j, and its entry i is
+    # rr[i][d + j] / rr[i][i]
+    aug = [rows[i] + [int(j == t) for j in range(d)] for t, i in enumerate(chosen)]
     rr, piv = _rref(aug)
     check_invariant(piv == list(range(d)), "initial cone rows are independent")
-    inv_cols = [[rr[i][d + j] for i in range(d)] for j in range(d)]
-    # ray_j satisfies M_chosen . ray_j = e_j
-    rays = [tuple(_primitive(scale_to_integers(col)[0])) for col in inv_cols]
+    scale = lcm(*(row[i] for i, row in enumerate(rr)))
+    rays = [tuple(_primitive([row[d + j] * (scale // row[i]) for i, row in enumerate(rr)]))
+            for j in range(d)]
     chosen_bits = sum(1 << i for i in chosen)
     zero_sets = [chosen_bits & ~(1 << i) for i in chosen]
 
@@ -475,10 +480,11 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     if not vset.vertices:
         return MembershipResult(inside=False)
     hull = _Hull(vset)
-    for eq in hull.equalities:
-        val = _dot(eq.coeffs, p)
-        if val != eq.bound:
-            if val > eq.bound:
+    ints, s = scale_to_integers(p)
+    for vec, eq in zip(hull.equality_ints, hull.equalities):
+        lhs, rhs = sum(c * x for c, x in zip(vec[:-1], ints)), s * vec[-1]
+        if lhs != rhs:
+            if lhs > rhs:
                 sep = Inequality(vset.labels, eq.coeffs, eq.bound)
             else:
                 sep = Inequality(vset.labels, tuple(-v for v in eq.coeffs), -eq.bound)
@@ -490,14 +496,14 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     y_p = hull.reduce(p)
     m = len(reduced)
     k = hull.dim
-    A = [[Fraction(r[j]) for r in reduced] for j in range(k)]
-    A.append([Fraction(1)] * m)
-    b = list(y_p) + [Fraction(1)]
-    res = solve_standard([Fraction(0)] * m, A, b)
+    A = [[r[j] for r in reduced] for j in range(k)]
+    A.append([1] * m)
+    b = list(y_p) + [1]
+    res = solve_standard([0] * m, A, b)
     if res.status == OPTIMAL:
         return MembershipResult(inside=True, weights=res.x)
 
-    centroid = tuple(sum(r[j] for r in reduced) / m for j in range(k))
+    centroid = tuple(Fraction(sum(r[j] for r in reduced), m) for j in range(k))
     z = _polar_facet(reduced, centroid, y_p, k)
     red_bound = 1 + _dot(z, centroid)
     sep = hull.canonical(z, red_bound)

@@ -1,8 +1,9 @@
 """Reference double description in Fraction arithmetic.
 
 Rows and rays stay Fractions, zero sets are frozensets, and every new ray's
-zero set is recomputed with dot products against each processed row.  It
-shares only the linear-algebra helpers with the integer kernel
+zero set is recomputed with dot products against each processed row, and
+the elimination is the Fraction reference in ``rref_oracle``.  It shares
+only ``_dot`` and ``_integer_primitive`` with the integer kernel
 ``polytope._extreme_rays``; tests compare the two ray lists, order
 included, on random pointed cones.
 """
@@ -12,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ctxlab.exactlp import check_invariant
-from ctxlab.polytope import Vector, _dot, _integer_primitive, _rref
+from ctxlab.polytope import Vector, _dot, _integer_primitive
+from rref_oracle import rref
 
 
 def extreme_rays(M: list[Vector]) -> list[Vector]:
@@ -24,7 +26,7 @@ def extreme_rays(M: list[Vector]) -> list[Vector]:
     d = len(M[0])
     # initial simplicial subcone from the first d linearly independent rows:
     # the pivot columns of rref(M^T)
-    _, chosen = _rref([list(col) for col in zip(*M)])
+    _, chosen = rref([list(col) for col in zip(*M)])
     if len(chosen) < d:
         raise ValueError("cone is not pointed: constraint rows do not span")
 
@@ -32,7 +34,7 @@ def extreme_rays(M: list[Vector]) -> list[Vector]:
     sub = [list(M[i]) for i in chosen]
     aug = [row + [Fraction(1) if j == i else Fraction(0) for j in range(d)]
            for i, row in enumerate(sub)]
-    rr, piv = _rref(aug)
+    rr, piv = rref(aug)
     check_invariant(piv == list(range(d)), "initial cone rows are independent")
     inv_cols = [[rr[i][d + j] for i in range(d)] for j in range(d)]
     # ray_j satisfies M_chosen . ray_j = e_j

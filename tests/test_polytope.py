@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from ctxlab.states import UnknownAtom, enumerate_states
 from canonical_oracle import nonneg_representative
 from dd_oracle import extreme_rays
 from helpers import load_logic
-from hull_oracle import brute_facets
+from hull_oracle import FractionHull, brute_facets, fraction_membership
+from rref_oracle import rref
 
 F = Fraction
 
@@ -64,7 +66,7 @@ def canonical_form_oracle(coeffs, bound, equalities):
                       for i, c in enumerate(coeffs)]
             bound += sum(te * b for te, b in zip(t, bounds))
         else:
-            rr, piv = _rref([row + [b] for row, b in zip(rows, bounds)])
+            rr, piv = rref([row + [b] for row, b in zip(rows, bounds)])
             aug = eliminate_pivots(coeffs + [bound], rr, piv)
             coeffs, bound = aug[:-1], aug[-1]
     vec = _integer_primitive(coeffs + [bound])
@@ -193,7 +195,7 @@ class TestFacetEnumeration:
     @pytest.mark.parametrize("name", ["triangle4d", "square4d", "pentagon",
                                       "specker_bug"])
     def test_soundness_and_tightness(self, name):
-        from ctxlab.polytope import _dot, _rref
+        from ctxlab.polytope import _dot
         lg = load_logic(name)
         vs = vertices_from_states(lg)
         P = facet_enumeration(vs)
@@ -204,7 +206,7 @@ class TestFacetEnumeration:
             assert max(vals) == f.bound
             tight = [v for v, val in zip(vs.vertices, vals) if val == f.bound]
             diffs = [[a - b for a, b in zip(t, tight[0])] for t in tight[1:]]
-            assert len(_rref(diffs)[1]) == P.affine_dim - 1
+            assert len(rref(diffs)[1]) == P.affine_dim - 1
 
     def test_facets_sorted_and_deterministic(self):
         lg = load_logic("pentagon")
@@ -304,7 +306,7 @@ class TestCanonicalInequality:
         coeffs, rows = args
         coeffs = [F(v) for v in coeffs]
         rows = [[F(v) for v in row] for row in rows]
-        rr, piv = _rref(rows)
+        rr, piv = rref(rows)
         assume(len(piv) == len(rows))
         t = nonneg_representative(coeffs, rows)
         expected = None if t is None else [
@@ -612,6 +614,84 @@ def test_random_rational_polytopes_match_brute_oracle(nverts, dim, data):
     assert facet_pairs(P) == brute_facets(vs)
 
 
+class TestVertexCoordinates:
+    """Vertex coordinates are ints or Fractions, one per label."""
+
+    def test_int_vertices_match_fraction_vertices(self):
+        triangle = (("x", "y", "z"), ((0, 0, 1), (1, 0, 0), (0, 1, 0)), (1, 1, 1))
+        pentagon = vertices_from_states(load_logic("pentagon"))
+        ints = tuple(tuple(int(x) for x in v) for v in pentagon.vertices)
+        for labels, rows, counts in (triangle, (pentagon.labels, ints, pentagon.counts)):
+            as_int = VertexSet(labels, rows, counts)
+            as_fraction = VertexSet(labels, tuple(tuple(F(x) for x in v) for v in rows),
+                                    counts)
+            # the two sets are equal, so each must be computed past the cache
+            facet_enumeration.cache_clear()
+            P = facet_enumeration(as_int)
+            facet_enumeration.cache_clear()
+            assert P == facet_enumeration(as_fraction) and P.facets
+            facet_enumeration.cache_clear()
+            n = len(labels)
+            for point in ([F(1, n)] * n, [1] * n, [2] + [0] * (n - 2) + [-1]):
+                point = dict(zip(labels, point))
+                assert membership(point, as_int) == membership(point, as_fraction)
+
+    @pytest.mark.parametrize("rows, reason", [
+        (((0, 0), (1, 0.5)), "vertex coordinate 0.5 is not an int or a Fraction"),
+        (((0.0, 1), (1, 0)), "vertex coordinate 0.0 is not an int or a Fraction"),
+        (((0, 0), (1, 0, 1)), "vertex has 3 coordinates for 2 labels"),
+        (((0,), (1, 0)), "vertex has 1 coordinates for 2 labels"),
+    ])
+    def test_bad_vertex_sets_raise(self, rows, reason):
+        vs = VertexSet(("x", "y"), rows, (1,) * len(rows))
+        facet_enumeration.cache_clear()
+        for call in (facet_enumeration,
+                     lambda vs: membership({"x": F(1, 2), "y": F(0)}, vs)):
+            with pytest.raises(ValueError) as err:
+                call(vs)
+            assert str(err.value) == reason
+
+
+@st.composite
+def rational_vertex_sets(draw):
+    dim = draw(st.integers(1, 4))
+    values = [F(0), F(1), F(1, 2), F(-2, 3), F(3)]
+    return draw(st.lists(st.tuples(*[st.sampled_from(values)] * dim),
+                         min_size=1, max_size=8, unique=True))
+
+
+@given(rational_vertex_sets(), st.data())
+@example([(F(1, 2), F(-2, 3)), (F(3), F(0)), (F(0), F(1))], None)
+@example([(F(1, 2), F(0), F(1)), (F(-2, 3), F(1), F(0)), (F(3), F(1, 2), F(1, 2))], None)
+@settings(max_examples=60, deadline=None)
+def test_hull_matches_fraction_reference_on_rational_sets(rows, data):
+    """The integer hull scales by the common denominator of the set; the
+    equalities, pivots, reduced coordinates (over that scale) and
+    membership certificates equal the Fraction-only construction."""
+    vs = vset([f"x{i}" for i in range(len(rows[0]))], rows)
+    hull, ref = polytope._Hull(vs), FractionHull(vs)
+    assert hull.scale == lcm(*(x.denominator for v in rows for x in v))
+    assert (hull.equalities, hull.pivots, hull.dim) == (ref.equalities, ref.pivots, ref.dim)
+    assert hull.reduced == [tuple(hull.scale * y for y in r) for r in ref.reduced]
+    assert all(type(y) is int for r in hull.reduced for y in r)
+    verts = vs.vertices
+    m = len(verts)
+    points = [tuple(sum(v[j] for v in verts) / m for j in range(len(rows[0])))]
+    points += [tuple(2 * a - b for a, b in zip(u, w)) for u in verts for w in verts if u != w]
+    if data is not None:
+        points.append(data.draw(st.tuples(*[st.sampled_from([F(0), F(1, 3), F(-1), F(2)])]
+                                          * len(rows[0]))))
+    for x in points:
+        point = dict(zip(vs.labels, x))
+        got = membership(point, vs)
+        assert got == fraction_membership(point, vs)
+        if got.inside:
+            assert all(type(w) is F for w in got.weights)
+        else:
+            sep = got.separator
+            assert all(type(v) is F for v in (*sep.coeffs, sep.bound, got.value_at_point))
+
+
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)]),
              min_size=n, max_size=n), min_size=1, max_size=6)))
@@ -620,12 +700,52 @@ def test_rref_is_reduced_and_spans_the_rows(rows):
     rr, piv = _rref(rows)
     assert piv == sorted(piv) and len(rr) == len(piv)
     assert len(piv) == np.linalg.matrix_rank(np.array(rows, dtype=float))
-    for j, row in enumerate(rr):
-        assert [row[p] for p in piv] == [F(int(j == k)) for k in range(len(piv))]
+    for j, row in enumerate(rr):  # primitive int rows, positive on their pivot
+        assert all(type(v) is int for v in row) and gcd(*row) == 1
+        assert [row[p] > 0 if j == k else row[p] == 0
+                for k, p in enumerate(piv)] == [True] * len(piv)
         assert all(v == 0 for v in row[:piv[j]])
+    read = [[F(v, row[p]) for v in row] for row, p in zip(rr, piv)]
     for row in rows:  # each input row is its pivot entries times the rref rows
-        assert list(row) == [sum((row[p] * r[c] for p, r in zip(piv, rr)), F(0))
+        assert list(row) == [sum((row[p] * r[c] for p, r in zip(piv, read)), F(0))
                              for c in range(len(row))]
+
+
+@st.composite
+def matrices(draw):
+    """Int or rational matrices, with zero rows, duplicate rows, negated and
+    scaled rows, and rows combining two others (rank deficient)."""
+    n = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([
+        st.integers(-4, 4),
+        st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)])]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    for kind in draw(st.lists(st.sampled_from(
+            ["zero", "duplicate", "negated", "combination"]), max_size=4)):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "duplicate":
+            rows.append(list(a))
+        elif kind == "negated":
+            rows.append([-2 * v for v in a])
+        else:
+            rows.append([x - 3 * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@given(matrices())
+@example([])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[-2, 4, 1], [1, -2, F(-1, 2)], [0, 0, 3]])
+@example([[F(-2, 3), 1], [F(1, 2), F(-3)], [0, 0]])
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_fraction_reference(rows):
+    rr, piv = _rref(rows)
+    want, want_piv = rref(rows)
+    assert piv == want_piv
+    assert [[F(v, row[p]) for v in row] for row, p in zip(rr, piv)] == want
 
 
 @st.composite
