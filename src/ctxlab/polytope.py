@@ -8,11 +8,14 @@ facets.  Membership tests run an exact rational LP and return either convex
 weights or a separating inequality that is simultaneously a facet.  Both take
 all they derive from the vertex set (hull equalities, reduced coordinates,
 canonical forms) from one ``_Hull``.  Everything here is exact rational or
-integer arithmetic; there is no floating-point fallback.  Linear algebra
-runs on integers: ``_rref`` eliminates fraction-free, ``_Hull`` scales the
-vertices once to a common denominator, and double description keeps rows
-and rays primitive int tuples, with a ray's zero set an int bitmask.
-Fractions are built where a result leaves the module.
+integer arithmetic; there is no floating-point fallback, and a float
+coordinate, of a vertex or of a point, raises ``ValueError``.  Linear
+algebra runs on integers: ``_rref`` eliminates fraction-free, ``_Hull``
+scales the vertices once to a common denominator, double description keeps
+rows and rays primitive int tuples, with a ray's zero set an int bitmask,
+and canonical forms and polar facets hand the exact LP only int rows,
+right-hand sides and objectives.  Fractions are built where a result
+leaves the module.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -47,11 +50,22 @@ class MissingCoordinate(Exception):
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Deduplicated vertex list with multiplicities, sorted lexicographically."""
+    """Deduplicated vertex list with multiplicities, sorted lexicographically.
+    Construction raises ``ValueError`` for a coordinate that is not an int or
+    a Fraction, or a vertex whose length is not that of ``labels``."""
 
     labels: tuple[str, ...]
     vertices: tuple[Vector, ...]
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.labels)
+        for v in self.vertices:
+            if len(v) != n:
+                raise ValueError(f"vertex has {len(v)} coordinates for {n} labels")
+            for x in v:
+                if not isinstance(x, (int, Fraction)):
+                    raise ValueError(f"vertex coordinate {x!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -168,11 +182,6 @@ def _nullspace(rr: list[list[int]], piv: list[int], n: int) -> list[list[int]]:
     return out
 
 
-def _integer_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Positive rescale to coprime integers (zero vector passes through)."""
-    return tuple(Fraction(v) for v in _primitive(scale_to_integers(values)[0]))
-
-
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
@@ -194,13 +203,6 @@ class _Hull:
 
     def __init__(self, vset: VertexSet):
         self.labels = vset.labels
-        n = len(self.labels)
-        for v in vset.vertices:
-            if len(v) != n:
-                raise ValueError(f"vertex has {len(v)} coordinates for {n} labels")
-            for x in v:
-                if not isinstance(x, (int, Fraction)):
-                    raise ValueError(f"vertex coordinate {x!r} is not an int or a Fraction")
         self.scale = scale = lcm(*(x.denominator for v in vset.vertices for x in v))
         self.ints = [[x.numerator * (scale // x.denominator) for x in v] for v in vset.vertices]
         self.v0 = v0 = self.ints[0]
@@ -208,7 +210,7 @@ class _Hull:
                                          for v in self.ints[1:]])
         self.dim = len(self.pivots)
         self.equality_ints = []
-        for a in _nullspace(self.basis, self.pivots, n):  # a . x == a . v0 / scale
+        for a in _nullspace(self.basis, self.pivots, len(self.labels)):  # a.x == a.v0 / scale
             vec = _primitive([scale * c for c in a] + [sum(c * w for c, w in zip(a, v0))])
             self.equality_ints.append(vec if next(c for c in vec if c) > 0 else [-c for c in vec])
         self.equalities = tuple(Equality(self.labels, tuple(map(Fraction, vec[:-1])),
@@ -222,17 +224,17 @@ class _Hull:
         return [tuple(v[p] - self.v0[p] for p in self.pivots) for v in self.ints]
 
     @cached_property
-    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        return _equality_rref(self.equalities, len(self.labels))
+    def rref(self) -> tuple[list[list[int]], list[int]]:
+        return _rref(self.equality_ints)
 
-    def canonical(self, red_coeffs: Sequence[Fraction], red_bound: Fraction) -> Inequality:
-        """Canonical form of red_coeffs . y <= red_bound in reduced coordinates."""
-        coeffs = [0] * len(self.labels)
-        bound = red_bound
+    def canonical(self, red_coeffs: Sequence, red_bound) -> Inequality:
+        """Canonical form of red_coeffs . y <= red_bound in reduced
+        coordinates (ints or Fractions)."""
+        aug = [0] * len(self.labels) + [red_bound]
         for c, p in zip(red_coeffs, self.pivots):
-            coeffs[p] = self.scale * c
-            bound += c * self.v0[p]
-        return _canonical_form(self.labels, coeffs, bound, *self.rref)
+            aug[p] = self.scale * c
+            aug[-1] += c * self.v0[p]
+        return _canonical_form(self.labels, scale_to_integers(aug)[0], *self.rref)
 
     def supports(self, form: _LinearForm) -> bool:
         """Whether coeffs . x <= bound holds on every vertex, with equality on
@@ -263,71 +265,54 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
     lexicographically smallest coefficient vector; keeps the eliminated form
     when none is nonnegative.  Coprime-integer scaled.
     """
-    rr, piv = _equality_rref(equalities, len(coeffs))
-    return _canonical_form(labels, coeffs, bound, rr, piv)
-
-
-def _equality_rref(equalities: Sequence[Equality],
-                   n: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of the augmented rows [coeffs | bound] of
-    the equalities on n coordinates; raises on inconsistent equalities."""
-    rr, piv = _rref([[Fraction(v) for v in e.coeffs] + [Fraction(e.bound)]
-                     for e in equalities])
-    if piv and piv[-1] == n:
+    rr, piv = _rref([[Fraction(v) for v in (*e.coeffs, e.bound)] for e in equalities])
+    if piv and piv[-1] == len(coeffs):
         raise ValueError("equalities are inconsistent")
-    return [[Fraction(v, row[p]) for v in row] for row, p in zip(rr, piv)], piv
+    aug = scale_to_integers([Fraction(v) for v in (*coeffs, bound)])[0]
+    return _canonical_form(labels, aug, rr, piv)
 
 
-def _canonical_form(labels: tuple[str, ...], coeffs: Sequence[Fraction],
-                    bound: Fraction, rr: list[list[Fraction]],
-                    piv: list[int]) -> Inequality:
-    """:func:`canonical_inequality` given the equalities' ``_equality_rref``."""
-    aug = [Fraction(v) for v in coeffs] + [Fraction(bound)]
+def _canonical_form(labels: tuple[str, ...], aug: list[int],
+                    rr: list[list[int]], piv: list[int]) -> Inequality:
+    """:func:`canonical_inequality` of the int row ``aug`` = [coeffs | bound]
+    given the ``_rref`` of the equalities' rows [coeffs | bound].  Every step
+    scales the row by a positive integer, which the final primitive scaling
+    removes: eliminating pivot p makes ``row[p] * aug - aug[p] * row``."""
     for row, p in zip(rr, piv):
-        if aug[p]:
-            f = aug[p]
-            aug = [a - f * b for a, b in zip(aug, row)]
+        if f := aug[p]:
+            aug = _primitive([row[p] * a - f * b for a, b in zip(aug, row)])
     if rr:
         s = _nonneg_representative(aug[:-1], rr, piv)
         if s is not None:
-            aug = s + [aug[-1] + sum(s[p] * row[-1] for row, p in zip(rr, piv))]
-    vec = _integer_primitive(aug)
-    return Inequality(tuple(labels), vec[:-1], vec[-1])
+            bound = aug[-1] + sum(s[p] * row[-1] / row[p] for row, p in zip(rr, piv))
+            aug = scale_to_integers(s + [bound])[0]
+    vec = _primitive(aug)
+    return Inequality(tuple(labels), tuple(map(Fraction, vec[:-1])), Fraction(vec[-1]))
 
 
-def _nonneg_representative(reduced: list[Fraction], rr: list[list[Fraction]],
+def _nonneg_representative(reduced: list[int], rr: list[list[int]],
                            piv: list[int]) -> list[Fraction] | None:
-    """The representative s = reduced + sum_e s[piv_e] . rr_e with s >= 0,
-    the smallest coefficient sum and then lexicographically smallest
+    """The representative s = reduced + sum_e t_e . rr_e with s >= 0, the
+    smallest coefficient sum and then lexicographically smallest
     coefficients; None when no nonnegative representative exists.
-    ``rr`` is in reduced row echelon form with pivots ``piv`` and ``reduced``
-    is zero there, so s itself is the LP variable, with one row
-    s_j - sum_e rr_e[j] . s[piv_e] = reduced_j per non-pivot coordinate j,
+    ``rr``/``piv`` are ``_rref`` rows (possibly with a bound column past
+    the n coefficients) and ``reduced`` is zero on the pivots, so s itself
+    is the LP variable: s - reduced lies in the row space exactly when
+    v . s = v . reduced for every ``_nullspace`` vector v, one row each,
     reoptimized on a single tableau: first sum(s), then s_0, s_1, ...
     """
     n = len(reduced)
-    free = [j for j in range(n) if j not in piv]
-    rows = []
-    for j in free:
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        for r, p in zip(rr, piv):
-            row[p] = -r[j]
-        rows.append(row)
-
-    objectives = [[Fraction(1)] * n]
-    for i in range(n):
-        target = [Fraction(0)] * n
-        target[i] = Fraction(1)
-        objectives.append(target)
-    res = solve_lexicographic(objectives, rows, [reduced[j] for j in free])
+    rows = _nullspace(rr, piv, n)
+    objectives = [[1] * n] + [[int(i == j) for j in range(n)] for i in range(n)]
+    res = solve_lexicographic(objectives, rows,
+                              [sum(a * b for a, b in zip(v, reduced)) for v in rows])
     if res.status == INFEASIBLE:
         return None
     check_invariant(res.status == OPTIMAL, "coefficient objectives are bounded below by 0")
     return list(res.x)
 
 
-def _extreme_rays(M: list[Vector]) -> list[Vector]:
+def _extreme_rays(M: list[Sequence]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {z : M z >= 0}, double description.
 
     Requires the columns of M to span (the cone is pointed); rays come back
@@ -398,7 +383,7 @@ def _extreme_rays(M: list[Vector]) -> list[Vector]:
         check_invariant(all(sum(a * r[k] for k, a in s) >= 0 for s in supports),
                         "ray leaves the cone")
     rays.sort()
-    return [tuple(Fraction(v) for v in r) for r in rays]
+    return rays
 
 
 # ---------------------------------------------------------------- public api
@@ -448,7 +433,7 @@ def facet_enumeration(vset: VertexSet) -> Polytope:
     if hull.dim == 0:
         return Polytope(vset.labels, vset.vertices, vset.counts, 0, hull.equalities, ())
 
-    M = [(Fraction(1),) + y for y in hull.reduced]
+    M = [(1,) + y for y in hull.reduced]
     facets = [hull.canonical(tuple(-v for v in ray[1:]), ray[0])
               for ray in _extreme_rays(M) if any(ray[1:])]
     for f in facets:  # soundness: valid on every vertex and tight somewhere
@@ -474,9 +459,12 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     inequality: a violated affine-hull equality (oriented toward the point)
     when the point leaves the hull, otherwise a proper facet found by a polar
     LP and purified to a vertex of the polar, i.e. the reported separator is
-    always tight on the polytope.
+    always tight on the polytope.  Point coordinates are ints or Fractions.
     """
-    p = tuple(Fraction(point[a]) if a in point else _missing(a) for a in vset.labels)
+    p = tuple(point[a] if a in point else _missing(a) for a in vset.labels)
+    for x in p:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"point coordinate {x!r} is not an int or a Fraction")
     if not vset.vertices:
         return MembershipResult(inside=False)
     hull = _Hull(vset)
@@ -484,29 +472,21 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     for vec, eq in zip(hull.equality_ints, hull.equalities):
         lhs, rhs = sum(c * x for c, x in zip(vec[:-1], ints)), s * vec[-1]
         if lhs != rhs:
-            if lhs > rhs:
-                sep = Inequality(vset.labels, eq.coeffs, eq.bound)
-            else:
-                sep = Inequality(vset.labels, tuple(-v for v in eq.coeffs), -eq.bound)
+            sign = 1 if lhs > rhs else -1
+            sep = Inequality(vset.labels, tuple(sign * v for v in eq.coeffs), sign * eq.bound)
             return MembershipResult(inside=False, separator=sep,
                                     value_at_point=_dot(sep.coeffs, p),
                                     max_over_vertices=sep.bound)
 
-    reduced = hull.reduced
-    y_p = hull.reduce(p)
-    m = len(reduced)
-    k = hull.dim
-    A = [[r[j] for r in reduced] for j in range(k)]
-    A.append([1] * m)
-    b = list(y_p) + [1]
-    res = solve_standard([0] * m, A, b)
+    reduced, m, y_p = hull.reduced, len(hull.reduced), hull.reduce(p)
+    cols = [list(col) for col in zip(*reduced)]
+    res = solve_standard([0] * m, cols + [[1] * m], [*y_p, 1])
     if res.status == OPTIMAL:
         return MembershipResult(inside=True, weights=res.x)
 
-    centroid = tuple(Fraction(sum(r[j] for r in reduced), m) for j in range(k))
-    z = _polar_facet(reduced, centroid, y_p, k)
-    red_bound = 1 + _dot(z, centroid)
-    sep = hull.canonical(z, red_bound)
+    total = [sum(col) for col in cols]
+    z = _polar_facet(reduced, total, y_p)
+    sep = hull.canonical(z, 1 + _dot(z, total) / m)
     value = _dot(sep.coeffs, p)
     check_invariant(hull.supports(sep) and value > sep.bound,
                     "separator not tight or not violated")
@@ -518,41 +498,31 @@ def _missing(a: str):
     raise MissingCoordinate(f"point lacks coordinate {a!r}")
 
 
-def _polar_facet(reduced: list[Vector], centroid: Vector, y_p: Vector,
-                 k: int) -> Vector:
+def _polar_facet(reduced: list[tuple[int, ...]], total: list[int],
+                 y_p: Vector) -> Vector:
     """A vertex of the polar polytope maximizing the violation at ``y_p``.
 
-    Maximize z.(y_p - centroid) over {z : z.(v - centroid) <= 1}; the optimum
-    is > 1 exactly when y_p lies outside, and any vertex of the optimal face
-    is a vertex of the polar, hence a facet of the primal.
+    With m vertices summing to ``total`` (m times the centroid c), maximize
+    z.(y_p - c) over {z : z.(m v - total) <= m}, i.e. z.(v - c) <= 1; the
+    optimum is > 1 exactly when y_p lies outside, and any vertex of the
+    optimal face is a vertex of the polar, hence a facet of the primal.
+    The LP is integral: the objective is the direction m y_p - total
+    scaled to integers by s, so the test for > 1 reads z.d > m s.
     """
-    rows = [tuple(v[j] - centroid[j] for j in range(k)) for v in reduced]
-    d = tuple(y_p[j] - centroid[j] for j in range(k))
-    m = len(rows)
+    k, m = len(total), len(reduced)
+    rows = [[m * v[j] - total[j] for j in range(k)] for v in reduced]
+    d, s = scale_to_integers([m * y - t for y, t in zip(y_p, total)])
     # variables: z+ (k), z- (k), slack (m)
-    nvars = 2 * k + m
-    A = []
-    for i, r in enumerate(rows):
-        row = [Fraction(0)] * nvars
-        for j in range(k):
-            row[j] = r[j]
-            row[k + j] = -r[j]
-        row[2 * k + i] = Fraction(1)
-        A.append(row)
-    b = [Fraction(1)] * m
-    cost = [Fraction(0)] * nvars
-    for j in range(k):
-        cost[j] = -d[j]
-        cost[k + j] = d[j]
-    res = solve_standard(cost, A, b)
+    A = [r + [-x for x in r] + [int(i == t) for t in range(m)] for i, r in enumerate(rows)]
+    res = solve_standard([-x for x in d] + d + [0] * m, A, [m] * m)
     check_invariant(res.status == OPTIMAL, "polar LP is bounded: the vertices span the hull")
     z = [res.x[j] - res.x[k + j] for j in range(k)]
-    opt = _dot(z, d)
-    check_invariant(opt > 1, "point outside the polytope violates the polar by more than 1")
+    check_invariant(_dot(z, d) > m * s,
+                    "point outside the polytope violates the polar by more than 1")
 
     while True:
-        tight = [list(r) for r in rows if _dot(r, z) == 1]
-        rr, piv = _rref(tight + [list(d)])
+        tight = [r for r in rows if _dot(r, z) == m]
+        rr, piv = _rref(tight + [d])
         null = _nullspace(rr, piv, k)
         if not null:
             # at an optimum the objective lies in the span of the tight rows,
@@ -560,7 +530,7 @@ def _polar_facet(reduced: list[Vector], centroid: Vector, y_p: Vector,
             check_invariant(len(_rref(tight)[1]) == k, "purification stalled")
             break
         for w in (null[0], tuple(-v for v in null[0])):
-            steps = [(1 - _dot(r, z)) / g for r in rows if (g := _dot(r, w)) > 0]
+            steps = [(m - _dot(r, z)) / g for r in rows if (g := _dot(r, w)) > 0]
             if steps:
                 break
         best = min(steps, default=None)
@@ -583,9 +553,8 @@ def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:
     n = len(logic.atoms)
     coeff = {a: c for a, c in zip(ineq.labels, ineq.coeffs)}
     c = [-Fraction(coeff.get(a, 0)) for a in logic.atoms]
-    A = [[Fraction(1) if a in ctx else Fraction(0) for a in logic.atoms]
-         for ctx in logic.context_sets]
-    b = [Fraction(1)] * len(A)
+    A = [[int(a in ctx) for a in logic.atoms] for ctx in logic.context_sets]
+    b = [1] * len(A)
     res = solve_standard(c, A, b)
     if res.status == INFEASIBLE:
         return ImplicationResult(implied=True, optimum=None, region_empty=True)

@@ -1,17 +1,63 @@
-"""Reference for the nonnegative representative of canonical forms.
+"""Fraction reference for canonical forms of inequalities.
 
-Independent of the lexicographic tableau: each objective (first the
-coefficient sum, then every coefficient in turn) is a fresh two-phase LP
-through ``solve_standard``, with one more equality row pinning every
-objective already minimized to its optimum.  n + 1 LPs per call, so only
-meant for small inputs.
+Independent of the lexicographic tableau and of the integer rows of
+``polytope._canonical_form``: the nonnegative representative is found with
+each objective (first the coefficient sum, then every coefficient in turn)
+as a fresh two-phase LP through ``solve_standard``, with one more equality
+row pinning every objective already minimized to its optimum; without one,
+the pivot coordinates are eliminated on the Fraction reference RREF of
+``rref_oracle``.  n + 1 LPs per call, so only meant for small inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ctxlab.exactlp import INFEASIBLE, OPTIMAL, solve_standard
+from rref_oracle import rref
+
+
+def integer_primitive(values) -> tuple[Fraction, ...]:
+    """Positive rescale of rationals to coprime integers, as Fractions (the
+    zero vector passes through)."""
+    values = [Fraction(v) for v in values]
+    scaled = [v * lcm(*(v.denominator for v in values)) for v in values]
+    g = gcd(*(int(v) for v in scaled)) or 1
+    return tuple(v / g for v in scaled)
+
+
+def eliminate_pivots(values, rr, piv):
+    """Zero the pivot coordinates of ``values`` against reference rref rows."""
+    values = list(values)
+    for row, p in zip(rr, piv):
+        if values[p]:
+            f = values[p]
+            values = [a - f * b for a, b in zip(values, row)]
+    return values
+
+
+def canonical_form_oracle(coeffs, bound, equalities):
+    """(coeffs, bound) of the canonical form of coeffs . x <= bound modulo
+    the consistent ``equalities``: the nonnegative representative when one
+    exists, otherwise the form with the pivot coordinates of the rref of
+    the equalities eliminated; coprime integers, as Fractions."""
+    coeffs = [Fraction(v) for v in coeffs]
+    bound = Fraction(bound)
+    rows = [list(e.coeffs) for e in equalities]
+    bounds = [e.bound for e in equalities]
+    if rows:
+        t = nonneg_representative(coeffs, rows)
+        if t is not None:
+            coeffs = [c + sum(te * row[i] for te, row in zip(t, rows))
+                      for i, c in enumerate(coeffs)]
+            bound += sum(te * b for te, b in zip(t, bounds))
+        else:
+            rr, piv = rref([row + [b] for row, b in zip(rows, bounds)])
+            aug = eliminate_pivots(coeffs + [bound], rr, piv)
+            coeffs, bound = aug[:-1], aug[-1]
+    vec = integer_primitive(coeffs + [bound])
+    return vec[:-1], vec[-1]
 
 
 def nonneg_representative(coeffs: list[Fraction],

@@ -3,9 +3,8 @@
 Rows and rays stay Fractions, zero sets are frozensets, and every new ray's
 zero set is recomputed with dot products against each processed row, and
 the elimination is the Fraction reference in ``rref_oracle``.  It shares
-only ``_dot`` and ``_integer_primitive`` with the integer kernel
-``polytope._extreme_rays``; tests compare the two ray lists, order
-included, on random pointed cones.
+only ``_dot`` with the integer kernel ``polytope._extreme_rays``; tests
+compare the two ray lists, order included, on random pointed cones.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ctxlab.exactlp import check_invariant
-from ctxlab.polytope import Vector, _dot, _integer_primitive
+from ctxlab.polytope import Vector, _dot
+from canonical_oracle import integer_primitive
 from rref_oracle import rref
 
 
@@ -38,7 +38,7 @@ def extreme_rays(M: list[Vector]) -> list[Vector]:
     check_invariant(piv == list(range(d)), "initial cone rows are independent")
     inv_cols = [[rr[i][d + j] for i in range(d)] for j in range(d)]
     # ray_j satisfies M_chosen . ray_j = e_j
-    rays = [_integer_primitive(inv_cols[j]) for j in range(d)]
+    rays = [integer_primitive(inv_cols[j]) for j in range(d)]
 
     processed = list(chosen)
     zero_sets = [frozenset(chosen[t] for t in range(d) if t != j) for j in range(d)]
@@ -70,7 +70,7 @@ def extreme_rays(M: list[Vector]) -> list[Vector]:
                     continue
                 w = [vals[p] * bm - vals[m_] * bp
                      for bp, bm in zip(rays[p], rays[m_])]
-                wn = _integer_primitive(w)
+                wn = integer_primitive(w)
                 zs = frozenset(j for j in processed if _dot(M[j], wn) == 0) | {i}
                 new_rays.append(wn)
                 new_zero.append(zs)

@@ -3,8 +3,9 @@
 ``FractionHull`` is the affine hull of a vertex set in Fraction arithmetic,
 on the reference elimination of ``rref_oracle``: v0 is the first vertex and
 a point's reduced coordinates are x - v0 on the pivot coordinates.  It
-shares no linear algebra with the integer ``polytope._Hull``; both hand
-their inequalities to the same ``_canonical_form``.
+shares no linear algebra with the integer ``polytope._Hull``, and its
+inequalities are canonicalized by ``canonical_oracle``, not by
+``polytope._canonical_form``.
 
 ``brute_facets`` is independent of the double description code path:
 candidate facets are affine hulls of (dim)-element vertex subsets whose span
@@ -24,8 +25,8 @@ from itertools import combinations
 
 from ctxlab.exactlp import OPTIMAL, solve_standard
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
-                             VertexSet, _canonical_form, _dot,
-                             _integer_primitive)
+                             VertexSet, _dot)
+from canonical_oracle import canonical_form_oracle, integer_primitive
 from rref_oracle import nullspace, rref
 
 
@@ -39,14 +40,13 @@ class FractionHull:
         self.dim = len(self.pivots)
         equalities = []
         for a in nullspace(self.basis, self.pivots, len(self.v0)):
-            vec = _integer_primitive(list(a) + [_dot(a, self.v0)])
+            vec = integer_primitive(list(a) + [_dot(a, self.v0)])
             coeffs, bound = vec[:-1], vec[-1]
             if next(v for v in coeffs if v != 0) < 0:
                 coeffs, bound = tuple(-v for v in coeffs), -bound
             equalities.append(Equality(self.labels, coeffs, bound))
         self.equalities = tuple(equalities)
         self.reduced = [self.reduce(v) for v in vset.vertices]
-        self.rref = rref([list(e.coeffs) + [e.bound] for e in equalities])
 
     def reduce(self, point) -> tuple[Fraction, ...]:
         return tuple(Fraction(point[p]) - self.v0[p] for p in self.pivots)
@@ -57,7 +57,8 @@ class FractionHull:
         for c, p in zip(red_coeffs, self.pivots):
             coeffs[p] = c
             bound += c * self.v0[p]
-        return _canonical_form(self.labels, coeffs, bound, *self.rref)
+        coeffs, bound = canonical_form_oracle(coeffs, bound, self.equalities)
+        return Inequality(self.labels, coeffs, bound)
 
 
 def brute_facets(vset: VertexSet) -> set[tuple]:
@@ -81,7 +82,7 @@ def brute_facets(vset: VertexSet) -> set[tuple]:
             normal, base = tuple(-x for x in normal), -base
         else:
             continue
-        raw.add(_integer_primitive(tuple(normal) + (base,)))
+        raw.add(integer_primitive(tuple(normal) + (base,)))
     out = set()
     for vec in raw:
         f = hull.canonical(vec[:-1], vec[-1])

@@ -10,15 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctxlab import polytope
-from ctxlab.exactlp import InternalError
+from ctxlab.exactlp import InternalError, scale_to_integers
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
                              MissingCoordinate, VertexSet, _extreme_rays,
-                             _integer_primitive, _nonneg_representative, _rref,
+                             _nonneg_representative, _rref,
                              axiom_implied, canonical_inequality,
                              evaluate_inequality, facet_enumeration,
                              membership, parse_inequality, vertices_from_states)
 from ctxlab.states import UnknownAtom, enumerate_states
-from canonical_oracle import nonneg_representative
+from canonical_oracle import (canonical_form_oracle, eliminate_pivots,
+                              nonneg_representative)
 from dd_oracle import extreme_rays
 from helpers import load_logic
 from hull_oracle import FractionHull, brute_facets, fraction_membership
@@ -38,39 +39,6 @@ def facet_pairs(poly):
 
 def int_coeffs(f):
     return tuple(int(c) for c in f.coeffs)
-
-
-def eliminate_pivots(values, rr, piv):
-    """Zero the pivot coordinates of ``values`` against echelon rows."""
-    values = list(values)
-    for row, p in zip(rr, piv):
-        if values[p]:
-            f = values[p]
-            values = [a - f * b for a, b in zip(values, row)]
-    return values
-
-
-def canonical_form_oracle(coeffs, bound, equalities):
-    """(coeffs, bound) of the canonical form by two separate paths: the
-    nonnegative representative from ``canonical_oracle`` when one exists,
-    otherwise the form with the pivot coordinates of the rref of the
-    equalities eliminated."""
-    coeffs = [F(v) for v in coeffs]
-    bound = F(bound)
-    rows = [list(e.coeffs) for e in equalities]
-    bounds = [e.bound for e in equalities]
-    if rows:
-        t = nonneg_representative(coeffs, rows)
-        if t is not None:
-            coeffs = [c + sum(te * row[i] for te, row in zip(t, rows))
-                      for i, c in enumerate(coeffs)]
-            bound += sum(te * b for te, b in zip(t, bounds))
-        else:
-            rr, piv = rref([row + [b] for row, b in zip(rows, bounds)])
-            aug = eliminate_pivots(coeffs + [bound], rr, piv)
-            coeffs, bound = aug[:-1], aug[-1]
-    vec = _integer_primitive(coeffs + [bound])
-    return vec[:-1], vec[-1]
 
 
 class TestVerticesFromStates:
@@ -303,6 +271,9 @@ class TestCanonicalInequality:
     @example(([3, -1, 2], [[1, 1, 1]]))
     @settings(max_examples=100, deadline=None)
     def test_nonneg_representative_matches_lp_per_objective_oracle(self, args):
+        # the kernel takes the fraction-free _rref rows and the eliminated
+        # coefficients as ints (L times the rational ones), and returns L
+        # times the representative
         coeffs, rows = args
         coeffs = [F(v) for v in coeffs]
         rows = [[F(v) for v in row] for row in rows]
@@ -312,8 +283,9 @@ class TestCanonicalInequality:
         expected = None if t is None else [
             c + sum(te * row[i] for te, row in zip(t, rows))
             for i, c in enumerate(coeffs)]
-        assert _nonneg_representative(eliminate_pivots(coeffs, rr, piv),
-                                      rr, piv) == expected
+        reduced, L = scale_to_integers(eliminate_pivots(coeffs, rr, piv))
+        got = _nonneg_representative(reduced, *_rref(rows))
+        assert got == (None if expected is None else [L * s for s in expected])
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
         st.lists(st.integers(-4, 4), min_size=n, max_size=n),
@@ -453,6 +425,15 @@ class TestMembership:
         vs = vertices_from_states(lg)
         with pytest.raises(MissingCoordinate):
             membership({"1": F(1)}, vs)
+
+    def test_float_coordinate_raises(self):
+        # Fraction(0.1) is a binary expansion, and with it the triangle's
+        # point (0.1, 0.2, 0.7) leaves the hull x + y + z = 1
+        vs = vset(["x", "y", "z"], [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        with pytest.raises(ValueError) as err:
+            membership({"x": 0.1, "y": 0.2, "z": 0.7}, vs)
+        assert str(err.value) == "point coordinate 0.1 is not an int or a Fraction"
+        assert membership({"x": F(1, 10), "y": F(1, 5), "z": F(7, 10)}, vs).inside
 
     def test_deterministic(self):
         lg = load_logic("pentagon")
@@ -643,13 +624,18 @@ class TestVertexCoordinates:
         (((0,), (1, 0)), "vertex has 1 coordinates for 2 labels"),
     ])
     def test_bad_vertex_sets_raise(self, rows, reason):
-        vs = VertexSet(("x", "y"), rows, (1,) * len(rows))
-        facet_enumeration.cache_clear()
-        for call in (facet_enumeration,
-                     lambda vs: membership({"x": F(1, 2), "y": F(0)}, vs)):
-            with pytest.raises(ValueError) as err:
-                call(vs)
-            assert str(err.value) == reason
+        # no such set exists, so neither public function can be handed one
+        with pytest.raises(ValueError) as err:
+            VertexSet(("x", "y"), rows, (1,) * len(rows))
+        assert str(err.value) == reason
+
+    def test_float_set_is_no_cache_hit_of_the_equal_fraction_set(self):
+        # a float set equals and hashes like the Fraction set of the same
+        # values, so it would be served that set's cached polytope
+        halves = ((F(0), F(0)), (F(1), F(1, 2)), (F(1), F(0)))
+        assert facet_enumeration(VertexSet(("x", "y"), halves, (1, 1, 1))).facets
+        with pytest.raises(ValueError, match="vertex coordinate 0.5 is not"):
+            VertexSet(("x", "y"), ((0, 0), (1, 0.5), (1, 0)), (1, 1, 1))
 
 
 @st.composite
@@ -783,7 +769,7 @@ def test_extreme_rays_match_fraction_oracle(M):
         return
     got = _extreme_rays(M)
     assert got == want
-    assert all(type(v) is Fraction for ray in got for v in ray)
+    assert all(type(v) is int for ray in got for v in ray)
 
 
 def test_extreme_rays_reject_a_cone_that_is_not_pointed():
