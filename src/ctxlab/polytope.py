@@ -8,8 +8,8 @@ facets.  Membership tests run an exact rational LP and return either convex
 weights or a separating inequality that is simultaneously a facet.  Both take
 all they derive from the vertex set (hull equalities, reduced coordinates,
 canonical forms) from one ``_Hull``.  Everything here is exact rational or
-integer arithmetic; there is no floating-point fallback, and a float
-coordinate, of a vertex or of a point, raises ``ValueError``.  Linear
+integer arithmetic; there is no floating-point fallback: a float vertex or
+point coordinate, or inequality or equality entry, raises ``ValueError``.  Linear
 algebra runs on integers: ``_rref`` eliminates fraction-free, ``_Hull``
 scales the vertices once to a common denominator, double description keeps
 rows and rays primitive int tuples, with a ray's zero set an int bitmask,
@@ -28,9 +28,11 @@ representative exists, that pivot-eliminated form is kept.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -38,14 +40,19 @@ from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
                              scale_to_integers, solve_lexicographic,
                              solve_standard)
 from ctxlab.logic import ATOM_TOKEN, Logic, validate_logic
-from ctxlab.states import (TwoValuedState, UnknownAtom, enumerate_states,
-                           require_own_states)
+from ctxlab.states import TwoValuedState, UnknownAtom, _rows, enumerate_states
 
 Vector = tuple[Fraction, ...]
 
 
 class MissingCoordinate(Exception):
     """A point lacks a value for a coordinate the operation needs."""
+
+
+def _require_exact(values, what: str) -> None:
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"{what} {x!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -63,9 +70,7 @@ class VertexSet:
         for v in self.vertices:
             if len(v) != n:
                 raise ValueError(f"vertex has {len(v)} coordinates for {n} labels")
-            for x in v:
-                if not isinstance(x, (int, Fraction)):
-                    raise ValueError(f"vertex coordinate {x!r} is not an int or a Fraction")
+            _require_exact(v, "vertex coordinate")
 
 
 @dataclass(frozen=True)
@@ -263,13 +268,15 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
     (consistent) equalities, then picks the representative with all
     coefficients nonnegative and minimal coefficient sum, refined to the
     lexicographically smallest coefficient vector; keeps the eliminated form
-    when none is nonnegative.  Coprime-integer scaled.
+    when none is nonnegative.  Coprime-integer scaled; a float entry raises
+    ``ValueError``.
     """
-    rr, piv = _rref([[Fraction(v) for v in (*e.coeffs, e.bound)] for e in equalities])
+    aug, rows = (*coeffs, bound), [(*e.coeffs, e.bound) for e in equalities]
+    _require_exact((*aug, *chain.from_iterable(rows)), "coefficient or bound")
+    rr, piv = _rref(rows)
     if piv and piv[-1] == len(coeffs):
         raise ValueError("equalities are inconsistent")
-    aug = scale_to_integers([Fraction(v) for v in (*coeffs, bound)])[0]
-    return _canonical_form(labels, aug, rr, piv)
+    return _canonical_form(labels, scale_to_integers(aug)[0], rr, piv)
 
 
 def _canonical_form(labels: tuple[str, ...], aug: list[int],
@@ -409,13 +416,7 @@ def vertices_from_states(logic: Logic,
             if a in seen:
                 raise ValueError(f"projection repeats atom {a!r}")
             seen.add(a)
-    require_own_states(logic, states)
-    positions = [logic.atom_index[a] for a in labels]
-    counted: dict[tuple[int, ...], int] = {}
-    for s in states:
-        bits = s.bits
-        v = tuple(bits[k] for k in positions)
-        counted[v] = counted.get(v, 0) + 1
+    counted = Counter(_rows(logic, states, labels))
     ordered = sorted(counted)
     return VertexSet(labels=labels,
                      vertices=tuple(tuple(Fraction(b) for b in v) for v in ordered),
@@ -462,9 +463,7 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     always tight on the polytope.  Point coordinates are ints or Fractions.
     """
     p = tuple(point[a] if a in point else _missing(a) for a in vset.labels)
-    for x in p:
-        if not isinstance(x, (int, Fraction)):
-            raise ValueError(f"point coordinate {x!r} is not an int or a Fraction")
+    _require_exact(p, "point coordinate")
     if not vset.vertices:
         return MembershipResult(inside=False)
     hull = _Hull(vset)

@@ -3,7 +3,10 @@
 A two-valued state assigns 0 or 1 to every atom so that each context contains
 exactly one atom valued 1.  States are returned in a canonical order: sorted
 lexicographically by their bit string over the logic's atom order.  State
-indices used in reports are 0-based positions in that order.
+indices used in reports are 0-based positions in that order.  States passed
+in are read by atom position only through ``_columns`` and ``_rows``, and
+``_columns`` refuses states that are not over the logic's atoms in its order
+(:class:`ForeignStates`).
 """
 
 from __future__ import annotations
@@ -71,9 +74,6 @@ class TwoValuedState:
             return self.bits[self.atoms.index(atom)]
         except ValueError:
             raise UnknownAtom(f"no atom {atom!r} in this state") from None
-
-    def true_atoms(self) -> tuple[str, ...]:
-        return tuple(a for a, b in zip(self.atoms, self.bits) if b)
 
     def bit_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -200,24 +200,27 @@ def brute_force_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     return tuple(out)
 
 
-def require_own_states(logic: Logic, states: Iterable[TwoValuedState]) -> None:
-    """Raise :class:`ForeignStates` unless every state is over the logic's
-    atoms in the logic's order, as :func:`enumerate_states` gives them.
-    Callers read a state's ``bits`` by the logic's atom positions."""
+def _columns(logic: Logic, states: Sequence[TwoValuedState]) -> list[bytes]:
+    """One bytes column per atom: byte i of atom j's column is its value in
+    state i, sliced as ``blob[j::n]`` from all states' bits joined.  Raises
+    :class:`ForeignStates` unless every state is over the logic's atoms in
+    the logic's order, as :func:`enumerate_states` gives them."""
     atoms = logic.atoms
     for s in states:
         if s.atoms is not atoms and s.atoms != atoms:
             raise ForeignStates("states are not over the atoms of logic "
                                 f"{logic.name or '<anonymous>'} in its order")
-
-
-def _columns(logic: Logic, states: Sequence[TwoValuedState]) -> list[bytes]:
-    """One bytes column per atom: byte i of atom j's column is its value in
-    state i, sliced as ``blob[j::n]`` from all states' bits joined."""
-    require_own_states(logic, states)
-    n = len(logic.atoms)
+    n = len(atoms)
     blob = b"".join(bytes(s.bits) for s in states)
     return [blob[j::n] for j in range(n)]
+
+
+def _rows(logic: Logic, states: Sequence[TwoValuedState],
+          atoms: Sequence[str]) -> Iterable[tuple[int, ...]]:
+    """Per state, the named atoms' values: their :func:`_columns` zipped, or
+    ``()`` for each state when no atom is named (a zip of nothing is empty)."""
+    cols = _columns(logic, states)
+    return zip(*(cols[logic.atom_index[a]] for a in atoms)) if atoms else repeat((), len(states))
 
 
 def atom_state_sets(logic: Logic,
@@ -378,31 +381,25 @@ def certify_value_indefiniteness(tifs_logic: Logic, tits_logic: Logic,
     (ii)  in ``tits_logic``, antecedent true forces target true;
     (iii) the pasting of the two admits no state with antecedent true.
 
-    (iii) follows from (i) and (ii) whenever the pasting is state-rich, but it
-    is verified directly on the pasted state space rather than assumed.
+    (iii) always follows from (i) and (ii), since a state of the pasting
+    restricts to a state of each input; checking it on the pasted state
+    space is a consistency check of the enumeration.
     Raises :class:`ConditionFailed` naming the first condition that fails.
     """
-    prop = pair_property(tifs_logic, antecedent, target)
-    if prop is not PairProperty.TRUE_IMPLIES_FALSE:
-        i, t = tifs_logic.atom_index[antecedent], tifs_logic.atom_index[target]
-        witness = next((s for s in enumerate_states(tifs_logic)
-                        if s.bits[i] == 1 and s.bits[t] == 1), None)
-        raise ConditionFailed("tifs-side",
-                              f"first logic has {prop.value}, needs TrueImpliesFalse",
-                              witness)
-    prop = pair_property(tits_logic, antecedent, target)
-    if prop is not PairProperty.TRUE_IMPLIES_TRUE:
-        i, t = tits_logic.atom_index[antecedent], tits_logic.atom_index[target]
-        witness = next((s for s in enumerate_states(tits_logic)
-                        if s.bits[i] == 1 and s.bits[t] == 0), None)
-        raise ConditionFailed("tits-side",
-                              f"second logic has {prop.value}, needs TrueImpliesTrue",
-                              witness)
+    for which, ordinal, side, needed, offending in (
+            ("tifs-side", "first", tifs_logic, PairProperty.TRUE_IMPLIES_FALSE, 1),
+            ("tits-side", "second", tits_logic, PairProperty.TRUE_IMPLIES_TRUE, 0)):
+        prop = pair_property(side, antecedent, target)
+        if prop is not needed:
+            i, t = side.atom_index[antecedent], side.atom_index[target]
+            witness = next((s for s in enumerate_states(side)
+                            if s.bits[i] == 1 and s.bits[t] == offending), None)
+            raise ConditionFailed(
+                which, f"{ordinal} logic has {prop.value}, needs {needed.value}", witness)
     pasted = paste_logics(tifs_logic, tits_logic)
     pasted_states = enumerate_states(pasted)
     i = pasted.atom_index[antecedent]
-    offender = next((s for s in pasted_states if s.bits[i] == 1), None)
-    if offender is not None:
+    if (offender := next((s for s in pasted_states if s.bits[i] == 1), None)) is not None:
         raise ConditionFailed("pasted-antecedent",
                               "pasted logic still has a state with the antecedent true",
                               offender)
@@ -416,9 +413,8 @@ def states_table(logic: Logic, states: Sequence[TwoValuedState] | None = None) -
     if states is None:
         states = enumerate_states(logic)
     widths = [max(len(a), 1) for a in logic.atoms]
-    head = "state " + " ".join(a.rjust(w) for a, w in zip(logic.atoms, widths))
-    lines = [head]
-    for i, s in enumerate(states):
-        row = f"{i:>5} " + " ".join(str(b).rjust(w) for b, w in zip(s.bits, widths))
-        lines.append(row)
+    lines = ["state " + " ".join(a.rjust(w) for a, w in zip(logic.atoms, widths))]
+    cells = [("0".rjust(w), "1".rjust(w)) for w in widths]
+    for i, row in enumerate(_rows(logic, states, logic.atoms)):
+        lines.append(f"{i:>5} " + " ".join([c[b] for c, b in zip(cells, row)]))
     return "\n".join(lines) + "\n"

@@ -14,11 +14,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from typing import Mapping, Sequence
 
 from ctxlab.logic import Logic
 from ctxlab.states import (MixtureWeights, TwoValuedState, WeightCountMismatch,
-                           atom_state_sets, enumerate_states, require_own_states)
+                           _columns, _rows, enumerate_states)
 
 RNG_ID = "mt19937-u64"
 
@@ -61,21 +62,20 @@ def partition_representation(logic: Logic,
     """
     if states is None:
         states = enumerate_states(logic)
-    zero_based = atom_state_sets(logic, states)
-    sets = {a: frozenset(i + 1 for i in s) for a, s in zero_based.items()}
     n = len(states)
-    full = frozenset(range(1, n + 1))
+    indices = range(1, n + 1)
+    sets = {a: frozenset(compress(indices, col))
+            for a, col in zip(logic.atoms, _columns(logic, states))}
+    full = frozenset(indices)
     for ctx in logic.contexts:
         blocks = [sets[a] for a in ctx]
-        union = frozenset().union(*blocks)
-        if union != full or sum(len(b) for b in blocks) != n:
+        if frozenset().union(*blocks) != full or sum(map(len, blocks)) != n:
             raise ValueError(
                 f"context {ctx} does not partition the state indices; "
                 "states are not the two-valued states of this logic")
     values = list(sets.values())
-    faithful = all(values) and len(set(values)) == len(values)
     return PartitionRepresentation(atom_sets=sets, state_count=n,
-                                   faithful=faithful)
+                                   faithful=all(values) and len(set(values)) == len(values))
 
 
 def urn_simulate(logic: Logic,
@@ -107,18 +107,10 @@ def urn_simulate(logic: Logic,
     # scaled[i] = ceil(c_i * 2^64) for the exact cumulative weights c_i;
     # for integer p, p/2^64 < c_i iff p < scaled[i], so the integer bisect
     # below reproduces the rational comparison exactly
-    scaled = []
-    acc = Fraction(0)
-    for w in weights.weights:
-        acc += w
-        scaled.append(math.ceil(acc * (1 << 64)))
+    scaled = [math.ceil(c * (1 << 64)) for c in accumulate(weights.weights)]
 
     # ball type -> true atom of this context, precomputed per state
-    require_own_states(logic, states)
-    slots = [(a, logic.atom_index[a]) for a in context]
-    true_atom = []
-    for s in states:
-        true_atom.append(next(a for a, k in slots if s.bits[k] == 1))
+    true_atom = [context[row.index(1)] for row in _rows(logic, states, context)]
 
     rng = random.Random(seed)
     counts = {a: 0 for a in context}

@@ -56,3 +56,9 @@ def classify_states(logic: Logic,
     pairs.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
     return StateSpaceReport(count=count, unital=not non_unital, non_unital_atoms=non_unital,
                             separating=not pairs, inseparable_pairs=tuple(pairs))
+
+
+def pair_target_values(logic: Logic, antecedent: str, target: str) -> set[int]:
+    """The target's values over the states where the antecedent is true,
+    read state by state by atom name."""
+    return {s[target] for s in enumerate_states(logic) if s[antecedent]}

@@ -233,6 +233,12 @@ class TestTextOutputs:
         assert any(i.bound == 2 and set(i.labels) == {"1", "3", "5", "7", "9"}
                    for i in reparsed)
 
+    def test_hull_empty_projection(self, capsys):
+        # "," names no atom: every state projects to the one point ()
+        code, out, _ = run(capsys, "hull", "--catalog", "pentagon", "--project", ",")
+        assert code == 0
+        assert out.splitlines() == ["labels: ", "dim: 0", "vertices: 1"]
+
     def test_member_outside_report(self, capsys, exotic):
         code, out, _ = run(capsys, "member", "--catalog", "pentagon",
                            "--assign", exotic, "--project", "1,3,5,7,9",

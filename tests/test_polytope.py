@@ -68,6 +68,12 @@ class TestVerticesFromStates:
                 assert dict(zip(vs.vertices, vs.counts)) == Counter(
                     tuple(F(s[a]) for a in labels) for s in states)
 
+    def test_empty_projection_is_one_point(self):
+        # a zip of no columns yields nothing; every state still counts once
+        lg = load_logic("pentagon")
+        n = len(enumerate_states(lg))
+        assert vertices_from_states(lg, project=()) == VertexSet((), ((),), (n,))
+
     def test_projection_unknown_atom(self):
         lg = load_logic("pentagon")
         with pytest.raises(UnknownAtom):
@@ -235,6 +241,20 @@ class TestCanonicalInequality:
         again = canonical_inequality(vs.labels, shifted, F(2) + 3 * eq.bound,
                                      P.equalities)
         assert again == base
+
+    @pytest.mark.parametrize("coeffs, bound, equalities, bad", [
+        ([0.1, 0.2], 0.3, (), "0.1"),
+        ([F(1), F(2)], 3.0, (), "3.0"),
+        ([F(1), F(2)], F(3), (Equality(("x", "y"), (F(1), 0.5), F(1)),), "0.5"),
+    ])
+    def test_float_entry_raises(self, coeffs, bound, equalities, bad):
+        # Fraction(0.1) is a binary expansion: x + 2y <= 3 would come back as
+        # 3602879701896397 x + 7205759403792794 y <= 10808639105689190
+        with pytest.raises(ValueError) as err:
+            canonical_inequality(("x", "y"), coeffs, bound, equalities)
+        assert str(err.value) == f"coefficient or bound {bad} is not an int or a Fraction"
+        f = canonical_inequality(("x", "y"), [F(1, 10), F(1, 5)], F(3, 10))
+        assert (f.coeffs, f.bound) == ((F(1), F(2)), F(3))
 
     def test_fallback_when_no_nonnegative_representative(self):
         # hull {x - y = 0}: representatives of -x <= 0 are (-1+t, -t), never

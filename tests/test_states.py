@@ -214,7 +214,7 @@ class TestForeignStates:
     its order; any other atom tuple is refused, even one of the same size."""
 
     @pytest.mark.parametrize("fn", [classify_states, atom_state_sets, partition_representation,
-                                    vertices_from_states, _urn])
+                                    vertices_from_states, _urn, states_table])
     def test_rejected(self, fn):
         logic = load_logic("pentagon")
         permuted = Logic(atoms=logic.atoms[::-1], contexts=logic.contexts)
@@ -258,6 +258,17 @@ class TestPairProperty:
     def test_unknown_atom(self):
         with pytest.raises(UnknownAtom):
             pair_property(load_logic("pentagon"), "1", "zz")
+
+    @pytest.mark.parametrize("logic", catalog_logics(), ids=lambda lg: lg.name)
+    def test_every_ordered_pair_matches_oracle(self, logic):
+        expected = {frozenset(): PairProperty.ANTECEDENT_NEVER_TRUE,
+                    frozenset({0}): PairProperty.TRUE_IMPLIES_FALSE,
+                    frozenset({1}): PairProperty.TRUE_IMPLIES_TRUE,
+                    frozenset({0, 1}): PairProperty.UNCONSTRAINED}
+        for a in logic.atoms:
+            for t in logic.atoms:
+                values = frozenset(state_oracle.pair_target_values(logic, a, t))
+                assert pair_property(logic, a, t) is expected[values], (a, t)
 
 
 class TestMixtures:
