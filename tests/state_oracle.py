@@ -5,14 +5,20 @@ one bytes column per atom.  Each state's bits are walked atom by atom into
 one Python set per atom; atoms with equal sets are grouped and the pairs
 sorted by atom index.  Slow on large state spaces, so only meant as an
 oracle.
+
+Also the all-Fraction weight check and by-name sum that ``MixtureWeights``
+and ``convex_mixture`` ran before they moved to integer numerators over a
+common denominator.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from ctxlab.logic import Logic
-from ctxlab.states import StateSpaceReport, TwoValuedState, enumerate_states
+from ctxlab.states import (StateSpaceReport, TwoValuedState, WeightsNotNormalized,
+                           enumerate_states)
 
 
 def atom_state_sets(logic: Logic,
@@ -62,3 +68,28 @@ def pair_target_values(logic: Logic, antecedent: str, target: str) -> set[int]:
     """The target's values over the states where the antecedent is true,
     read state by state by atom name."""
     return {s[target] for s in enumerate_states(logic) if s[antecedent]}
+
+
+def mixture_weights(values) -> tuple[Fraction, ...]:
+    """Each value as a Fraction; raises what ``Fraction`` raises, or
+    :class:`WeightsNotNormalized` for a negative weight or a sum other
+    than 1."""
+    ws = tuple(Fraction(w) for w in values)
+    if any(w < 0 for w in ws):
+        raise WeightsNotNormalized("negative weight")
+    if sum(ws, Fraction(0)) != 1:
+        raise WeightsNotNormalized(f"weights sum to {sum(ws, Fraction(0))}, not 1")
+    return ws
+
+
+def convex_mixture(states: Sequence[TwoValuedState], weights) -> dict[str, Fraction]:
+    """Per atom of the first state, the sum of the weights of the states
+    where it is true, added by atom name."""
+    if not states:
+        return {}
+    probs = {a: Fraction(0) for a in states[0].atoms}
+    for w, s in zip(mixture_weights(weights), states):
+        for a, b in zip(s.atoms, s.bits):
+            if b:
+                probs[a] += w
+    return probs

@@ -415,6 +415,80 @@ def test_mixtures_satisfy_measure_axioms(raw):
     assert check_measure(logic, p, tolerance=0).ok
 
 
+def _weights_outcome(fn, values):
+    """What ``fn`` returns for the values, or the type and message of what
+    it raises."""
+    try:
+        return fn(tuple(values))
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _as_text(w: Fraction) -> str:
+    return f"{w.numerator}/{w.denominator}"
+
+
+@st.composite
+def weight_inputs(draw):
+    """Weight tuples as ints, Fractions, floats and "p/q" strings: half of
+    them convex (then perhaps one entry negated or one more appended), half
+    arbitrary, the empty tuple among them."""
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(0, 9), min_size=1, max_size=7).filter(any))
+        ws = [Fraction(r, sum(raw)) for r in raw]
+        change = draw(st.sampled_from(("none", "negate", "append")))
+        if change == "negate":
+            i = draw(st.integers(0, len(ws) - 1))
+            ws[i] = -ws[i]
+        elif change == "append":
+            ws.append(draw(st.fractions(max_denominator=20)))
+        forms = [lambda w: w, _as_text]
+        return [draw(st.sampled_from(forms + [int] * (w.denominator == 1) +
+                                     [float] * (w.denominator & (w.denominator - 1) == 0)))(w)
+                for w in ws]
+    return draw(st.lists(st.one_of(
+        st.integers(-3, 5),
+        st.fractions(max_denominator=50),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.fractions(max_denominator=50).map(_as_text),
+        st.sampled_from(("1/0", "abc", "0.25", "-1/3"))), max_size=6))
+
+
+@given(weight_inputs())
+@settings(max_examples=400, deadline=None)
+def test_mixture_weights_accept_and_reject_like_fraction_sums(values):
+    got = _weights_outcome(lambda v: MixtureWeights(v).weights, values)
+    assert got == _weights_outcome(state_oracle.mixture_weights, values)
+    if isinstance(got, tuple) and got and not isinstance(got[0], type):
+        assert all(type(w) is Fraction for w in got)
+
+
+def test_mixture_weights_messages():
+    for values, message in (((), "weights sum to 0, not 1"),
+                            ((Fraction(1, 2), Fraction(1, 3)), "weights sum to 5/6, not 1"),
+                            ((Fraction(3, 2), Fraction(-1, 2)), "negative weight"),
+                            ((2, "-1"), "negative weight")):
+        with pytest.raises(WeightsNotNormalized) as err:
+            MixtureWeights(values)
+        assert str(err.value) == message
+
+
+_CUT = st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)).map(
+    lambda t: Fraction(min(t), t[1]))
+
+
+@given(st.sampled_from([n for n in catalog_list() if catalog_get(n).logic is not None]),
+       st.lists(_CUT, min_size=90, max_size=90))
+@settings(max_examples=60, deadline=None)
+def test_mixture_matches_fraction_sum_oracle(name, cuts):
+    # weights are the gaps between sorted cut points in [0, 1]: mixed
+    # denominators, zeros where cuts coincide
+    states = enumerate_states(catalog_get(name).logic)
+    ends = [Fraction(0), *sorted(cuts[:len(states) - 1]), Fraction(1)]
+    weights = [b - a for a, b in zip(ends, ends[1:])]
+    assert dict(convex_mixture(states, weights)) == state_oracle.convex_mixture(states, weights)
+
+
 @given(small_valid_logics())
 @settings(max_examples=150, deadline=None)
 def test_classification_matches_oracle_on_brute_force_states(logic):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,10 +16,12 @@ from ctxlab.states import (MixtureWeights, TwoValuedState, WeightCountMismatch,
 from ctxlab.urn import (RNG_ID, UnknownContext, partition_representation,
                         urn_simulate)
 
+from ctxlab import urn
 from ctxlab.catalog import catalog_get, catalog_list
 from helpers import load_logic
 from reference_sets import INDEX_SETS, STATE_COUNTS
 import state_oracle
+import urn_oracle
 
 
 def uniform(n: int) -> MixtureWeights:
@@ -192,3 +197,77 @@ class TestUrnSimulate:
             res = urn_simulate(logic, states, weights, i, 100_000, seed=600 + i)
             for a in res.context:
                 assert abs(res.frequencies[a] - exact[a]) <= Fraction(1, 100)
+
+
+def weights_of_kind(kind: str, n: int) -> list[Fraction]:
+    """Convex weights over n states: ``uniform``; ``sparse`` (seeded, zero
+    at both ends); ``dyadic`` (1/2, 1/4, ..., the last two equal, so the
+    late thresholds sit exactly on multiples of 2^-64 or below them);
+    ``wide`` (seeded numerators up to 10^20 over their sum)."""
+    rng = random.Random(n)
+    if kind == "uniform":
+        return [Fraction(1, n)] * n
+    if kind == "dyadic":
+        return [Fraction(1, 2 ** min(i + 1, n - 1)) for i in range(n)]
+    if kind == "sparse":
+        raw = [0] + [rng.choice((0, 0, 1, 2, 3)) for _ in range(n - 3)] + [1, 0]
+    else:
+        raw = [rng.randrange(10 ** 20) for _ in range(n)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+class ScriptedBits:
+    """Stands in for ``random.Random``: getrandbits(64) returns the given
+    values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def getrandbits(self, k):
+        assert k == 64
+        return next(self._values)
+
+
+class TestUrnMatchesOracle:
+    """Counts equal those of the per-draw Fraction sampler in
+    ``tests/urn_oracle.py`` for the same seed."""
+
+    @pytest.mark.parametrize("draws", [1, 2000])
+    @pytest.mark.parametrize("kind", ["uniform", "sparse", "dyadic", "wide"])
+    @pytest.mark.parametrize("name", ["pentagon", "specker_bug_combo"])
+    def test_counts(self, name, kind, draws):
+        logic = load_logic(name)
+        states = enumerate_states(logic)
+        weights = weights_of_kind(kind, len(states))
+        for i in range(len(logic.contexts)):
+            res = urn_simulate(logic, states, weights, i, draws, seed=31 + i)
+            assert res.counts == urn_oracle.urn_counts(logic, states, weights, i, draws, 31 + i)
+
+    @pytest.mark.parametrize("name,kind", [("pentagon", "sparse"),
+                                           ("specker_bug_combo", "wide")])
+    def test_counts_at_100000_draws(self, name, kind):
+        logic = load_logic(name)
+        states = enumerate_states(logic)
+        weights = weights_of_kind(kind, len(states))
+        res = urn_simulate(logic, states, weights, 1, 100_000, seed=2018)
+        assert res.counts == urn_oracle.urn_counts(logic, states, weights, 1, 100_000, 2018)
+
+    @pytest.mark.parametrize("kind", ["uniform", "sparse", "dyadic", "wide"])
+    def test_draws_on_and_next_to_every_threshold(self, kind, monkeypatch):
+        # 64-bit draws at floor and ceil of each c * 2^64 and one off them,
+        # where a threshold rounded the wrong way would pick the wrong ball
+        logic = load_logic("specker_bug_combo")
+        states = enumerate_states(logic)
+        weights = weights_of_kind(kind, len(states))
+        top = (1 << 64) - 1
+        bits = [0, top]
+        for c in accumulate(weights):
+            t = c * (1 << 64)
+            bits += [min(max(v, 0), top)
+                     for v in (math.floor(t) - 1, math.floor(t), math.ceil(t), math.ceil(t) + 1)]
+        monkeypatch.setattr(urn, "random", SimpleNamespace(Random=lambda seed: ScriptedBits(bits)))
+        for i in range(len(logic.contexts)):
+            res = urn_simulate(logic, states, weights, i, len(bits), seed=0)
+            want = urn_oracle.urn_counts(logic, states, weights, i, len(bits), 0,
+                                         rng=ScriptedBits(bits))
+            assert res.counts == want
