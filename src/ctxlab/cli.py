@@ -193,11 +193,14 @@ def _cmd_validate(args) -> int:
 def _cmd_states(args) -> int:
     logic = _logic(args)
     states = enumerate_states(logic)
-    payload = {"command": "states", "atoms": list(logic.atoms),
-               "count": len(states),
-               "states": [s.bit_string() for s in states]}
-    text = str(len(states)) if args.count else states_table(logic, states)
-    _emit(args, payload, text)
+    # build only the output that is printed: bit strings for JSON, the
+    # table for text without --count
+    if args.json:
+        _emit(args, {"command": "states", "atoms": list(logic.atoms),
+                     "count": len(states),
+                     "states": [s.bit_string() for s in states]}, "")
+    else:
+        _emit(args, {}, str(len(states)) if args.count else states_table(logic, states))
     return 0
 
 

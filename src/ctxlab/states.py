@@ -4,14 +4,15 @@ A two-valued state assigns 0 or 1 to every atom so that each context contains
 exactly one atom valued 1.  States are returned in a canonical order: sorted
 lexicographically by their bit string over the logic's atom order.  State
 indices used in reports are 0-based positions in that order.  States passed
-in are read by atom position only through ``_columns`` and ``_rows``, and
-``_columns`` refuses states that are not over the logic's atoms in its order
-(:class:`ForeignStates`).
+in are read by atom position only through ``_columns``, ``_rows`` and
+``convex_mixture``, which refuse states that are not over the logic's (or
+the first state's) atoms in its order (:class:`ForeignStates`).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -200,16 +201,22 @@ def brute_force_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     return tuple(out)
 
 
+def _require_atoms(states: Sequence[TwoValuedState], atoms: tuple[str, ...],
+                   owner: str) -> None:
+    """Raise :class:`ForeignStates` unless every state is over ``atoms`` in
+    their order; ``owner`` names where the atoms come from."""
+    for s in states:
+        if s.atoms is not atoms and s.atoms != atoms:
+            raise ForeignStates(f"states are not over the atoms of {owner} in its order")
+
+
 def _columns(logic: Logic, states: Sequence[TwoValuedState]) -> list[bytes]:
     """One bytes column per atom: byte i of atom j's column is its value in
     state i, sliced as ``blob[j::n]`` from all states' bits joined.  Raises
     :class:`ForeignStates` unless every state is over the logic's atoms in
     the logic's order, as :func:`enumerate_states` gives them."""
     atoms = logic.atoms
-    for s in states:
-        if s.atoms is not atoms and s.atoms != atoms:
-            raise ForeignStates("states are not over the atoms of logic "
-                                f"{logic.name or '<anonymous>'} in its order")
+    _require_atoms(states, atoms, f"logic {logic.name or '<anonymous>'}")
     n = len(atoms)
     blob = b"".join(bytes(s.bits) for s in states)
     return [blob[j::n] for j in range(n)]
@@ -283,19 +290,36 @@ def pair_property(logic: Logic, antecedent: str, target: str) -> PairProperty:
     return PairProperty.UNCONSTRAINED
 
 
+def _numerators(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The weights as integer numerators over one common denominator D, the
+    lcm of their denominators (1 for no weights): w_i = N_i / D."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    d = math.lcm(*[q for _, q in ratios])
+    return tuple([p * (d // q) for p, q in ratios]), d
+
+
 @dataclass(frozen=True)
 class MixtureWeights:
-    """Nonnegative rational weights summing to exactly one."""
+    """Nonnegative rational weights summing to exactly one.
+
+    Values that are not already a ``Fraction`` are converted with
+    ``Fraction(value)``.  The checks run on the integer numerators over the
+    weights' common denominator (see :func:`_numerators`), which are kept as
+    ``_scaled`` for :func:`convex_mixture` and ``urn_simulate``.
+    """
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
-        if any(w < 0 for w in ws):
+        nums, d = _numerators(ws)
+        # d > 0, so each numerator has its weight's sign
+        if min(nums, default=0) < 0:
             raise WeightsNotNormalized("negative weight")
-        if sum(ws, Fraction(0)) != 1:
-            raise WeightsNotNormalized(f"weights sum to {sum(ws, Fraction(0))}, not 1")
+        if sum(nums) != d:
+            raise WeightsNotNormalized(f"weights sum to {Fraction(sum(nums), d)}, not 1")
+        object.__setattr__(self, "_scaled", (nums, d))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -331,22 +355,29 @@ class ProbabilityAssignment(Mapping):
 
 def convex_mixture(states: Sequence[TwoValuedState],
                    weights: MixtureWeights | Iterable) -> ProbabilityAssignment:
-    """Exact convex combination of states; one weight per state."""
+    """Exact convex combination of states; one weight per state.
+
+    Every state must be over the first state's atoms in their order
+    (:class:`ForeignStates` otherwise).  Each atom's probability is the sum
+    of the integer numerators (see :class:`MixtureWeights`) of the states
+    where it is true, over the common denominator.
+    """
     if not isinstance(weights, MixtureWeights):
-        weights = MixtureWeights(tuple(Fraction(w) for w in weights))
+        weights = MixtureWeights(tuple(weights))
     if len(weights) != len(states):
         raise WeightCountMismatch(f"{len(weights)} weights for {len(states)} states")
     if not states:
         return ProbabilityAssignment({}, exact=True)
     atoms = states[0].atoms
-    probs = {a: Fraction(0) for a in atoms}
-    for w, s in zip(weights, states):
-        if w == 0:
-            continue
-        for a, b in zip(s.atoms, s.bits):
-            if b:
-                probs[a] += w
-    return ProbabilityAssignment(probs, exact=True)
+    _require_atoms(states, atoms, "the first state")
+    nums, d = weights._scaled
+    positions = range(len(atoms))
+    acc = [0] * len(atoms)
+    for w, s in zip(nums, states):
+        if w:
+            for j in compress(positions, s.bits):
+                acc[j] += w
+    return ProbabilityAssignment({a: Fraction(c, d) for a, c in zip(atoms, acc)}, exact=True)
 
 
 def check_measure(logic: Logic, assignment: Mapping[str, Number],

@@ -9,12 +9,13 @@ matching the canonical enumeration order used in probability formulas.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from functools import partial
+from itertools import accumulate, compress, repeat
 from typing import Mapping, Sequence
 
 from ctxlab.logic import Logic
@@ -90,6 +91,11 @@ def urn_simulate(logic: Logic,
     Sampling compares an exact rational uniform variate (64 random bits over
     2^64) against exact cumulative weight thresholds, so the only floating
     point anywhere is in the caller's hands.  Deterministic given the seed.
+    Both sides are integers: with the weights as numerators over their
+    common denominator D (see :class:`~ctxlab.states.MixtureWeights`), the
+    cumulative weight c_i = C_i / D becomes the threshold ceil(c_i * 2^64),
+    computed as ``-((-C_i << 64) // D)`` with no Fraction, and each draw
+    is one integer bisect over the thresholds.
     """
     if states is None:
         states = enumerate_states(logic)
@@ -104,19 +110,23 @@ def urn_simulate(logic: Logic,
             f"context index {context_index} not in 0..{len(logic.contexts) - 1}")
     context = logic.contexts[context_index]
 
-    # scaled[i] = ceil(c_i * 2^64) for the exact cumulative weights c_i;
-    # for integer p, p/2^64 < c_i iff p < scaled[i], so the integer bisect
-    # below reproduces the rational comparison exactly
-    scaled = [math.ceil(c * (1 << 64)) for c in accumulate(weights.weights)]
+    # scaled[i] = ceil(c_i * 2^64) = -((-C_i * 2^64) // D) for the exact
+    # cumulative weights c_i = C_i / D (floor division of the negated
+    # numerator rounds up); for integer p, p/2^64 < c_i iff p < scaled[i],
+    # so the integer bisect below reproduces the rational comparison exactly
+    nums, d = weights._scaled
+    scaled = [-((-c << 64) // d) for c in accumulate(nums)]
 
     # ball type -> true atom of this context, precomputed per state
     true_atom = [context[row.index(1)] for row in _rows(logic, states, context)]
 
+    # u = bits/2^64 < 1 = c_last, so the bisect always lands on a ball;
+    # the draws are counted per ball in one pass, then folded onto atoms
     rng = random.Random(seed)
+    balls = Counter(map(partial(bisect_right, scaled), map(rng.getrandbits, repeat(64, draws))))
     counts = {a: 0 for a in context}
-    for _ in range(draws):
-        # u = bits/2^64 < 1 = c_last, so the bisect always lands on a ball
-        counts[true_atom[bisect_right(scaled, rng.getrandbits(64))]] += 1
+    for ball, k in balls.items():
+        counts[true_atom[ball]] += k
 
     frequencies = {a: Fraction(c, draws) for a, c in counts.items()}
     return UrnResult(context_index=context_index, context=context,

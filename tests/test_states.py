@@ -235,6 +235,22 @@ class TestForeignStates:
         assert states[0].atoms is not logic.atoms
         assert classify_states(logic, states) == classify_states(logic)
 
+    @pytest.mark.parametrize("weights", [[0, 1], [1, 0], [Fraction(1, 2)] * 2])
+    def test_mixture_of_states_over_other_atoms(self, weights):
+        # no logic to check against: every state must be over the first
+        # state's atoms, whatever the weights
+        mixed = (enumerate_states(parse_logic("context x y\n"))[0],
+                 enumerate_states(parse_logic("context u v\n"))[0])
+        with pytest.raises(ForeignStates, match="atoms of the first state"):
+            convex_mixture(mixed, weights)
+
+    def test_mixture_of_states_over_an_equal_atom_tuple(self):
+        logic = load_logic("pentagon")
+        states = enumerate_states(logic)
+        copy = enumerate_states(Logic(atoms=tuple(list(logic.atoms)), contexts=logic.contexts))
+        weights = [Fraction(1, 11)] * 11
+        assert convex_mixture(states[:5] + copy[5:], weights) == convex_mixture(states, weights)
+
 
 class TestPairProperty:
     def test_specker_bug_tifs(self):

@@ -239,7 +239,7 @@ class TestUrnMatchesOracle:
         logic = load_logic(name)
         states = enumerate_states(logic)
         weights = weights_of_kind(kind, len(states))
-        for i in range(len(logic.contexts)):
+        for i in range(min(4, len(logic.contexts))):
             res = urn_simulate(logic, states, weights, i, draws, seed=31 + i)
             assert res.counts == urn_oracle.urn_counts(logic, states, weights, i, draws, 31 + i)
 
