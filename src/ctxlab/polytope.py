@@ -395,6 +395,9 @@ def _extreme_rays(M: list[Sequence]) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------- public api
 
+_BIT_FRACTIONS = (Fraction(0), Fraction(1))  # shared by every 0/1 coordinate
+
+
 def vertices_from_states(logic: Logic,
                          states: Sequence[TwoValuedState] | None = None,
                          project: Sequence[str] | None = None) -> VertexSet:
@@ -419,7 +422,7 @@ def vertices_from_states(logic: Logic,
     counted = Counter(_rows(logic, states, labels))
     ordered = sorted(counted)
     return VertexSet(labels=labels,
-                     vertices=tuple(tuple(Fraction(b) for b in v) for v in ordered),
+                     vertices=tuple(tuple(map(_BIT_FRACTIONS.__getitem__, v)) for v in ordered),
                      counts=tuple(counted[v] for v in ordered))
 
 

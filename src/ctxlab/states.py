@@ -3,8 +3,15 @@
 A two-valued state assigns 0 or 1 to every atom so that each context contains
 exactly one atom valued 1.  States are returned in a canonical order: sorted
 lexicographically by their bit string over the logic's atom order.  State
-indices used in reports are 0-based positions in that order.  States passed
-in are read by atom position only through ``_columns``, ``_rows`` and
+indices used in reports are 0-based positions in that order.
+
+A state keeps its bits as one ``bytes`` value, one 0/1 byte per atom.
+:func:`enumerate_states` writes the bits of all the states it finds into
+one blob and gives each state a slice of it, so no per-state tuple of ints
+is built; ``TwoValuedState.bits`` builds one on request.  The readers here
+work on the bytes: ``_columns`` joins them again and slices one column per
+atom, ``_rows`` zips the columns of the named atoms only.  States passed in
+are read by atom position only through ``_columns``, ``_rows`` and
 ``convex_mixture``, which refuse states that are not over the logic's (or
 the first state's) atoms in its order (:class:`ForeignStates`).
 """
@@ -13,7 +20,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
@@ -63,21 +71,60 @@ class ConditionFailed(LogicError):
 
 BRUTE_FORCE_ATOM_LIMIT = 24
 
-@dataclass(frozen=True)
 class TwoValuedState:
-    """One {0,1} assignment; ``atoms`` fixes the coordinate order of ``bits``."""
+    """One {0,1} assignment; ``atoms`` fixes the coordinate order of ``bits``.
 
-    atoms: tuple[str, ...]
-    bits: tuple[int, ...]
+    The bits are kept as one private ``bytes`` value, byte i holding atom
+    i's value, and ``bits`` returns them as a tuple of ints.  Frozen like a
+    frozen dataclass: equal when the class, the atoms and the bits are
+    equal, hashable, and assignment raises ``FrozenInstanceError``.
+    """
+
+    __slots__ = ("atoms", "_raw")
+
+    def __init__(self, atoms: tuple[str, ...], bits: Sequence[int]):
+        _set_atoms(self, atoms)
+        _set_raw(self, bytes(bits))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self._raw)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms and self._raw == other._raw
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self._raw))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(atoms={self.atoms!r}, bits={self.bits!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.atoms, self._raw)
 
     def __getitem__(self, atom: str) -> int:
         try:
-            return self.bits[self.atoms.index(atom)]
+            return self._raw[self.atoms.index(atom)]
         except ValueError:
             raise UnknownAtom(f"no atom {atom!r} in this state") from None
 
     def bit_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return self._raw.translate(_BIT_CHARS).decode()
+
+
+# the slots' own setters, which the frozen __setattr__ does not block
+_set_atoms = TwoValuedState.atoms.__set__
+_set_raw = TwoValuedState._raw.__set__
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' characters to bits
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # and back
 
 
 class PairProperty(enum.Enum):
@@ -136,9 +183,6 @@ def _check_valid(logic: Logic) -> None:
         raise ValueError(f"logic does not validate (rules: {', '.join(rules)})")
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' characters to bits
-
-
 @lru_cache(maxsize=256)
 def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     """All two-valued states of a valid logic, canonically ordered.
@@ -156,7 +200,7 @@ def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     idx = logic.atom_index
     masks = [sum(1 << (n - 1 - idx[a]) for a in c) for c in logic.contexts]
     found: list[int] = []
-    # bit n of the true mask is a constant 1: format() then keeps the leading
+    # bit n of the true mask is a constant 1: bin() then keeps the leading
     # zeros, and the empty logic still gives one state with bits ()
     stack = [(0, 1 << n, 0)]
     while stack:
@@ -176,9 +220,16 @@ def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
             free ^= bit
             stack.append((ci + 1, true | bit, false | (ctx ^ bit)))
     found.sort()
-    return tuple(TwoValuedState(logic.atoms,
-                                tuple(format(v, "b")[1:].encode().translate(_BIT_VALUES)))
-                 for v in found)
+    # bin() writes each true mask as "0b1" and its n bits: one translate
+    # turns all of them, joined, into one blob of 0/1 bytes, and each state
+    # keeps a slice of it, the bytes after the "0b1" of its n+3 byte chunk
+    blob = "".join(map(bin, found)).encode().translate(_BIT_VALUES)
+    raws = [blob[i:i + n] for i in range(3, len(blob) + 1, n + 3)]
+    # bare instances, then their two slots set by C-level passes
+    states = tuple(map(object.__new__, repeat(TwoValuedState, len(raws))))
+    deque(map(_set_atoms, states, repeat(logic.atoms)), maxlen=0)
+    deque(map(_set_raw, states, raws), maxlen=0)
+    return states
 
 
 def brute_force_states(logic: Logic) -> tuple[TwoValuedState, ...]:
@@ -210,24 +261,26 @@ def _require_atoms(states: Sequence[TwoValuedState], atoms: tuple[str, ...],
             raise ForeignStates(f"states are not over the atoms of {owner} in its order")
 
 
-def _columns(logic: Logic, states: Sequence[TwoValuedState]) -> list[bytes]:
-    """One bytes column per atom: byte i of atom j's column is its value in
-    state i, sliced as ``blob[j::n]`` from all states' bits joined.  Raises
+def _columns(logic: Logic, states: Sequence[TwoValuedState],
+             atoms: Sequence[str] | None = None) -> list[bytes]:
+    """One bytes column per atom of ``atoms`` (default: every atom of the
+    logic): byte i of atom j's column is its value in state i, sliced as
+    ``blob[j::n]`` from all states' bits joined.  Raises
     :class:`ForeignStates` unless every state is over the logic's atoms in
     the logic's order, as :func:`enumerate_states` gives them."""
-    atoms = logic.atoms
-    _require_atoms(states, atoms, f"logic {logic.name or '<anonymous>'}")
-    n = len(atoms)
-    blob = b"".join(bytes(s.bits) for s in states)
-    return [blob[j::n] for j in range(n)]
+    _require_atoms(states, logic.atoms, f"logic {logic.name or '<anonymous>'}")
+    n = len(logic.atoms)
+    blob = b"".join([s._raw for s in states])
+    positions = range(n) if atoms is None else [logic.atom_index[a] for a in atoms]
+    return [blob[j::n] for j in positions]
 
 
 def _rows(logic: Logic, states: Sequence[TwoValuedState],
           atoms: Sequence[str]) -> Iterable[tuple[int, ...]]:
     """Per state, the named atoms' values: their :func:`_columns` zipped, or
     ``()`` for each state when no atom is named (a zip of nothing is empty)."""
-    cols = _columns(logic, states)
-    return zip(*(cols[logic.atom_index[a]] for a in atoms)) if atoms else repeat((), len(states))
+    cols = _columns(logic, states, atoms)
+    return zip(*cols) if atoms else repeat((), len(states))
 
 
 def atom_state_sets(logic: Logic,
@@ -280,7 +333,7 @@ def pair_property(logic: Logic, antecedent: str, target: str) -> PairProperty:
         if a not in logic.atom_index:
             raise UnknownAtom(f"no atom {a!r} in logic {logic.name or '<anonymous>'}")
     i, t = logic.atom_index[antecedent], logic.atom_index[target]
-    target_values = {s.bits[t] for s in enumerate_states(logic) if s.bits[i]}
+    target_values = {s._raw[t] for s in enumerate_states(logic) if s._raw[i]}
     if not target_values:
         return PairProperty.ANTECEDENT_NEVER_TRUE
     if target_values == {0}:
@@ -375,7 +428,7 @@ def convex_mixture(states: Sequence[TwoValuedState],
     acc = [0] * len(atoms)
     for w, s in zip(nums, states):
         if w:
-            for j in compress(positions, s.bits):
+            for j in compress(positions, s._raw):
                 acc[j] += w
     return ProbabilityAssignment({a: Fraction(c, d) for a, c in zip(atoms, acc)}, exact=True)
 
@@ -386,17 +439,33 @@ def check_measure(logic: Logic, assignment: Mapping[str, Number],
 
     ``tolerance`` 0 means exact comparison (the natural mode for rational
     assignments); pass a small float for floating-point inputs.  A NaN value
-    fails both checks.
+    fails both checks.  When the tolerance is 0 and every value is a
+    ``Fraction``, the sums run on integer numerators over the values' common
+    denominator (see :func:`_numerators`); a failing total is reported as
+    the same ``Fraction`` either way.
     """
     for a in logic.atoms:
         if a not in assignment:
             raise MissingAtom(f"assignment lacks atom {a!r}")
-    nonneg = tuple((a, assignment[a]) for a in logic.atoms if not assignment[a] >= -tolerance)
-    bad_sums = []
-    for i, ctx in enumerate(logic.contexts):
-        total = sum(assignment[a] for a in ctx)
-        if not abs(total - 1) <= tolerance:
-            bad_sums.append((i, total))
+    values = [assignment[a] for a in logic.atoms]
+    if tolerance == 0 and all(isinstance(v, Fraction) for v in values):
+        # exact: integer numerators over the common denominator d, so a
+        # context sums to 1 iff its numerators sum to d
+        nums, d = _numerators(values)
+        nonneg = tuple((a, v) for a, v, p in zip(logic.atoms, values, nums) if p < 0)
+        num = dict(zip(logic.atoms, nums))
+        bad_sums = []
+        for i, ctx in enumerate(logic.contexts):
+            total = sum([num[a] for a in ctx])
+            if total != d:
+                bad_sums.append((i, Fraction(total, d)))
+    else:
+        nonneg = tuple((a, v) for a, v in zip(logic.atoms, values) if not v >= -tolerance)
+        bad_sums = []
+        for i, ctx in enumerate(logic.contexts):
+            total = sum(assignment[a] for a in ctx)
+            if not abs(total - 1) <= tolerance:
+                bad_sums.append((i, total))
     return MeasureReport(ok=not nonneg and not bad_sums,
                          nonneg_failures=nonneg,
                          context_sum_failures=tuple(bad_sums))
@@ -424,13 +493,13 @@ def certify_value_indefiniteness(tifs_logic: Logic, tits_logic: Logic,
         if prop is not needed:
             i, t = side.atom_index[antecedent], side.atom_index[target]
             witness = next((s for s in enumerate_states(side)
-                            if s.bits[i] == 1 and s.bits[t] == offending), None)
+                            if s._raw[i] == 1 and s._raw[t] == offending), None)
             raise ConditionFailed(
                 which, f"{ordinal} logic has {prop.value}, needs {needed.value}", witness)
     pasted = paste_logics(tifs_logic, tits_logic)
     pasted_states = enumerate_states(pasted)
     i = pasted.atom_index[antecedent]
-    if (offender := next((s for s in pasted_states if s.bits[i] == 1), None)) is not None:
+    if (offender := next((s for s in pasted_states if s._raw[i] == 1), None)) is not None:
         raise ConditionFailed("pasted-antecedent",
                               "pasted logic still has a state with the antecedent true",
                               offender)

@@ -8,17 +8,21 @@ oracle.
 
 Also the all-Fraction weight check and by-name sum that ``MixtureWeights``
 and ``convex_mixture`` ran before they moved to integer numerators over a
-common denominator.
+common denominator, the per-context sum ``check_measure`` runs on any
+assignment, and the state readers (columns, rows, 0/1 vertices) rebuilt
+from each state's public ``bits`` tuple and ``Fraction(b)`` per coordinate.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ctxlab.logic import Logic
-from ctxlab.states import (StateSpaceReport, TwoValuedState, WeightsNotNormalized,
-                           enumerate_states)
+from ctxlab.polytope import VertexSet
+from ctxlab.states import (MeasureReport, StateSpaceReport, TwoValuedState,
+                           WeightsNotNormalized, enumerate_states)
 
 
 def atom_state_sets(logic: Logic,
@@ -93,3 +97,36 @@ def convex_mixture(states: Sequence[TwoValuedState], weights) -> dict[str, Fract
             if b:
                 probs[a] += w
     return probs
+
+
+def check_measure(logic: Logic, assignment: Mapping, tolerance=0) -> MeasureReport:
+    """Nonnegativity and per-context sums added value by value."""
+    nonneg = tuple((a, assignment[a]) for a in logic.atoms if not assignment[a] >= -tolerance)
+    bad_sums = []
+    for i, ctx in enumerate(logic.contexts):
+        total = sum(assignment[a] for a in ctx)
+        if not abs(total - 1) <= tolerance:
+            bad_sums.append((i, total))
+    return MeasureReport(ok=not nonneg and not bad_sums, nonneg_failures=nonneg,
+                         context_sum_failures=tuple(bad_sums))
+
+
+def columns(logic: Logic, states: Sequence[TwoValuedState]) -> list[bytes]:
+    """Per atom of the logic, its value in each state."""
+    return [bytes(s.bits[j] for s in states) for j in range(len(logic.atoms))]
+
+
+def rows(logic: Logic, states: Sequence[TwoValuedState],
+         atoms: Sequence[str]) -> list[tuple[int, ...]]:
+    """Per state, the named atoms' values."""
+    positions = [logic.atoms.index(a) for a in atoms]
+    return [tuple(s.bits[j] for j in positions) for s in states]
+
+
+def vertices_from_states(logic: Logic, states: Sequence[TwoValuedState],
+                         project: Sequence[str] | None = None) -> VertexSet:
+    """The states as counted, sorted 0/1 vertices over ``project``."""
+    labels = logic.atoms if project is None else tuple(project)
+    counted = Counter(tuple(Fraction(b) for b in row) for row in rows(logic, states, labels))
+    ordered = sorted(counted)
+    return VertexSet(labels, tuple(ordered), tuple(counted[v] for v in ordered))

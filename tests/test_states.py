@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,8 @@ from ctxlab.states import (
     UnknownAtom,
     WeightCountMismatch,
     WeightsNotNormalized,
+    _columns,
+    _rows,
     atom_state_sets,
     brute_force_states,
     certify_value_indefiniteness,
@@ -126,6 +131,67 @@ class TestBruteForce:
 
     def test_zero_state_logic(self):
         assert brute_force_states(NO_STATE_CYCLE) == ()
+
+
+class TestTwoValuedState:
+    """The bytes-backed state keeps the contract of the frozen dataclass it
+    replaced: value equality and hash, repr, frozenness, pickling."""
+
+    @pytest.mark.parametrize("name", ["pentagon", "specker_bug_combo", "tifs_fig5a"])
+    def test_enumerated_equal_built_from_tuples(self, name):
+        states = enumerate_states(load_logic(name))
+        rebuilt = tuple(TwoValuedState(s.atoms, tuple(s.bits)) for s in states)
+        assert rebuilt == states
+        assert [hash(s) for s in rebuilt] == [hash(s) for s in states]
+        assert set(rebuilt) == set(states) and len(set(states)) == len(states)
+
+    def test_not_equal_across_atom_order_bits_or_type(self):
+        s = TwoValuedState(("a", "b"), (0, 1))
+        assert s != TwoValuedState(("b", "a"), (0, 1))
+        assert s != TwoValuedState(("a", "b"), (1, 0))
+        assert s != (("a", "b"), (0, 1)) and s != b"\x00\x01" and s != (0, 1)
+        assert s == TwoValuedState(("a", "b"), [0, 1])
+
+    def test_repr(self):
+        assert (repr(TwoValuedState(("a", "b"), [0, 1]))
+                == "TwoValuedState(atoms=('a', 'b'), bits=(0, 1))")
+        s = enumerate_states(parse_logic("context x y\n"))[0]
+        assert repr(s) == "TwoValuedState(atoms=('x', 'y'), bits=(0, 1))"
+
+    @pytest.mark.parametrize("attr", ["atoms", "bits", "_raw", "other"])
+    def test_frozen(self, attr):
+        s = enumerate_states(load_logic("pentagon"))[3]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, attr, (1,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, attr)
+        assert s == enumerate_states(load_logic("pentagon"))[3]
+
+    def test_pickle_and_copy_round_trips(self):
+        for s in (*enumerate_states(load_logic("pentagon")), TwoValuedState((), ())):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(s, protocol))
+                assert back == s and type(back) is TwoValuedState and back.bits == s.bits
+            for twin in (copy.copy(s), copy.deepcopy(s)):
+                assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+
+    def test_bits_is_a_tuple_of_ints(self):
+        for s in (*enumerate_states(load_logic("pentagon")),
+                  TwoValuedState(("a", "b", "c"), [0, 1, 0])):
+            assert type(s.bits) is tuple
+            assert all(type(b) is int and b in (0, 1) for b in s.bits)
+        assert TwoValuedState(("a", "b", "c"), [0, 1, 0]).bits == (0, 1, 0)
+
+    def test_bit_string_and_lookup(self):
+        logic = load_logic("specker_bug_combo")
+        for s in enumerate_states(logic):
+            assert s.bit_string() == "".join(str(b) for b in s.bits)
+            assert [s[a] for a in logic.atoms] == list(s.bits)
+        s = TwoValuedState(("a", "b"), [1, 0])
+        assert s.bit_string() == "10" and s["a"] == 1 and s["b"] == 0
+        with pytest.raises(UnknownAtom):
+            s["c"]
+        assert TwoValuedState((), ()).bit_string() == ""
 
 
 class TestClassify:
@@ -511,3 +577,53 @@ def test_classification_matches_oracle_on_brute_force_states(logic):
     if not validate_logic(logic).ok:
         return
     assert_matches_oracle(logic, brute_force_states(logic))
+
+
+@given(small_valid_logics(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_readers_match_oracle_from_public_bits(logic, data):
+    from ctxlab.logic import validate_logic
+    if not validate_logic(logic).ok:
+        return
+    project = data.draw(st.permutations(logic.atoms).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda k: p[:k])))
+    for states in (enumerate_states(logic), brute_force_states(logic)):
+        assert _columns(logic, states) == state_oracle.columns(logic, states)
+        for atoms in (logic.atoms, project):
+            assert list(_rows(logic, states, atoms)) == state_oracle.rows(logic, states, atoms)
+        for labels in (None, project):
+            vset = vertices_from_states(logic, states, labels)
+            assert vset == state_oracle.vertices_from_states(logic, states, labels)
+            assert all(type(x) is Fraction for v in vset.vertices for x in v)
+
+
+_MEASURE_VALUES = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3)]))
+
+
+@given(st.sampled_from([n for n in catalog_list() if catalog_get(n).logic is not None]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_measure_matches_per_value_sums(name, data):
+    # all-Fraction assignments at tolerance 0 take the integer-numerator
+    # path; an int or float value, or a tolerance, takes the value sums
+    logic = catalog_get(name).logic
+    p = {a: data.draw(_MEASURE_VALUES) for a in logic.atoms}
+    if data.draw(st.booleans()):
+        states = enumerate_states(logic)
+        ws = data.draw(st.lists(st.integers(0, 5), min_size=len(states),
+                                max_size=len(states)).filter(any))
+        p = dict(convex_mixture(states, [Fraction(w, sum(ws)) for w in ws]))
+        if data.draw(st.booleans()):
+            p[data.draw(st.sampled_from(logic.atoms))] += data.draw(_MEASURE_VALUES)
+    mixed = data.draw(st.sampled_from(["fractions", "int", "float"]))
+    if mixed != "fractions":
+        a = data.draw(st.sampled_from(logic.atoms))
+        p[a] = int(p[a]) if mixed == "int" else float(p[a])
+    tolerance = data.draw(st.sampled_from([0, 0.0, Fraction(0), Fraction(1, 100), 1e-9]))
+    got = check_measure(logic, p, tolerance)
+    assert got == state_oracle.check_measure(logic, p, tolerance)
+    assert ([type(t) for _, t in got.context_sum_failures]
+            == [type(t) for _, t in state_oracle.check_measure(logic, p, tolerance)
+                .context_sum_failures])
