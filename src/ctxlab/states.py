@@ -448,24 +448,20 @@ def check_measure(logic: Logic, assignment: Mapping[str, Number],
         if a not in assignment:
             raise MissingAtom(f"assignment lacks atom {a!r}")
     values = [assignment[a] for a in logic.atoms]
-    if tolerance == 0 and all(isinstance(v, Fraction) for v in values):
-        # exact: integer numerators over the common denominator d, so a
-        # context sums to 1 iff its numerators sum to d
-        nums, d = _numerators(values)
-        nonneg = tuple((a, v) for a, v, p in zip(logic.atoms, values, nums) if p < 0)
-        num = dict(zip(logic.atoms, nums))
-        bad_sums = []
-        for i, ctx in enumerate(logic.contexts):
-            total = sum([num[a] for a in ctx])
-            if total != d:
-                bad_sums.append((i, Fraction(total, d)))
+    exact = tolerance == 0 and all(isinstance(v, Fraction) for v in values)
+    if exact:
+        # integer numerators over the common denominator keep the values'
+        # signs, and a context sums to 1 iff its numerators sum to it
+        nums, one = _numerators(values)
+        value = dict(zip(logic.atoms, nums))
     else:
-        nonneg = tuple((a, v) for a, v in zip(logic.atoms, values) if not v >= -tolerance)
-        bad_sums = []
-        for i, ctx in enumerate(logic.contexts):
-            total = sum(assignment[a] for a in ctx)
-            if not abs(total - 1) <= tolerance:
-                bad_sums.append((i, total))
+        value, one = assignment, 1
+    nonneg = tuple((a, v) for a, v in zip(logic.atoms, values) if not value[a] >= -tolerance)
+    bad_sums = []
+    for i, ctx in enumerate(logic.contexts):
+        total = sum([value[a] for a in ctx])
+        if not abs(total - one) <= tolerance:
+            bad_sums.append((i, Fraction(total, one) if exact else total))
     return MeasureReport(ok=not nonneg and not bad_sums,
                          nonneg_failures=nonneg,
                          context_sum_failures=tuple(bad_sums))
