@@ -23,7 +23,9 @@ the sign of an entry or a comparison of two ratios rhs_i / a_i, and a
 positive scaling of a row changes neither; the pivot sequence, and with it
 every solution, dual and Farkas vector, is the one the rational tableau
 takes.  Fractions are built only when a result is read off, as entries over
-their row's scale.  Problem sizes here are tens of rows and at most a couple
+their row's scale.  Inputs are ints or Fractions, taken as given: the public
+functions of :mod:`ctxlab.polytope` refuse anything else before an LP is
+built.  Problem sizes here are tens of rows and at most a couple
 of hundred columns, where simplicity and exactness matter more than sparse
 data structures; pivots leave rows with a zero in the pivot column alone.
 """
@@ -60,18 +62,14 @@ class LPResult:
     farkas: tuple[Fraction, ...] | None = None
 
 
-def _rationals(values: Sequence) -> list:
-    """The values as exact rationals: ints and Fractions as they are,
-    anything else through ``Fraction``."""
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-
-
 def scale_to_integers(values: Sequence) -> tuple[list[int], int]:
     """``(ints, scale)`` with ints = scale * values, where scale is the lcm of
-    the denominators of the values (ints or Fractions): the smallest positive
-    integer multiple of the vector."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    the denominators of the values (ints or Fractions; 1 for no values): the
+    smallest positive integer multiple of the vector.  The one place that
+    turns exact rationals into an integer row."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -183,7 +181,7 @@ class _Tableau:
 def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     """Minimize ``c.x`` over ``A x = b, x >= 0`` exactly.
 
-    Inputs are read as exact rationals (see :func:`_rationals`).  ``dual``
+    Inputs are ints or Fractions (see the module docstring).  ``dual``
     satisfies ``dual . A <= c`` with ``dual . b == objective`` at optimality;
     ``farkas`` satisfies ``farkas . A <= 0`` with ``farkas . b > 0``.
     """
@@ -201,11 +199,9 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
     first pivot only on columns whose first reduced cost is zero, which leaves
     that reduced cost row unchanged.  INFEASIBLE carries the Farkas vector;
     UNBOUNDED means some objective is unbounded below on the optimal face of
-    those before it.
+    those before it.  Inputs are ints or Fractions, taken as given; the
+    polytope layer checks them.
     """
-    A = [_rationals(row) for row in A]
-    b = _rationals(b)
-    costs = [_rationals(c) for c in costs]
     if not costs:
         raise ValueError("no objective")
     n = len(costs[0])
@@ -241,11 +237,11 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
     for k, c in enumerate(costs):
         if k:  # keep to the optimal face of the objectives so far
             t.barred = [barred or d > 0 for barred, d in zip(t.barred, t.cost)]
-        t.set_costs(c + padding)
+        t.set_costs([*c, *padding])
         if t.run() == UNBOUNDED:
             return LPResult(status=UNBOUNDED)
     x = t.solution()
     first = costs[0]
     obj = sum(ci * xi for ci, xi in zip(first, x))
-    y = t.dual_for(first + padding)
+    y = t.dual_for([*first, *padding])
     return LPResult(status=OPTIMAL, x=tuple(x), objective=obj, dual=tuple(y))

@@ -9,13 +9,15 @@ weights or a separating inequality that is simultaneously a facet.  Both take
 all they derive from the vertex set (hull equalities, reduced coordinates,
 canonical forms) from one ``_Hull``.  Everything here is exact rational or
 integer arithmetic; there is no floating-point fallback: a float vertex or
-point coordinate, or inequality or equality entry, raises ``ValueError``.  Linear
-algebra runs on integers: ``_rref`` eliminates fraction-free, ``_Hull``
-scales the vertices once to a common denominator, double description keeps
-rows and rays primitive int tuples, with a ray's zero set an int bitmask,
-and canonical forms and polar facets hand the exact LP only int rows,
-right-hand sides and objectives.  Fractions are built where a result
-leaves the module.
+point coordinate, or inequality or equality entry, raises ``ValueError``
+(``VertexSet``, ``canonical_inequality``, ``membership`` and
+``axiom_implied`` check; the LP layer below takes what they pass).  Linear
+algebra runs on integers, scaled by ``exactlp.scale_to_integers``:
+``_rref`` eliminates fraction-free, ``_Hull`` scales the vertices once to
+a common denominator, double description keeps rows and rays primitive int
+tuples, with a ray's zero set an int bitmask, and canonical forms and polar
+facets hand the exact LP only int rows, right-hand sides and objectives.
+Fractions are built where a result leaves the module.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -208,14 +210,16 @@ class _Hull:
 
     def __init__(self, vset: VertexSet):
         self.labels = vset.labels
-        self.scale = scale = lcm(*(x.denominator for v in vset.vertices for x in v))
-        self.ints = [[x.numerator * (scale // x.denominator) for x in v] for v in vset.vertices]
+        flat, scale = scale_to_integers([x for v in vset.vertices for x in v])
+        self.scale, n = scale, len(self.labels)
+        # one slice per vertex: with no labels each is empty (a stride of 0 fails)
+        self.ints = [flat[k * n:(k + 1) * n] for k in range(len(vset.vertices))]
         self.v0 = v0 = self.ints[0]
         self.basis, self.pivots = _rref([[a - b for a, b in zip(v, v0)]
                                          for v in self.ints[1:]])
         self.dim = len(self.pivots)
         self.equality_ints = []
-        for a in _nullspace(self.basis, self.pivots, len(self.labels)):  # a.x == a.v0 / scale
+        for a in _nullspace(self.basis, self.pivots, n):  # a.x == a.v0 / scale
             vec = _primitive([scale * c for c in a] + [sum(c * w for c, w in zip(a, v0))])
             self.equality_ints.append(vec if next(c for c in vec if c) > 0 else [-c for c in vec])
         self.equalities = tuple(Equality(self.labels, tuple(map(Fraction, vec[:-1])),
@@ -545,16 +549,17 @@ def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:
     """Does the inequality follow from nonnegativity plus unit context sums?
 
     Maximizes the inequality functional over {p >= 0, sum over each context
-    = 1} with an exact LP and compares the optimum against the bound.
+    = 1} with an exact LP and compares the optimum against the bound.  A
+    float coefficient or bound raises ``ValueError``.
     """
     if not validate_logic(logic).ok:
         raise ValueError("logic does not validate")
     for a in ineq.labels:
         if a not in logic.atom_index:
             raise UnknownAtom(f"inequality names unknown atom {a!r}")
-    n = len(logic.atoms)
+    _require_exact((*ineq.coeffs, ineq.bound), "coefficient or bound")
     coeff = {a: c for a, c in zip(ineq.labels, ineq.coeffs)}
-    c = [-Fraction(coeff.get(a, 0)) for a in logic.atoms]
+    c = [-coeff.get(a, 0) for a in logic.atoms]
     A = [[int(a in ctx) for a in logic.atoms] for ctx in logic.context_sets]
     b = [1] * len(A)
     res = solve_standard(c, A, b)

@@ -148,12 +148,13 @@ def parse_vector(tokens: Sequence[str]) -> np.ndarray:
     return _array([parse_scalar(t) for t in tokens])
 
 
-def parse_vectors(text: str, dim: int | None = None,
-                  tolerance: float = DEFAULT_TOLERANCE) -> Realization:
+def parse_vectors(text: str, dim: int | None = None) -> Realization:
     """Parse ``vec <atom> <c1> ... <cD>`` lines into a Realization.
 
     The dimension is taken from ``dim`` when given, otherwise from the first
-    vector; every vector must match it.  ``#`` starts a comment.
+    vector; every vector must match it.  ``#`` starts a comment.  The
+    Realization gets the default check tolerance; ``dataclasses.replace``
+    gives it another.
     """
     vectors: dict[str, np.ndarray] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -184,7 +185,7 @@ def parse_vectors(text: str, dim: int | None = None,
         vectors[atom] = _array(comps)
     if not vectors:
         raise VectorParseError("no vectors", 1)
-    return Realization(dimension=dim, vectors=vectors, tolerance=tolerance)
+    return Realization(dimension=dim, vectors=vectors)
 
 
 def _inner(u: np.ndarray, v: np.ndarray) -> complex:

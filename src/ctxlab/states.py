@@ -11,15 +11,19 @@ one blob and gives each state a slice of it, so no per-state tuple of ints
 is built; ``TwoValuedState.bits`` builds one on request.  The readers here
 work on the bytes: ``_columns`` joins them again and slices one column per
 atom, ``_rows`` zips the columns of the named atoms only.  States passed in
-are read by atom position only through ``_columns``, ``_rows`` and
+are read by atom position through ``_columns``, ``_rows`` and
 ``convex_mixture``, which refuse states that are not over the logic's (or
-the first state's) atoms in its order (:class:`ForeignStates`).
+the first state's) atoms in its order (:class:`ForeignStates`).  The other
+positional readers take states this module enumerated itself, or read a
+state through its own ``atoms``: ``pair_property`` and the witness searches
+of ``certify_value_indefiniteness`` index the bytes of
+:func:`enumerate_states`'s states by the logic's atom positions, and
+``TwoValuedState.__getitem__`` and ``bit_string`` read a state's own bytes.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -27,13 +31,10 @@ from functools import lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
+from ctxlab.exactlp import scale_to_integers
 from ctxlab.logic import Logic, LogicError, paste_logics, validate_logic
 
 Number = Union[Fraction, float]
-
-
-class TooLarge(LogicError):
-    """Brute-force enumeration refused: atom count above the hard limit."""
 
 
 class UnknownAtom(LogicError):
@@ -68,8 +69,6 @@ class ConditionFailed(LogicError):
         self.which = which
         self.witness = witness
 
-
-BRUTE_FORCE_ATOM_LIMIT = 24
 
 class TwoValuedState:
     """One {0,1} assignment; ``atoms`` fixes the coordinate order of ``bits``.
@@ -191,9 +190,10 @@ def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     true atom of each context, mark its other atoms false, prune on conflict.
     The search pops (next context, true mask, false mask) triples of ints
     off an explicit stack, so Python's recursion limit does not bound its
-    depth.  Atom i sits at bit n-1-i, as in :func:`brute_force_states`, so
-    the numeric order of the true masks is the lexicographic order of the
-    bit strings, and sorting them gives the canonical order.
+    depth.  Atom i sits at bit n-1-i, so the numeric order of the true masks
+    is the lexicographic order of the bit strings, and sorting them gives
+    the canonical order.  The test suite checks the search against an
+    exhaustive one over all 2^n bit vectors.
     """
     _check_valid(logic)
     n = len(logic.atoms)
@@ -230,26 +230,6 @@ def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     deque(map(_set_atoms, states, repeat(logic.atoms)), maxlen=0)
     deque(map(_set_raw, states, raws), maxlen=0)
     return states
-
-
-def brute_force_states(logic: Logic) -> tuple[TwoValuedState, ...]:
-    """Check all 2^n bit vectors against the one-true-atom-per-context rule.
-
-    Independent of :func:`enumerate_states` on purpose; refuses logics with
-    more than ``BRUTE_FORCE_ATOM_LIMIT`` atoms.
-    """
-    n = len(logic.atoms)
-    if n > BRUTE_FORCE_ATOM_LIMIT:
-        raise TooLarge(f"{n} atoms exceeds the brute-force limit of {BRUTE_FORCE_ATOM_LIMIT}")
-    idx = logic.atom_index
-    # first atom is the most significant bit, so numeric order = lex order
-    masks = [sum(1 << (n - 1 - idx[a]) for a in ctx) for ctx in logic.contexts]
-    out = []
-    for v in range(1 << n):
-        if all((v & m).bit_count() == 1 for m in masks):
-            bits = tuple((v >> (n - 1 - k)) & 1 for k in range(n))
-            out.append(TwoValuedState(logic.atoms, bits))
-    return tuple(out)
 
 
 def _require_atoms(states: Sequence[TwoValuedState], atoms: tuple[str, ...],
@@ -343,22 +323,14 @@ def pair_property(logic: Logic, antecedent: str, target: str) -> PairProperty:
     return PairProperty.UNCONSTRAINED
 
 
-def _numerators(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The weights as integer numerators over one common denominator D, the
-    lcm of their denominators (1 for no weights): w_i = N_i / D."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    d = math.lcm(*[q for _, q in ratios])
-    return tuple([p * (d // q) for p, q in ratios]), d
-
-
 @dataclass(frozen=True)
 class MixtureWeights:
     """Nonnegative rational weights summing to exactly one.
 
     Values that are not already a ``Fraction`` are converted with
     ``Fraction(value)``.  The checks run on the integer numerators over the
-    weights' common denominator (see :func:`_numerators`), which are kept as
-    ``_scaled`` for :func:`convex_mixture` and ``urn_simulate``.
+    weights' common denominator (``exactlp.scale_to_integers``), which are
+    kept as ``_scaled`` for :func:`convex_mixture` and ``urn_simulate``.
     """
 
     weights: tuple[Fraction, ...]
@@ -366,7 +338,7 @@ class MixtureWeights:
     def __post_init__(self):
         ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
-        nums, d = _numerators(ws)
+        nums, d = scale_to_integers(ws)
         # d > 0, so each numerator has its weight's sign
         if min(nums, default=0) < 0:
             raise WeightsNotNormalized("negative weight")
@@ -441,8 +413,8 @@ def check_measure(logic: Logic, assignment: Mapping[str, Number],
     assignments); pass a small float for floating-point inputs.  A NaN value
     fails both checks.  When the tolerance is 0 and every value is a
     ``Fraction``, the sums run on integer numerators over the values' common
-    denominator (see :func:`_numerators`); a failing total is reported as
-    the same ``Fraction`` either way.
+    denominator (``exactlp.scale_to_integers``); a failing total is reported
+    as the same ``Fraction`` either way.
     """
     for a in logic.atoms:
         if a not in assignment:
@@ -452,7 +424,7 @@ def check_measure(logic: Logic, assignment: Mapping[str, Number],
     if exact:
         # integer numerators over the common denominator keep the values'
         # signs, and a context sums to 1 iff its numerators sum to it
-        nums, one = _numerators(values)
+        nums, one = scale_to_integers(values)
         value = dict(zip(logic.atoms, nums))
     else:
         value, one = assignment, 1

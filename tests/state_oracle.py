@@ -11,6 +11,11 @@ and ``convex_mixture`` ran before they moved to integer numerators over a
 common denominator, the per-context sum ``check_measure`` runs on any
 assignment, and the state readers (columns, rows, 0/1 vertices) rebuilt
 from each state's public ``bits`` tuple and ``Fraction(b)`` per coordinate.
+
+And ``brute_force_states``, the exhaustive reference for
+``enumerate_states``: every one of the 2^n bit vectors checked against the
+one-true-atom-per-context rule, refused above ``BRUTE_FORCE_ATOM_LIMIT``
+atoms.
 """
 
 from __future__ import annotations
@@ -23,6 +28,33 @@ from ctxlab.logic import Logic
 from ctxlab.polytope import VertexSet
 from ctxlab.states import (MeasureReport, StateSpaceReport, TwoValuedState,
                            WeightsNotNormalized, enumerate_states)
+
+
+BRUTE_FORCE_ATOM_LIMIT = 24
+
+
+class TooLarge(Exception):
+    """Brute-force enumeration refused: atom count above the hard limit."""
+
+
+def brute_force_states(logic: Logic) -> tuple[TwoValuedState, ...]:
+    """Check all 2^n bit vectors against the one-true-atom-per-context rule.
+
+    Independent of ``enumerate_states`` on purpose; refuses logics with
+    more than ``BRUTE_FORCE_ATOM_LIMIT`` atoms.
+    """
+    n = len(logic.atoms)
+    if n > BRUTE_FORCE_ATOM_LIMIT:
+        raise TooLarge(f"{n} atoms exceeds the brute-force limit of {BRUTE_FORCE_ATOM_LIMIT}")
+    idx = logic.atom_index
+    # first atom is the most significant bit, so numeric order = lex order
+    masks = [sum(1 << (n - 1 - idx[a]) for a in ctx) for ctx in logic.contexts]
+    out = []
+    for v in range(1 << n):
+        if all((v & m).bit_count() == 1 for m in masks):
+            bits = tuple((v >> (n - 1 - k)) & 1 for k in range(n))
+            out.append(TwoValuedState(logic.atoms, bits))
+    return tuple(out)
 
 
 def atom_state_sets(logic: Logic,

@@ -26,7 +26,7 @@ from ctxlab.realization import (angle, born_probabilities,
                                 bug_pasting_feasibility, check_realization,
                                 maximal_operator, quantum_vs_classical,
                                 recover_projectors)
-from ctxlab.states import (MixtureWeights, PairProperty, brute_force_states,
+from ctxlab.states import (MixtureWeights, PairProperty,
                            certify_value_indefiniteness, check_measure,
                            classify_states, convex_mixture, enumerate_states,
                            pair_property)
@@ -34,6 +34,7 @@ from ctxlab.urn import urn_simulate
 
 from helpers import load_logic
 from reference_sets import INDEX_SETS, rebuild_states
+from state_oracle import brute_force_states
 
 GOLDEN_COUNTS = {
     "triangle4d": 14,

@@ -18,7 +18,9 @@ import pytest
 from ctxlab.cli import main
 from ctxlab.logic import parse_logic, validate_logic
 from ctxlab.realization import check_realization, parse_vectors
-from ctxlab.states import brute_force_states, classify_states, enumerate_states
+from ctxlab.states import classify_states, enumerate_states
+
+from state_oracle import brute_force_states
 
 TEST_DATA = pathlib.Path(__file__).parent / "data"
 LOGIC_FILE = TEST_DATA / "cega18.logic"

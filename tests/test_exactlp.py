@@ -5,15 +5,15 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxlab import exactlp
-from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lexicographic,
-                            solve_standard)
+from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, UNBOUNDED, scale_to_integers,
+                            solve_lexicographic, solve_standard)
 
 import lp_oracle
 
@@ -326,3 +326,23 @@ def test_large_scales_stay_exact():
     with checked_tableau():
         res = assert_matches_oracle(costs, A, b)
     assert res.status == OPTIMAL
+
+
+_RATIONAL = st.one_of(st.integers(-10**6, 10**6),
+                      st.fractions(max_denominator=10**4))
+
+
+@given(st.lists(_RATIONAL, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_scale_to_integers_matches_fraction_reference(values):
+    """The one scaling kernel: scale is the lcm of the denominators and the
+    ints are the values times it, exactly."""
+    ints, scale = scale_to_integers(values)
+    want = lcm(*(F(v).denominator for v in values))
+    assert scale == want
+    assert ints == [int(F(v) * want) for v in values]
+    assert all(type(v) is int for v in ints)
+
+
+def test_scale_to_integers_of_nothing():
+    assert scale_to_integers([]) == ([], 1)

@@ -533,6 +533,11 @@ class TestAxiomImplied:
         with pytest.raises(UnknownAtom):
             axiom_implied(lg, Inequality(("zz",), (F(1),), F(1)))
 
+    def test_rational_bound_is_exact(self):
+        # the float 0.3 of test_public_functions_refuse_floats, as a Fraction
+        r = axiom_implied(load_logic("pentagon"), Inequality(("1",), (F(3, 10),), F(3, 10)))
+        assert r.implied and r.optimum == F(3, 10)
+
     def test_region_not_flagged_empty_on_ordinary_logic(self):
         lg = load_logic("pentagon")
         r = axiom_implied(lg, Inequality(("1",), (F(1),), F(1)))
@@ -656,6 +661,30 @@ class TestVertexCoordinates:
         assert facet_enumeration(VertexSet(("x", "y"), halves, (1, 1, 1))).facets
         with pytest.raises(ValueError, match="vertex coordinate 0.5 is not"):
             VertexSet(("x", "y"), ((0, 0), (1, 0.5), (1, 0)), (1, 1, 1))
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: VertexSet(("x", "y"), ((0, 0), (1, 0.5)), (1, 1)),
+     "vertex coordinate 0.5 is not an int or a Fraction"),
+    (lambda: canonical_inequality(("x", "y"), [F(1), 0.5], F(1)),
+     "coefficient or bound 0.5 is not an int or a Fraction"),
+    (lambda: membership({"x": F(1, 2), "y": 0.5, "z": 0},
+                        vset(["x", "y", "z"], [[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
+     "point coordinate 0.5 is not an int or a Fraction"),
+    (lambda: axiom_implied(load_logic("pentagon"), Inequality(("1",), (0.5,), F(1))),
+     "coefficient or bound 0.5 is not an int or a Fraction"),
+    # Fraction(0.3) is just below 3/10: taken as a float, this bound would
+    # make 3/10*1 <= 0.3 "not implied" where 3/10*1 <= 3/10 is implied
+    (lambda: axiom_implied(load_logic("pentagon"), Inequality(("1",), (F(3, 10),), 0.3)),
+     "coefficient or bound 0.3 is not an int or a Fraction"),
+], ids=["VertexSet", "canonical_inequality", "membership", "axiom_implied-coefficient",
+        "axiom_implied-bound"])
+def test_public_functions_refuse_floats(call, reason):
+    """The public polytope functions are the one exactness gate: the LP
+    below them takes ints and Fractions as given."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == reason
 
 
 @st.composite

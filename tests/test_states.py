@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from ctxlab.logic import Logic, parse_logic
 from ctxlab.states import (
-    BRUTE_FORCE_ATOM_LIMIT,
     ConditionFailed,
     ForeignStates,
     MissingAtom,
     MixtureWeights,
     PairProperty,
     StateSpaceReport,
-    TooLarge,
     TwoValuedState,
     UnknownAtom,
     WeightCountMismatch,
@@ -27,7 +25,6 @@ from ctxlab.states import (
     _columns,
     _rows,
     atom_state_sets,
-    brute_force_states,
     certify_value_indefiniteness,
     check_measure,
     classify_states,
@@ -43,6 +40,7 @@ from ctxlab.urn import partition_representation, urn_simulate
 from helpers import load_logic
 import reference_sets
 import state_oracle
+from state_oracle import BRUTE_FORCE_ATOM_LIMIT, TooLarge, brute_force_states
 
 
 NO_STATE_CYCLE = parse_logic("context 1 2\ncontext 2 3\ncontext 3 1\n")
@@ -117,6 +115,8 @@ class TestEnumerate:
 
 
 class TestBruteForce:
+    """The exhaustive reference enumerator of ``state_oracle``."""
+
     def test_agrees_with_enumeration_on_small_logics(self):
         for name in ("triangle4d", "square4d", "pentagon", "specker_bug",
                      "specker_bug_extended"):
