@@ -3,7 +3,9 @@
 Each entry bundles a logic shipped as a data file, the classification the
 state machinery must reproduce, any known vector realization, and short notes.
 A realization's vector file is parsed on the first read of
-``entry.realization``, so listing or loading entries never needs numpy.
+``entry.realization``, so listing or loading entries never needs numpy, and
+the realization module is imported only by that read and by
+``impossible_fig6``.
 One entry, ``impossible_fig6``, intentionally carries no logic at all: it is
 the record of an angle-window obstruction, so only its feasibility data is
 meaningful and structure-requiring operations must be refused by callers.
@@ -15,11 +17,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from ctxlab.logic import Logic, parse_logic
-from ctxlab.realization import (FeasibilityWindow, Realization,
-                                bug_pasting_feasibility, parse_vectors)
 from ctxlab.states import PairProperty
+
+if TYPE_CHECKING:
+    from ctxlab.realization import FeasibilityWindow, Realization
 
 
 class UnknownEntry(Exception):
@@ -54,6 +58,7 @@ class CatalogEntry:
         """The shipped vectors, parsed on first read; None if not realized."""
         if not self.realized:
             return None
+        from ctxlab.realization import parse_vectors
         return parse_vectors(_data_text(self.name + ".vec"))
 
 
@@ -148,6 +153,7 @@ def catalog_get(name: str) -> CatalogEntry:
         raise UnknownEntry(f"no catalog entry {name!r}; "
                            f"known: {', '.join(CATALOG_NAMES)}")
     if name == "impossible_fig6":
+        from ctxlab.realization import bug_pasting_feasibility
         return CatalogEntry(name=name, logic=None, expected=None,
                             notes=_NOTES[name],
                             angle_window=bug_pasting_feasibility())

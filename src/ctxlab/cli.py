@@ -9,30 +9,24 @@ sampling, the fixture catalog, and DOT export.
 Exit codes: 0 success, 1 domain failure (message on stderr), 2 usage error.
 Rationals print as ``p/q``; floats use 12 significant digits.  ``--json``
 emits one object validating against the schema shipped for the subcommand.
+Each subcommand imports only the layers it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from ctxlab.catalog import UnknownEntry, catalog_get, catalog_list
-from ctxlab.logic import (Logic, LogicError, export_greechie_dot, parse_logic,
+from ctxlab.logic import (LogicError, export_greechie_dot, parse_logic,
                           paste_logics, serialize_logic, validate_logic)
-from ctxlab.polytope import (Equality, Inequality, MissingCoordinate,
-                             axiom_implied, facet_enumeration, membership,
-                             parse_inequality, vertices_from_states)
-from ctxlab.realization import (Realization, RealizationError,
-                                born_probabilities, check_realization,
-                                parse_vector, parse_vectors,
-                                quantum_vs_classical)
-from ctxlab.states import (ConditionFailed, MixtureWeights,
-                           certify_value_indefiniteness, classify_states,
-                           convex_mixture, enumerate_states, pair_property,
-                           states_table)
-from ctxlab.urn import UnknownContext, urn_simulate
+
+if TYPE_CHECKING:
+    from ctxlab.logic import Logic
+    from ctxlab.polytope import Equality, Inequality
+    from ctxlab.realization import Realization
+    from ctxlab.states import MixtureWeights
 
 
 class _DomainError(Exception):
@@ -51,6 +45,7 @@ def _flt(x) -> str:
 
 
 def _form_text(form: Inequality | Equality) -> str:
+    from ctxlab.polytope import Equality
     parts = []
     for lab, c in zip(form.labels, form.coeffs):
         if c == 0:
@@ -72,6 +67,7 @@ def _form_json(form: Inequality | Equality) -> dict:
 
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
+        import json
         print(json.dumps(payload, indent=2))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -90,6 +86,7 @@ def _add_source(p: argparse.ArgumentParser, second: bool = False) -> None:
 
 
 def _entry(args, suffix: str = ""):
+    from ctxlab.catalog import catalog_get
     name = getattr(args, "catalog" + suffix)
     return catalog_get(name) if name else None
 
@@ -113,6 +110,7 @@ def _realization(args) -> tuple[Realization, bool]:
     ``--vectors`` files are checked strictly; a catalog realization that is
     partial by design (only some atoms have vectors) is checked as such.
     """
+    from ctxlab.realization import parse_vectors
     if getattr(args, "vectors", None):
         with open(args.vectors, encoding="utf-8") as fh:
             return parse_vectors(fh.read()), False
@@ -133,6 +131,7 @@ def _fraction(text: str, where: str) -> Fraction:
 
 
 def _read_weights(path: str) -> MixtureWeights:
+    from ctxlab.states import MixtureWeights
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -163,6 +162,7 @@ def _read_assignment(path: str) -> dict[str, Fraction]:
 def _psi(args, r: Realization):
     if args.psi in r.vectors:
         return args.psi
+    from ctxlab.realization import parse_vector
     return parse_vector(args.psi.split())
 
 
@@ -191,6 +191,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_states(args) -> int:
+    from ctxlab.states import enumerate_states, states_table
     logic = _logic(args)
     states = enumerate_states(logic)
     # build only the output that is printed: bit strings for JSON, the
@@ -205,6 +206,7 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from ctxlab.states import classify_states
     logic = _logic(args)
     rep = classify_states(logic)
     lines = [f"count: {rep.count}",
@@ -225,6 +227,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_property(args) -> int:
+    from ctxlab.states import pair_property
     logic = _logic(args)
     prop = pair_property(logic, args.given, args.target)
     payload = {"command": "property", "given": args.given,
@@ -238,6 +241,7 @@ def _cmd_property(args) -> int:
 
 
 def _cmd_mixture(args) -> int:
+    from ctxlab.states import convex_mixture, enumerate_states
     logic = _logic(args)
     states = enumerate_states(logic)
     weights = _read_weights(args.weights)
@@ -250,6 +254,7 @@ def _cmd_mixture(args) -> int:
 
 
 def _cmd_hull(args) -> int:
+    from ctxlab.polytope import facet_enumeration, vertices_from_states
     logic = _logic(args)
     vset = vertices_from_states(logic, project=_project(args))
     poly = facet_enumeration(vset)
@@ -268,6 +273,7 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from ctxlab.polytope import membership, vertices_from_states
     logic = _logic(args)
     point = _read_assignment(args.assign)
     vset = vertices_from_states(logic, project=_project(args))
@@ -298,6 +304,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_axiom_check(args) -> int:
+    from ctxlab.polytope import axiom_implied, parse_inequality
     logic = _logic(args)
     ineq = parse_inequality(args.ineq)
     res = axiom_implied(logic, ineq)
@@ -320,6 +327,7 @@ def _cmd_axiom_check(args) -> int:
 
 
 def _cmd_realization_check(args) -> int:
+    from ctxlab.realization import check_realization
     logic = _logic(args)
     r, partial = _realization(args)
     report = check_realization(logic, r, allow_partial=partial)
@@ -352,6 +360,7 @@ def _cmd_realization_check(args) -> int:
 
 
 def _cmd_born(args) -> int:
+    from ctxlab.realization import born_probabilities
     logic = _logic(args)
     r, _ = _realization(args)
     probs = born_probabilities(logic, r, _psi(args, r))
@@ -372,6 +381,8 @@ def _cmd_born(args) -> int:
 
 
 def _cmd_violate(args) -> int:
+    from ctxlab.polytope import parse_inequality
+    from ctxlab.realization import quantum_vs_classical
     logic = _logic(args)
     r, _ = _realization(args)
     ineqs = [parse_inequality(e) for e in args.ineq]
@@ -401,6 +412,7 @@ def _cmd_paste(args) -> int:
 
 
 def _cmd_certify_vi(args) -> int:
+    from ctxlab.states import ConditionFailed, certify_value_indefiniteness
     first, second = _logic(args), _logic(args, "2")
     try:
         cert = certify_value_indefiniteness(first, second, args.given, args.target)
@@ -426,6 +438,8 @@ def _cmd_certify_vi(args) -> int:
 
 
 def _cmd_urn(args) -> int:
+    from ctxlab.states import MixtureWeights, enumerate_states
+    from ctxlab.urn import urn_simulate
     logic = _logic(args)
     states = enumerate_states(logic)
     if not states:
@@ -453,6 +467,7 @@ def _cmd_urn(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from ctxlab.catalog import catalog_get, catalog_list
     lines = []
     entries = []
     for name in catalog_list():
@@ -583,12 +598,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# domain exceptions of the lazily imported layers, by home module
+_LAYER_ERRORS = (("ctxlab.catalog", "UnknownEntry"),
+                 ("ctxlab.polytope", "MissingCoordinate"),
+                 ("ctxlab.realization", "RealizationError"),
+                 ("ctxlab.urn", "UnknownContext"))
+
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """What exits 1: a layer that was never imported raised nothing."""
+    return (_DomainError, LogicError, ValueError, OSError) + tuple(
+        getattr(sys.modules[mod], name)
+        for mod, name in _LAYER_ERRORS if mod in sys.modules)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_DomainError, LogicError, RealizationError, UnknownEntry,
-            UnknownContext, MissingCoordinate, ValueError, OSError) as err:
+    except _domain_errors() as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,8 @@ rule turns a state vector into a probability assignment.  Arithmetic is
 a/b, a/sqrt(b), complex pairs) so inputs stay reproducible.  Angles are
 measured between rays, so the sign of a vector never matters.  numpy is
 imported by the functions that build or compute with a vector, not by this
-module, so the combinatorial layers and the CLI load without it.  Every
+module, so the combinatorial layers and the CLI load without it; likewise
+the polytope layer is imported only by ``quantum_vs_classical``.  Every
 tolerance test is written so that NaN fails it.
 """
 
@@ -18,11 +19,12 @@ from math import acos, asin, sqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ctxlab.logic import Logic
-from ctxlab.polytope import Inequality, evaluate_inequality
 from ctxlab.states import MissingAtom, ProbabilityAssignment
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from ctxlab.polytope import Inequality
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -367,6 +369,7 @@ def bug_pasting_feasibility() -> FeasibilityWindow:
 def quantum_vs_classical(logic: Logic, r: Realization, psi,
                          inequalities: Sequence[Inequality]) -> ViolationReport:
     """Born probabilities checked against classical inequalities."""
+    from ctxlab.polytope import evaluate_inequality
     assignment = born_probabilities(logic, r, psi)
     evaluations = []
     violated = []

@@ -10,6 +10,7 @@ matching the canonical enumeration order used in probability formulas.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -105,6 +106,8 @@ def urn_simulate(logic: Logic,
         raise WeightCountMismatch(f"{len(weights)} weights for {len(states)} states")
     if draws < 1:
         raise ValueError("need at least one draw")
+    if draws > sys.maxsize:
+        raise ValueError(f"at most {sys.maxsize} draws")
     if not 0 <= context_index < len(logic.contexts):
         raise UnknownContext(
             f"context index {context_index} not in 0..{len(logic.contexts) - 1}")

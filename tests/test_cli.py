@@ -197,6 +197,14 @@ class TestExitCodes:
         if argv[0] == "realization-check":
             assert "line 1, column 7" in err
 
+    def test_huge_draw_count_exits_1(self, capsys):
+        # more draws than an index can count is a domain error, not a traceback
+        code, _, err = run(capsys, "urn", "--catalog", "pentagon", "--context", "0",
+                           "--seed", "1", "--draws", "9" * 20)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at most" in err
+
     def test_missing_coordinate_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "short.assign"
         path.write_text("1 1/2\n")

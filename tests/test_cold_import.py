@@ -1,7 +1,7 @@
-"""numpy is loaded only by the realization commands.
+"""Each subcommand loads only its own layers; numpy only the realization ones.
 
 Each case runs in a fresh interpreter, because once any code in a process
-has imported numpy it stays in ``sys.modules``.
+has imported a module it stays in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -18,33 +18,53 @@ import ctxlab
 
 SRC = str(pathlib.Path(ctxlab.__file__).resolve().parents[1])
 
-# run cli.main(argv) with stdout discarded; print the exit code and whether
-# numpy was imported
+# run cli.main(argv) with stdout and stderr discarded (argv null: only
+# ``import ctxlab``); print the exit code, whether numpy was imported and
+# which ctxlab submodules were
 _PROBE = """
 import contextlib, io, json, sys
-import ctxlab, ctxlab.cli
+import ctxlab
 argv = json.loads(sys.argv[1])
 code = None
 if argv is not None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = ctxlab.cli.main(argv)
-print(json.dumps([code, "numpy" in sys.modules]))
+    import ctxlab.cli
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = ctxlab.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, "numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("ctxlab."))]))
 """
 
 
-def probe(argv: list[str] | None) -> tuple[int | None, bool]:
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def probe_modules(argv: list[str] | None,
+                  cwd=None) -> tuple[int | None, bool, set[str]]:
     done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
-                          capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
-    code, loaded = json.loads(done.stdout)
-    return code, loaded
+                          capture_output=True, text=True, env=_env(),
+                          cwd=cwd, timeout=120, check=True)
+    code, numpy, modules = json.loads(done.stdout)
+    return code, numpy, {m.removeprefix("ctxlab.") for m in modules}
+
+
+def probe(argv: list[str] | None) -> tuple[int | None, bool]:
+    return probe_modules(argv)[:2]
 
 
 def test_import_does_not_load_numpy():
     assert probe(None) == (None, False)
+
+
+def test_import_loads_no_submodule():
+    assert probe_modules(None)[2] == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,3 +81,72 @@ def test_combinatorial_commands_do_not_load_numpy(argv):
 
 def test_born_still_loads_numpy():
     assert probe(["born", "--catalog", "specker_bug", "--psi", "a"]) == (0, True)
+
+
+SOURCE = ["--catalog", "pentagon"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["states"],
+    ["nosuch", "--catalog", "pentagon"],
+    ["urn", "--catalog", "pentagon", "--context", "0"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_error_loads_no_layer(argv):
+    code, _, modules = probe_modules(argv)
+    assert code == 2
+    assert not modules & {"states", "polytope", "realization", "urn"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["states", *SOURCE],
+    ["classify", *SOURCE],
+    ["property", "--catalog", "specker_bug", "--given", "a", "--target", "b"],
+    ["certify-vi", "--catalog", "tifs_fig5a", "--catalog2", "tits_fig5b",
+     "--given", "a", "--target", "b"],
+    ["urn", *SOURCE, "--context", "0", "--draws", "100", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_state_commands_skip_polytope_and_realization(argv):
+    code, _, modules = probe_modules(argv)
+    assert code == 0
+    assert not modules & {"polytope", "realization"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull", *SOURCE, "--project", "1,3,5"],
+    ["member", *SOURCE, "--assign", "half.assign", "--project", "1,3,5,7,9"],
+    ["axiom-check", *SOURCE, "--ineq", "1 + 2 + 3 <= 1"],
+], ids=lambda argv: argv[0])
+def test_polytope_commands_skip_realization_and_urn(argv, tmp_path):
+    (tmp_path / "half.assign").write_text("".join(f"{a} 1/2\n" for a in "13579"))
+    code, _, modules = probe_modules(argv, cwd=tmp_path)
+    assert code == 0
+    assert "polytope" in modules
+    assert not modules & {"realization", "urn"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["born", "--catalog", "specker_bug", "--psi", "a"],
+    ["realization-check", "--catalog", "triangle4d"],
+    ["catalog"],
+], ids=lambda argv: argv[0])
+def test_realization_commands_skip_polytope(argv):
+    code, _, modules = probe_modules(argv)
+    assert code == 0
+    assert "polytope" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["urn", *SOURCE, "--context", "99", "--seed", "1"],
+    ["violate", "--catalog", "specker_bug", "--psi", "a",
+     "--ineq", "a + zz <= 1"],
+    ["born", "--catalog", "specker_bug", "--psi", "zz"],
+    ["states", "--catalog", "nope"],
+], ids=["UnknownContext", "MissingCoordinate", "RealizationError",
+        "UnknownEntry"])
+def test_lazily_loaded_domain_errors_exit_1(argv):
+    done = subprocess.run([sys.executable, "-m", "ctxlab.cli", *argv],
+                          capture_output=True, text=True, env=_env(),
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -1,0 +1,77 @@
+"""The lazy ``ctxlab`` package exposes the same public API as an eager one."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import ctxlab
+
+# home module -> public names, in ``__all__`` order
+EXPECTED = {
+    "logic": ["Logic", "ValidationReport", "Violation", "LogicError",
+              "LogicParseError", "PasteInvalid", "parse_logic",
+              "serialize_logic", "validate_logic", "canonical_logic",
+              "paste_logics", "same_structure", "export_greechie_dot"],
+    "states": ["TwoValuedState", "StateSpaceReport", "MeasureReport",
+               "PairProperty", "IndefinitenessCertificate", "MixtureWeights",
+               "ProbabilityAssignment", "enumerate_states", "atom_state_sets",
+               "classify_states", "pair_property", "convex_mixture",
+               "check_measure", "certify_value_indefiniteness",
+               "states_table"],
+    "polytope": ["VertexSet", "Inequality", "Equality", "Polytope",
+                 "MembershipResult", "ImplicationResult", "MissingCoordinate",
+                 "vertices_from_states", "facet_enumeration",
+                 "canonical_inequality", "evaluate_inequality", "membership",
+                 "axiom_implied", "parse_inequality"],
+    "realization": ["Realization", "RealizationReport", "FeasibilityWindow",
+                    "ViolationReport", "RealizationError", "VectorParseError",
+                    "parse_vectors", "check_realization",
+                    "born_probabilities", "projector", "maximal_operator",
+                    "recover_projectors", "angle", "bug_pasting_feasibility",
+                    "quantum_vs_classical"],
+    "urn": ["PartitionRepresentation", "UrnResult", "UnknownContext",
+            "partition_representation", "urn_simulate"],
+    "catalog": ["CatalogEntry", "ExpectedStates", "UnknownEntry",
+                "catalog_list", "catalog_get"],
+}
+SUBMODULES = ("logic", "states", "polytope", "realization", "urn", "catalog",
+              "exactlp")
+
+
+def test_all_names_in_order():
+    expected = [name for names in EXPECTED.values() for name in names]
+    assert len(expected) == 67
+    assert ctxlab.__all__ == expected
+
+
+@pytest.mark.parametrize("module", EXPECTED)
+def test_names_are_home_module_objects(module):
+    home = importlib.import_module(f"ctxlab.{module}")
+    for name in EXPECTED[module]:
+        assert getattr(ctxlab, name) is getattr(home, name), name
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodules_are_attributes(module):
+    assert getattr(ctxlab, module) is importlib.import_module(f"ctxlab.{module}")
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from ctxlab import *", namespace)
+    assert set(ctxlab.__all__) <= namespace.keys()
+
+
+def test_dir_lists_public_names_and_submodules():
+    assert set(ctxlab.__all__) | set(SUBMODULES) <= set(dir(ctxlab))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nosuch"):
+        ctxlab.nosuch
+
+
+def test_version_unchanged():
+    assert ctxlab.__version__ == "0.1.0"

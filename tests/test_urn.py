@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
@@ -163,6 +164,11 @@ class TestUrnSimulate:
         logic = load_logic("pentagon")
         with pytest.raises(ValueError):
             urn_simulate(logic, None, uniform(11), 0, 0, seed=1)
+
+    def test_draw_count_fits_ssize_t(self):
+        logic = load_logic("pentagon")
+        with pytest.raises(ValueError, match="at most"):
+            urn_simulate(logic, None, uniform(11), 0, sys.maxsize + 1, seed=1)
 
     def test_weight_count_checked(self):
         logic = load_logic("pentagon")
