@@ -86,9 +86,11 @@ def _add_source(p: argparse.ArgumentParser, second: bool = False) -> None:
 
 
 def _entry(args, suffix: str = ""):
-    from ctxlab.catalog import catalog_get
     name = getattr(args, "catalog" + suffix)
-    return catalog_get(name) if name else None
+    if not name:
+        return None
+    from ctxlab.catalog import catalog_get
+    return catalog_get(name)
 
 
 def _logic(args, suffix: str = "") -> Logic:
