@@ -19,14 +19,14 @@ from importlib import resources
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from ctxlab.logic import Logic, parse_logic
+from ctxlab.logic import Logic, LogicError, parse_logic
 from ctxlab.states import PairProperty
 
 if TYPE_CHECKING:
     from ctxlab.realization import FeasibilityWindow, Realization
 
 
-class UnknownEntry(Exception):
+class UnknownEntry(LogicError):
     """Requested name is not in the catalog."""
 
 
@@ -62,79 +62,73 @@ class CatalogEntry:
         return parse_vectors(_data_text(self.name + ".vec"))
 
 
-CATALOG_NAMES = (
-    "triangle4d",
-    "square4d",
-    "pentagon",
-    "specker_bug",
-    "specker_bug_extended",
-    "specker_bug_combo",
-    "tifs_fig5a",
-    "tits_fig5b",
-    "indefinite_fig5c",
-    "impossible_fig6",
-)
-
 # the eight fig5c atoms true in no state; their pairs are exactly the
 # coinciding value patterns, so they are also the inseparable pairs
 _FIG5C_NEVER_TRUE = ("a", "2", "13", "15", "16", "17", "25", "27")
 
-_EXPECTED = {
-    "triangle4d": ExpectedStates(14, separating=True, unital=True),
-    "square4d": ExpectedStates(34, separating=True, unital=True),
-    "pentagon": ExpectedStates(11, separating=True, unital=True),
-    "specker_bug": ExpectedStates(
-        14, separating=True, unital=True,
-        special_pairs=(("a", "b", PairProperty.TRUE_IMPLIES_FALSE),)),
-    "specker_bug_extended": ExpectedStates(
-        22, separating=True, unital=True,
-        special_pairs=(("a", "a'", PairProperty.TRUE_IMPLIES_TRUE),)),
-    "specker_bug_combo": ExpectedStates(
-        82, separating=False, unital=True,
-        inseparable_pairs=(("a", "a'"), ("b", "b'"))),
-    "tifs_fig5a": ExpectedStates(
-        13, separating=False, unital=False,
-        non_unital_atoms=("16",),
-        inseparable_pairs=(("15", "27"), ("17", "25")),
-        special_pairs=(("a", "b", PairProperty.TRUE_IMPLIES_FALSE),)),
-    "tits_fig5b": ExpectedStates(
-        13, separating=False, unital=False,
-        non_unital_atoms=("16",),
-        inseparable_pairs=(("15", "27"), ("17", "25")),
-        special_pairs=(("a", "b", PairProperty.TRUE_IMPLIES_TRUE),)),
-    "indefinite_fig5c": ExpectedStates(
-        8, separating=False, unital=False,
-        non_unital_atoms=_FIG5C_NEVER_TRUE,
-        inseparable_pairs=tuple(combinations(_FIG5C_NEVER_TRUE, 2)),
-        special_pairs=(("a", "b", PairProperty.ANTECEDENT_NEVER_TRUE),)),
+# name -> (expected states, ships vectors, notes), in listing order; the one
+# entry without expected states is the angle-window record
+_ENTRIES = {
+    "triangle4d": (
+        ExpectedStates(14, separating=True, unital=True), True,
+        "cycle of three three-atom contexts; smallest odd cycle, "
+        "vector-realizable in dimension four"),
+    "square4d": (
+        ExpectedStates(34, separating=True, unital=True), True,
+        "cycle of four three-atom contexts in dimension four; its correlation "
+        "polytope is cut out by the axiom inequalities"),
+    "pentagon": (
+        ExpectedStates(11, separating=True, unital=True), False,
+        "cycle of five three-atom contexts; the odd-cycle inequality "
+        "separates its polytope from the axiom region"),
+    "specker_bug": (
+        ExpectedStates(14, separating=True, unital=True, special_pairs=(
+            ("a", "b", PairProperty.TRUE_IMPLIES_FALSE),)), True,
+        "two pasted context chains forcing one extreme atom to exclude the "
+        "other (true implies false)"),
+    "specker_bug_extended": (
+        ExpectedStates(22, separating=True, unital=True, special_pairs=(
+            ("a", "a'", PairProperty.TRUE_IMPLIES_TRUE),)), False,
+        "bug plus a joining layer so one extreme atom forces a second one "
+        "true (true implies true)"),
+    "specker_bug_combo": (
+        ExpectedStates(82, separating=False, unital=True,
+                       inseparable_pairs=(("a", "a'"), ("b", "b'"))), False,
+        "two bugs pasted so the forced pairs collapse: paired atoms take "
+        "equal values in every state"),
+    "tifs_fig5a": (
+        ExpectedStates(
+            13, separating=False, unital=False, non_unital_atoms=("16",),
+            inseparable_pairs=(("15", "27"), ("17", "25")),
+            special_pairs=(("a", "b", PairProperty.TRUE_IMPLIES_FALSE),)),
+        False,
+        "large pasting with a single antecedent-true state that forces the "
+        "target false; one atom is true in no state"),
+    "tits_fig5b": (
+        ExpectedStates(
+            13, separating=False, unital=False, non_unital_atoms=("16",),
+            inseparable_pairs=(("15", "27"), ("17", "25")),
+            special_pairs=(("a", "b", PairProperty.TRUE_IMPLIES_TRUE),)),
+        False,
+        "companion pasting forcing the same target true; one atom is true "
+        "in no state"),
+    "indefinite_fig5c": (
+        ExpectedStates(
+            8, separating=False, unital=False,
+            non_unital_atoms=_FIG5C_NEVER_TRUE,
+            inseparable_pairs=tuple(combinations(_FIG5C_NEVER_TRUE, 2)),
+            special_pairs=(("a", "b", PairProperty.ANTECEDENT_NEVER_TRUE),)),
+        False,
+        "pasting of the two companions; the antecedent can no longer be "
+        "true in any state"),
+    "impossible_fig6": (
+        None, False,
+        "angle-window record: forcing a target false needs end rays at least "
+        "arccos(1/3) apart, forcing it true at most arcsin(1/3), so no "
+        "rank-one realization does both"),
 }
 
-_REALIZED = {"triangle4d", "square4d", "specker_bug"}
-
-_NOTES = {
-    "triangle4d": "cycle of three three-atom contexts; smallest odd cycle, "
-                  "vector-realizable in dimension four",
-    "square4d": "cycle of four three-atom contexts in dimension four; its "
-                "correlation polytope is cut out by the axiom inequalities",
-    "pentagon": "cycle of five three-atom contexts; the odd-cycle inequality "
-                "separates its polytope from the axiom region",
-    "specker_bug": "two pasted context chains forcing one extreme atom to "
-                   "exclude the other (true implies false)",
-    "specker_bug_extended": "bug plus a joining layer so one extreme atom "
-                            "forces a second one true (true implies true)",
-    "specker_bug_combo": "two bugs pasted so the forced pairs collapse: "
-                         "paired atoms take equal values in every state",
-    "tifs_fig5a": "large pasting with a single antecedent-true state that "
-                  "forces the target false; one atom is true in no state",
-    "tits_fig5b": "companion pasting forcing the same target true; one atom "
-                  "is true in no state",
-    "indefinite_fig5c": "pasting of the two companions; the antecedent can "
-                        "no longer be true in any state",
-    "impossible_fig6": "angle-window record: forcing a target false needs "
-                       "end rays at least arccos(1/3) apart, forcing it true "
-                       "at most arcsin(1/3), so no rank-one realization "
-                       "does both",
-}
+CATALOG_NAMES = tuple(_ENTRIES)
 
 
 def _data_text(filename: str) -> str:
@@ -152,11 +146,10 @@ def catalog_get(name: str) -> CatalogEntry:
     if name not in CATALOG_NAMES:
         raise UnknownEntry(f"no catalog entry {name!r}; "
                            f"known: {', '.join(CATALOG_NAMES)}")
-    if name == "impossible_fig6":
+    expected, realized, notes = _ENTRIES[name]
+    if expected is None:
         from ctxlab.realization import bug_pasting_feasibility
-        return CatalogEntry(name=name, logic=None, expected=None,
-                            notes=_NOTES[name],
+        return CatalogEntry(name=name, logic=None, expected=None, notes=notes,
                             angle_window=bug_pasting_feasibility())
     return CatalogEntry(name=name, logic=parse_logic(_data_text(name + ".logic")),
-                        expected=_EXPECTED[name], realized=name in _REALIZED,
-                        notes=_NOTES[name])
+                        expected=expected, realized=realized, notes=notes)

@@ -7,6 +7,9 @@ inequality violation, pasting, value-indefiniteness certification, urn
 sampling, the fixture catalog, and DOT export.
 
 Exit codes: 0 success, 1 domain failure (message on stderr), 2 usage error.
+Exit 1 means a negative verdict or a refused input: a ``ctxlab.LogicError``
+(the base of every layer's domain errors), a ``ValueError`` or an
+``OSError``.  Any other exception is a bug and keeps its traceback.
 Rationals print as ``p/q``; floats use 12 significant digits.  ``--json``
 emits one object validating against the schema shipped for the subcommand.
 Each subcommand imports only the layers it uses.
@@ -27,10 +30,6 @@ if TYPE_CHECKING:
     from ctxlab.polytope import Equality, Inequality
     from ctxlab.realization import Realization
     from ctxlab.states import MixtureWeights
-
-
-class _DomainError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------- formatting
@@ -97,7 +96,7 @@ def _logic(args, suffix: str = "") -> Logic:
     entry = _entry(args, suffix)
     if entry is not None:
         if entry.logic is None:
-            raise _DomainError(
+            raise LogicError(
                 f"catalog entry {entry.name!r} carries no logic, only an "
                 "angle-window record; structural operations do not apply")
         return entry.logic
@@ -121,7 +120,7 @@ def _realization(args) -> tuple[Realization, bool]:
         logic = entry.logic
         partial = set(entry.realization.vectors) != set(logic.atoms)
         return entry.realization, partial
-    raise _DomainError("no vectors: pass --vectors FILE or pick a catalog "
+    raise LogicError("no vectors: pass --vectors FILE or pick a catalog "
                        "entry that ships a realization")
 
 
@@ -129,7 +128,7 @@ def _fraction(text: str, where: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise _DomainError(f"{where}: zero denominator in {text!r}") from None
+        raise LogicError(f"{where}: zero denominator in {text!r}") from None
 
 
 def _read_weights(path: str) -> MixtureWeights:
@@ -152,12 +151,12 @@ def _read_assignment(path: str) -> dict[str, Fraction]:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise _DomainError(f"{path}:{lineno}: expected 'atom value'")
+                raise LogicError(f"{path}:{lineno}: expected 'atom value'")
             if parts[0] in out:
-                raise _DomainError(f"{path}:{lineno}: repeated atom {parts[0]!r}")
+                raise LogicError(f"{path}:{lineno}: repeated atom {parts[0]!r}")
             out[parts[0]] = _fraction(parts[1], f"{path}:{lineno}")
     if not out:
-        raise _DomainError(f"{path}: no assignment lines")
+        raise LogicError(f"{path}: no assignment lines")
     return out
 
 
@@ -280,7 +279,7 @@ def _cmd_member(args) -> int:
     point = _read_assignment(args.assign)
     vset = vertices_from_states(logic, project=_project(args))
     if not vset.vertices:
-        raise _DomainError("no vertices: the logic has no two-valued states")
+        raise LogicError("no vertices: the logic has no two-valued states")
     res = membership(point, vset)
     if res.inside:
         lines = ["inside: yes",
@@ -369,7 +368,7 @@ def _cmd_born(args) -> int:
     atoms = [a for a in logic.atoms if a in probs]
     if args.atom:
         if args.atom not in probs:
-            raise _DomainError(f"no probability for atom {args.atom!r}; "
+            raise LogicError(f"no probability for atom {args.atom!r}; "
                                "it has no vector in this realization")
         text = _flt(probs[args.atom])
         shown = [args.atom]
@@ -445,7 +444,7 @@ def _cmd_urn(args) -> int:
     logic = _logic(args)
     states = enumerate_states(logic)
     if not states:
-        raise _DomainError("logic has no two-valued states; there is no urn "
+        raise LogicError("logic has no two-valued states; there is no urn "
                            "to draw from")
     if args.weights:
         weights = _read_weights(args.weights)
@@ -537,7 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("property", _cmd_property, "forced relation between two atoms")
     p.add_argument("--given", required=True, metavar="ATOM")
     p.add_argument("--target", required=True, metavar="ATOM")
+    # the PairProperty values, written out so parsing imports no layer
     p.add_argument("--expect", metavar="PROPERTY",
+                   choices=["TrueImpliesFalse", "TrueImpliesTrue",
+                            "AntecedentNeverTrue", "Unconstrained"],
                    help="exit 1 unless the property matches")
 
     p = cmd("mixture", _cmd_mixture, "convex mixture of the states")
@@ -600,25 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# domain exceptions of the lazily imported layers, by home module
-_LAYER_ERRORS = (("ctxlab.catalog", "UnknownEntry"),
-                 ("ctxlab.polytope", "MissingCoordinate"),
-                 ("ctxlab.realization", "RealizationError"),
-                 ("ctxlab.urn", "UnknownContext"))
-
-
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """What exits 1: a layer that was never imported raised nothing."""
-    return (_DomainError, LogicError, ValueError, OSError) + tuple(
-        getattr(sys.modules[mod], name)
-        for mod, name in _LAYER_ERRORS if mod in sys.modules)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _domain_errors() as err:
+    except (LogicError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

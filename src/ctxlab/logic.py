@@ -34,7 +34,11 @@ _DOT_PALETTE = (
 
 
 class LogicError(Exception):
-    """Base class for errors raised by this package's logic handling."""
+    """Base of every ctxlab domain error: input the package refuses.
+
+    Each layer's own errors derive from it, so ``except LogicError`` catches
+    every refusal; a bug raises something else.
+    """
 
 
 class LogicParseError(LogicError):
@@ -82,9 +86,7 @@ class Logic:
 
     ``atoms`` keeps declaration order; that order is the canonical coordinate
     order used everywhere downstream (state bit strings, polytope axes).
-    ``contexts`` are tuples of atom ids.  ``max_intertwine``, when set, bounds
-    the size of pairwise context intersections during validation; it has no
-    text-format representation and is preserved only programmatically.
+    ``contexts`` are tuples of atom ids.
 
     The constructor only rejects structurally ambiguous input (duplicate atom
     ids).  Everything else, including atoms missing from every context, is
@@ -94,7 +96,6 @@ class Logic:
     atoms: tuple[str, ...]
     contexts: tuple[tuple[str, ...], ...]
     name: str = ""
-    max_intertwine: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -183,10 +184,7 @@ def parse_logic(text: str) -> Logic:
 
 
 def serialize_logic(logic: Logic) -> str:
-    """Inverse of :func:`parse_logic` up to comments and labels.
-
-    ``max_intertwine`` has no textual form and is dropped.
-    """
+    """Inverse of :func:`parse_logic` up to comments and labels."""
     lines = []
     if logic.name:
         lines.append(f"logic {logic.name}")
@@ -214,8 +212,6 @@ def validate_logic(logic: Logic) -> ValidationReport:
         every atom sits in at least one context
     ``subset-context``
         no context's atom set is contained in another's (equal sets count)
-    ``intertwine-bound``
-        if ``max_intertwine`` is set, no two contexts share more atoms
     """
     violations: list[Violation] = []
 
@@ -260,17 +256,6 @@ def validate_logic(logic: Logic) -> ValidationReport:
                     "subset-context",
                     f"context {i} is a subset of context {j}", (i, j)))
 
-    if logic.max_intertwine is not None:
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                shared = sets[i] & sets[j]
-                if len(shared) > logic.max_intertwine:
-                    violations.append(Violation(
-                        "intertwine-bound",
-                        f"contexts {i} and {j} share {len(shared)} atoms "
-                        f"(bound {logic.max_intertwine})",
-                        (i, j, tuple(sorted(shared)))))
-
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -282,8 +267,7 @@ def canonical_logic(logic: Logic) -> Logic:
     """Same logic with contexts sorted by their sorted atom-index tuples."""
     idx = logic.atom_index
     ordered = sorted(logic.contexts, key=lambda c: _context_sort_key(idx, c))
-    return Logic(atoms=logic.atoms, contexts=tuple(ordered), name=logic.name,
-                 max_intertwine=logic.max_intertwine)
+    return Logic(atoms=logic.atoms, contexts=tuple(ordered), name=logic.name)
 
 
 def paste_logics(first: Logic, second: Logic) -> Logic:
@@ -322,12 +306,10 @@ def paste_logics(first: Logic, second: Logic) -> Logic:
         name = first.name if first.name == second.name else f"{first.name}+{second.name}"
     else:
         name = first.name or second.name
-    bound = first.max_intertwine if first.max_intertwine == second.max_intertwine else None
 
     idx = {a: i for i, a in enumerate(atoms)}
     merged.sort(key=lambda c: _context_sort_key(idx, c))
-    pasted = Logic(atoms=tuple(atoms), contexts=tuple(merged), name=name,
-                   max_intertwine=bound)
+    pasted = Logic(atoms=tuple(atoms), contexts=tuple(merged), name=name)
 
     report = validate_logic(pasted)
     if not report.ok:

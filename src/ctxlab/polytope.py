@@ -41,13 +41,13 @@ from typing import Mapping, Sequence
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
                              scale_to_integers, solve_lexicographic,
                              solve_standard)
-from ctxlab.logic import ATOM_TOKEN, Logic, validate_logic
+from ctxlab.logic import ATOM_TOKEN, Logic, LogicError, validate_logic
 from ctxlab.states import TwoValuedState, UnknownAtom, _rows, enumerate_states
 
 Vector = tuple[Fraction, ...]
 
 
-class MissingCoordinate(Exception):
+class MissingCoordinate(LogicError):
     """A point lacks a value for a coordinate the operation needs."""
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import acos, asin, sqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ctxlab.logic import Logic
+from ctxlab.logic import Logic, LogicError
 from ctxlab.states import MissingAtom, ProbabilityAssignment
 
 if TYPE_CHECKING:
@@ -33,7 +33,7 @@ _REAL_TOKEN = re.compile(_REAL + r"\Z")
 _COMPLEX_TOKEN = re.compile(r"\((" + _REAL + r"),(" + _REAL + r")\)\Z")
 
 
-class RealizationError(Exception):
+class RealizationError(LogicError):
     """Base for realization-layer failures."""
 
 

@@ -19,14 +19,14 @@ from functools import partial
 from itertools import accumulate, compress, repeat
 from typing import Mapping, Sequence
 
-from ctxlab.logic import Logic
+from ctxlab.logic import Logic, LogicError
 from ctxlab.states import (MixtureWeights, TwoValuedState, WeightCountMismatch,
                            _columns, _rows, enumerate_states)
 
 RNG_ID = "mt19937-u64"
 
 
-class UnknownContext(Exception):
+class UnknownContext(LogicError):
     """Context index outside the logic's context list."""
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from fractions import Fraction
 from importlib import resources
@@ -9,9 +10,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ctxlab.cli import main
+from ctxlab.cli import build_parser, main
 from ctxlab.logic import parse_logic
 from ctxlab.polytope import parse_inequality
+from ctxlab.states import PairProperty
 
 from helpers import DATA
 
@@ -70,11 +72,20 @@ class TestExitCodes:
         for argv in ([],
                      ["states"],
                      ["states", "--catalog", "pentagon", "--logic", "x"],
-                     ["urn", "--catalog", "pentagon", "--context", "0"]):
+                     ["urn", "--catalog", "pentagon", "--context", "0"],
+                     ["property", "--catalog", "specker_bug", "--given", "a",
+                      "--target", "b", "--expect", "TrueImpliesFalsee"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
             capsys.readouterr()
+
+    def test_property_expect_choices_are_pair_properties(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        expect = next(a for a in sub.choices["property"]._actions
+                      if a.dest == "expect")
+        assert expect.choices == [p.value for p in PairProperty]
 
     def test_unknown_catalog_entry(self, capsys):
         code, _, err = run(capsys, "states", "--catalog", "nosuch")

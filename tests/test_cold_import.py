@@ -86,6 +86,8 @@ SOURCE = ["--catalog", "pentagon"]
     ["states"],
     ["nosuch", "--catalog", "pentagon"],
     ["urn", "--catalog", "pentagon", "--context", "0"],
+    ["property", "--catalog", "specker_bug", "--given", "a", "--target", "b",
+     "--expect", "TrueImpliesFalsee"],
 ], ids=lambda argv: " ".join(argv) or "empty")
 def test_usage_error_loads_no_layer(argv):
     code, _, modules = probe(argv)

@@ -103,18 +103,6 @@ class TestValidate:
             report = validate_logic(load_logic(name))
             assert report.ok, (name, report.violations)
 
-    def test_intertwine_bound_respected(self):
-        l = load_logic("triangle4d")
-        bounded = Logic(l.atoms, l.contexts, max_intertwine=1)
-        assert validate_logic(bounded).ok
-
-    def test_intertwine_bound_violated(self):
-        bounded = Logic(("a", "b", "c", "d"), (("a", "b", "c"), ("a", "b", "d")),
-                        max_intertwine=1)
-        report = validate_logic(bounded)
-        assert not report.ok
-        assert report.by_rule("intertwine-bound")
-
     def test_duplicate_context_hits_subset_rule(self):
         l = Logic(("a", "b", "c"), (("a", "b", "c"), ("c", "b", "a")))
         report = validate_logic(l)

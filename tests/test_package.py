@@ -58,6 +58,15 @@ def test_submodules_are_attributes(module):
     assert getattr(ctxlab, module) is importlib.import_module(f"ctxlab.{module}")
 
 
+def test_every_exported_error_is_a_logic_error():
+    errors = [name for name in ctxlab.__all__
+              if isinstance(getattr(ctxlab, name), type)
+              and issubclass(getattr(ctxlab, name), BaseException)]
+    assert len(errors) == 8
+    for name in errors:
+        assert issubclass(getattr(ctxlab, name), ctxlab.LogicError), name
+
+
 def test_star_import_binds_every_name():
     namespace: dict = {}
     exec("from ctxlab import *", namespace)
