@@ -34,10 +34,11 @@ _DOT_PALETTE = (
 
 
 class LogicError(Exception):
-    """Base of every ctxlab domain error: input the package refuses.
+    """Base of every ctxlab domain error.
 
-    Each layer's own errors derive from it, so ``except LogicError`` catches
-    every refusal; a bug raises something else.
+    Each layer's own exception classes derive from it, so ``except
+    LogicError`` catches them all.  Malformed arguments, such as a float
+    coordinate or an unparseable inequality, raise ``ValueError`` instead.
     """
 
 
