@@ -16,10 +16,10 @@ _EXPORTS = {
         "export_greechie_dot"),
     "states": (
         "TwoValuedState", "StateSpaceReport", "MeasureReport", "PairProperty",
-        "IndefinitenessCertificate", "MixtureWeights", "ProbabilityAssignment",
-        "enumerate_states", "atom_state_sets", "classify_states",
-        "pair_property", "convex_mixture", "check_measure",
-        "certify_value_indefiniteness", "states_table"),
+        "IndefinitenessCertificate", "MixtureWeights", "enumerate_states",
+        "atom_state_sets", "classify_states", "pair_property",
+        "convex_mixture", "check_measure", "certify_value_indefiniteness",
+        "states_table"),
     "polytope": (
         "VertexSet", "Inequality", "Equality", "Polytope", "MembershipResult",
         "ImplicationResult", "MissingCoordinate", "vertices_from_states",

@@ -129,6 +129,8 @@ def _fraction(text: str, where: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise LogicError(f"{where}: zero denominator in {text!r}") from None
+    except ValueError:
+        raise LogicError(f"{where}: not a rational: {text!r}") from None
 
 
 def _read_weights(path: str) -> MixtureWeights:

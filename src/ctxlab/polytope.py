@@ -41,8 +41,9 @@ from typing import Mapping, Sequence
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
                              scale_to_integers, solve_lexicographic,
                              solve_standard)
-from ctxlab.logic import ATOM_TOKEN, Logic, LogicError, validate_logic
-from ctxlab.states import TwoValuedState, UnknownAtom, _rows, enumerate_states
+from ctxlab.logic import ATOM_TOKEN, Logic, LogicError
+from ctxlab.states import (TwoValuedState, UnknownAtom, _check_valid, _rows,
+                           enumerate_states)
 
 Vector = tuple[Fraction, ...]
 
@@ -438,9 +439,6 @@ def facet_enumeration(vset: VertexSet) -> Polytope:
     if not vset.vertices:
         raise ValueError("no vertices")
     hull = _Hull(vset)
-    if hull.dim == 0:
-        return Polytope(vset.labels, vset.vertices, vset.counts, 0, hull.equalities, ())
-
     M = [(1,) + y for y in hull.reduced]
     facets = [hull.canonical(tuple(-v for v in ray[1:]), ray[0])
               for ray in _extreme_rays(M) if any(ray[1:])]
@@ -550,10 +548,10 @@ def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:
 
     Maximizes the inequality functional over {p >= 0, sum over each context
     = 1} with an exact LP and compares the optimum against the bound.  A
-    float coefficient or bound raises ``ValueError``.
+    float coefficient or bound raises ``ValueError``, and so does a logic
+    that does not validate, naming the failed rules.
     """
-    if not validate_logic(logic).ok:
-        raise ValueError("logic does not validate")
+    _check_valid(logic)
     for a in ineq.labels:
         if a not in logic.atom_index:
             raise UnknownAtom(f"inequality names unknown atom {a!r}")

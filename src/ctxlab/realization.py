@@ -19,7 +19,7 @@ from math import acos, asin, sqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ctxlab.logic import Logic, LogicError
-from ctxlab.states import MissingAtom, ProbabilityAssignment
+from ctxlab.states import MissingAtom
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,7 +107,7 @@ class FeasibilityWindow:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    assignment: ProbabilityAssignment
+    assignment: Mapping[str, float]
     evaluations: tuple[tuple[Inequality, float, bool], ...]
     violated: tuple[Inequality, ...]
 
@@ -150,15 +150,15 @@ def parse_vector(tokens: Sequence[str]) -> np.ndarray:
     return _array([parse_scalar(t) for t in tokens])
 
 
-def parse_vectors(text: str, dim: int | None = None) -> Realization:
+def parse_vectors(text: str) -> Realization:
     """Parse ``vec <atom> <c1> ... <cD>`` lines into a Realization.
 
-    The dimension is taken from ``dim`` when given, otherwise from the first
-    vector; every vector must match it.  ``#`` starts a comment.  The
-    Realization gets the default check tolerance; ``dataclasses.replace``
-    gives it another.
+    The dimension is the first vector's; every vector must match it.  ``#``
+    starts a comment.  The Realization gets the default check tolerance;
+    ``dataclasses.replace`` gives it another.
     """
     vectors: dict[str, np.ndarray] = {}
+    dim = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
@@ -265,8 +265,9 @@ def _state_vector(r: Realization, psi) -> np.ndarray:
     return vec
 
 
-def born_probabilities(logic: Logic, r: Realization, psi) -> ProbabilityAssignment:
-    """Born rule |<e_a|psi>|^2 for every realized atom of the logic.
+def born_probabilities(logic: Logic, r: Realization, psi) -> dict[str, float]:
+    """Born rule |<e_a|psi>|^2 for every realized atom of the logic, as a
+    plain dict of floats.
 
     ``psi`` is an atom id or a unit vector.  Partial realizations yield a
     partial assignment; within a fully realized context the values sum to 1
@@ -277,22 +278,21 @@ def born_probabilities(logic: Logic, r: Realization, psi) -> ProbabilityAssignme
     for a in logic.atoms:
         if a in r.vectors:
             probs[a] = abs(_inner(r.vectors[a], vec)) ** 2
-    return ProbabilityAssignment(probs, exact=False)
+    return probs
 
 
-def projector(v, tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
+def projector(v) -> np.ndarray:
     """Rank-1 projector v v-dagger onto the ray of a unit vector."""
     import numpy as np
     vec = np.asarray(v)
     norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1) <= tolerance:
+    if not abs(norm - 1) <= DEFAULT_TOLERANCE:
         raise NonUnitVector(f"norm {norm}, expected 1")
     return np.outer(vec, vec.conj())
 
 
 def maximal_operator(vectors: Sequence[np.ndarray],
-                     eigenvalues: Sequence[float],
-                     tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
+                     eigenvalues: Sequence[float]) -> np.ndarray:
     """Weighted spectral sum over an orthonormal context.
 
     Distinct eigenvalues make the operator carry the whole context: its
@@ -307,10 +307,10 @@ def maximal_operator(vectors: Sequence[np.ndarray],
     import numpy as np
     vecs = [np.asarray(v) for v in vectors]
     for i, u in enumerate(vecs):
-        if not abs(float(np.linalg.norm(u)) - 1) <= tolerance:
+        if not abs(float(np.linalg.norm(u)) - 1) <= DEFAULT_TOLERANCE:
             raise NonOrthonormalContext(f"vector {i} is not unit norm")
         for j in range(i + 1, len(vecs)):
-            if not abs(_inner(u, vecs[j])) <= tolerance:
+            if not abs(_inner(u, vecs[j])) <= DEFAULT_TOLERANCE:
                 raise NonOrthonormalContext(
                     f"vectors {i} and {j} are not orthogonal")
     out = np.zeros((vecs[0].shape[0], vecs[0].shape[0]),
@@ -346,12 +346,12 @@ def recover_projectors(A: np.ndarray,
     return out
 
 
-def angle(u, v, tolerance: float = DEFAULT_TOLERANCE) -> float:
+def angle(u, v) -> float:
     """Angle between the rays of two unit vectors, in [0, pi/2]."""
     import numpy as np
     uu, vv = np.asarray(u), np.asarray(v)
     for w in (uu, vv):
-        if not abs(float(np.linalg.norm(w)) - 1) <= tolerance:
+        if not abs(float(np.linalg.norm(w)) - 1) <= DEFAULT_TOLERANCE:
             raise NonUnitVector(f"norm {float(np.linalg.norm(w))}, expected 1")
     return acos(min(abs(_inner(uu, vv)), 1.0))
 

@@ -146,16 +146,14 @@ class StateSpaceReport:
 class MeasureReport:
     """Result of checking the probability-measure axioms on an assignment.
 
-    Nonnegativity and per-context unit sums are checked numerically;
-    exclusivity within a context is definitional for a per-atom assignment
-    (one number per atom cannot double-count a context) and is reported as
-    a note rather than computed.
+    Nonnegativity and per-context unit sums are checked numerically.
+    Exclusivity within a context needs no check: a per-atom assignment
+    gives each atom one number, so it cannot double-count a context.
     """
 
     ok: bool
     nonneg_failures: tuple[tuple[str, Number], ...]
     context_sum_failures: tuple[tuple[int, Number], ...]
-    exclusivity_note: str = "per-atom assignment: within-context exclusivity holds by construction"
 
 
 @dataclass(frozen=True)
@@ -330,7 +328,8 @@ class MixtureWeights:
     Values that are not already a ``Fraction`` are converted with
     ``Fraction(value)``.  The checks run on the integer numerators over the
     weights' common denominator (``exactlp.scale_to_integers``), which are
-    kept as ``_scaled`` for :func:`convex_mixture` and ``urn_simulate``.
+    kept as ``_scaled``; :func:`convex_mixture` and ``urn_simulate`` read
+    them through :func:`_scaled_weights`.
     """
 
     weights: tuple[Fraction, ...]
@@ -353,33 +352,19 @@ class MixtureWeights:
         return iter(self.weights)
 
 
-class ProbabilityAssignment(Mapping):
-    """Per-atom probabilities, either exact rationals or floats.
-
-    ``exact`` records which arithmetic produced the values; downstream
-    consumers use it to pick zero versus floating tolerances.
-    """
-
-    def __init__(self, probs: Mapping[str, Number], exact: bool):
-        self._probs = dict(probs)
-        self.exact = exact
-
-    def __getitem__(self, atom: str) -> Number:
-        return self._probs[atom]
-
-    def __iter__(self):
-        return iter(self._probs)
-
-    def __len__(self) -> int:
-        return len(self._probs)
-
-    def __repr__(self) -> str:
-        kind = "exact" if self.exact else "float"
-        return f"ProbabilityAssignment({kind}, {len(self._probs)} atoms)"
+def _scaled_weights(weights: MixtureWeights | Iterable,
+                    states: Sequence[TwoValuedState]) -> tuple[list[int], int]:
+    """The weights as integer numerators over their common denominator D
+    (see :class:`MixtureWeights`), after checking there is one per state."""
+    if not isinstance(weights, MixtureWeights):
+        weights = MixtureWeights(tuple(weights))
+    if len(weights) != len(states):
+        raise WeightCountMismatch(f"{len(weights)} weights for {len(states)} states")
+    return weights._scaled
 
 
 def convex_mixture(states: Sequence[TwoValuedState],
-                   weights: MixtureWeights | Iterable) -> ProbabilityAssignment:
+                   weights: MixtureWeights | Iterable) -> dict[str, Fraction]:
     """Exact convex combination of states; one weight per state.
 
     Every state must be over the first state's atoms in their order
@@ -387,22 +372,18 @@ def convex_mixture(states: Sequence[TwoValuedState],
     of the integer numerators (see :class:`MixtureWeights`) of the states
     where it is true, over the common denominator.
     """
-    if not isinstance(weights, MixtureWeights):
-        weights = MixtureWeights(tuple(weights))
-    if len(weights) != len(states):
-        raise WeightCountMismatch(f"{len(weights)} weights for {len(states)} states")
+    nums, d = _scaled_weights(weights, states)
     if not states:
-        return ProbabilityAssignment({}, exact=True)
+        return {}
     atoms = states[0].atoms
     _require_atoms(states, atoms, "the first state")
-    nums, d = weights._scaled
     positions = range(len(atoms))
     acc = [0] * len(atoms)
     for w, s in zip(nums, states):
         if w:
             for j in compress(positions, s._raw):
                 acc[j] += w
-    return ProbabilityAssignment({a: Fraction(c, d) for a, c in zip(atoms, acc)}, exact=True)
+    return {a: Fraction(c, d) for a, c in zip(atoms, acc)}
 
 
 def check_measure(logic: Logic, assignment: Mapping[str, Number],

@@ -20,8 +20,8 @@ from itertools import accumulate, compress, repeat
 from typing import Mapping, Sequence
 
 from ctxlab.logic import Logic, LogicError
-from ctxlab.states import (MixtureWeights, TwoValuedState, WeightCountMismatch,
-                           _columns, _rows, enumerate_states)
+from ctxlab.states import (MixtureWeights, TwoValuedState, _columns, _rows,
+                           _scaled_weights, enumerate_states)
 
 RNG_ID = "mt19937-u64"
 
@@ -100,10 +100,7 @@ def urn_simulate(logic: Logic,
     """
     if states is None:
         states = enumerate_states(logic)
-    if not isinstance(weights, MixtureWeights):
-        weights = MixtureWeights(tuple(weights))
-    if len(weights) != len(states):
-        raise WeightCountMismatch(f"{len(weights)} weights for {len(states)} states")
+    nums, d = _scaled_weights(weights, states)
     if draws < 1:
         raise ValueError("need at least one draw")
     if draws > sys.maxsize:
@@ -117,7 +114,6 @@ def urn_simulate(logic: Logic,
     # cumulative weights c_i = C_i / D (floor division of the negated
     # numerator rounds up); for integer p, p/2^64 < c_i iff p < scaled[i],
     # so the integer bisect below reproduces the rational comparison exactly
-    nums, d = weights._scaled
     scaled = [-((-c << 64) // d) for c in accumulate(nums)]
 
     # ball type -> true atom of this context, precomputed per state

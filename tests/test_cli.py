@@ -191,6 +191,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "zero denominator" in err
 
+    @pytest.mark.parametrize("argv, name, text", [
+        (["mixture", "--catalog", "pentagon", "--weights"], "bad.weights", "1/2\nabc\n"),
+        (["mixture", "--catalog", "pentagon", "--weights"], "pair.weights", "1/2\n1/4 1/4\n"),
+        (["member", "--catalog", "specker_bug", "--assign"], "bad.assign", "a 1/2\nb x\n"),
+    ], ids=["bad-weight", "two-weights-on-a-line", "bad-assignment-value"])
+    def test_malformed_value_names_its_line(self, capsys, tmp_path, monkeypatch,
+                                            argv, name, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        code, _, err = run(capsys, *argv, name)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{name}:2: not a rational" in err
+
     @pytest.mark.parametrize("argv", [
         ["realization-check", "--catalog", "triangle4d", "--vectors", "huge.vec"],
         ["born", "--catalog", "triangle4d", "--psi", f"1 {HUGE} 0 0"],

@@ -16,10 +16,9 @@ EXPECTED = {
               "paste_logics", "same_structure", "export_greechie_dot"],
     "states": ["TwoValuedState", "StateSpaceReport", "MeasureReport",
                "PairProperty", "IndefinitenessCertificate", "MixtureWeights",
-               "ProbabilityAssignment", "enumerate_states", "atom_state_sets",
-               "classify_states", "pair_property", "convex_mixture",
-               "check_measure", "certify_value_indefiniteness",
-               "states_table"],
+               "enumerate_states", "atom_state_sets", "classify_states",
+               "pair_property", "convex_mixture", "check_measure",
+               "certify_value_indefiniteness", "states_table"],
     "polytope": ["VertexSet", "Inequality", "Equality", "Polytope",
                  "MembershipResult", "ImplicationResult", "MissingCoordinate",
                  "vertices_from_states", "facet_enumeration",
@@ -42,7 +41,7 @@ SUBMODULES = ("logic", "states", "polytope", "realization", "urn", "catalog",
 
 def test_all_names_in_order():
     expected = [name for names in EXPECTED.values() for name in names]
-    assert len(expected) == 67
+    assert len(expected) == 66
     assert ctxlab.__all__ == expected
 
 

@@ -549,6 +549,13 @@ class TestAxiomImplied:
         with pytest.raises(ValueError):
             axiom_implied(lg, Inequality(("x",), (F(1),), F(1)))
 
+    def test_invalid_logic_names_failed_rules(self):
+        # the same refusal, with the same text, as enumerate_states gives
+        from ctxlab.logic import Logic
+        lg = Logic(atoms=("x", "y", "z"), contexts=(("x", "y"),))
+        with pytest.raises(ValueError, match=r"rules: unused-atom\)"):
+            axiom_implied(lg, Inequality(("x",), (F(1),), F(1)))
+
 
 class TestParseInequality:
     def test_numeric_atom_names(self):

@@ -63,8 +63,6 @@ class TestParse:
     def test_wrong_component_count(self):
         with pytest.raises(VectorParseError):
             parse_vectors("vec a 1 0 0\nvec b 1 0\n")
-        with pytest.raises(VectorParseError):
-            parse_vectors("vec a 1 0\n", dim=3)
 
     def test_duplicate_atom(self):
         with pytest.raises(VectorParseError):
