@@ -27,7 +27,7 @@ from ctxlab.logic import (LogicError, export_greechie_dot, parse_logic,
 
 if TYPE_CHECKING:
     from ctxlab.logic import Logic
-    from ctxlab.polytope import Equality, Inequality
+    from ctxlab.polytope import Equality, Inequality, VertexSet
     from ctxlab.realization import Realization
     from ctxlab.states import MixtureWeights
 
@@ -175,6 +175,15 @@ def _project(args) -> tuple[str, ...] | None:
     return None
 
 
+def _vertex_set(args, logic: Logic) -> VertexSet:
+    """The logic's states as polytope vertices; refuses a state-free logic."""
+    from ctxlab.polytope import vertices_from_states
+    vset = vertices_from_states(logic, project=_project(args))
+    if not vset.vertices:
+        raise LogicError("no vertices: the logic has no two-valued states")
+    return vset
+
+
 # ---------------------------------------------------------------- commands
 
 def _cmd_validate(args) -> int:
@@ -257,10 +266,8 @@ def _cmd_mixture(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    from ctxlab.polytope import facet_enumeration, vertices_from_states
-    logic = _logic(args)
-    vset = vertices_from_states(logic, project=_project(args))
-    poly = facet_enumeration(vset)
+    from ctxlab.polytope import facet_enumeration
+    poly = facet_enumeration(_vertex_set(args, _logic(args)))
     lines = ["labels: " + " ".join(poly.labels),
              f"dim: {poly.affine_dim}",
              f"vertices: {len(poly.vertices)}"]
@@ -276,13 +283,10 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    from ctxlab.polytope import membership, vertices_from_states
+    from ctxlab.polytope import membership
     logic = _logic(args)
     point = _read_assignment(args.assign)
-    vset = vertices_from_states(logic, project=_project(args))
-    if not vset.vertices:
-        raise LogicError("no vertices: the logic has no two-valued states")
-    res = membership(point, vset)
+    res = membership(point, _vertex_set(args, logic))
     if res.inside:
         lines = ["inside: yes",
                  "weights: " + " ".join(_frac(w) for w in res.weights)]

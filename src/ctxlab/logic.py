@@ -38,8 +38,13 @@ class LogicError(Exception):
 
     Each layer's own exception classes derive from it, so ``except
     LogicError`` catches them all.  Malformed arguments, such as a float
-    coordinate or an unparseable inequality, raise ``ValueError`` instead.
+    coordinate, raise ``ValueError`` instead.
     """
+
+
+class InvalidInput(LogicError, ValueError):
+    """An invalid logic, a duplicate atom id or an unparseable inequality:
+    a domain error that ``except ValueError`` catches too."""
 
 
 class LogicParseError(LogicError):
@@ -104,7 +109,7 @@ class Logic:
         seen = set()
         for a in self.atoms:
             if a in seen:
-                raise ValueError(f"duplicate atom id {a!r}")
+                raise InvalidInput(f"duplicate atom id {a!r}")
             seen.add(a)
 
     @cached_property

@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
                              scale_to_integers, solve_lexicographic,
                              solve_standard)
-from ctxlab.logic import ATOM_TOKEN, Logic, LogicError
+from ctxlab.logic import ATOM_TOKEN, InvalidInput, Logic, LogicError
 from ctxlab.states import (TwoValuedState, UnknownAtom, _check_valid, _rows,
                            enumerate_states)
 
@@ -461,11 +461,13 @@ def evaluate_inequality(ineq: Inequality, point: Mapping[str, object],
 def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult:
     """Exact convex-hull membership with certificates both ways.
 
-    Inside yields weights over the vertex list.  Outside yields a separating
-    inequality: a violated affine-hull equality (oriented toward the point)
-    when the point leaves the hull, otherwise a proper facet found by a polar
-    LP and purified to a vertex of the polar, i.e. the reported separator is
-    always tight on the polytope.  Point coordinates are ints or Fractions.
+    Inside yields weights over the vertex list, the basic solution Bland's
+    rule reaches.  Outside yields a violated affine-hull equality (oriented
+    toward the point) when the point leaves the hull, else a facet a.x <= b
+    with the largest polar ratio (a.p - a.c) / (b - a.c), c the centroid of
+    the deduplicated vertices; ties go to the facet whose polar vertex z
+    (the facet as z.(y - c) <= 1 in the hull's reduced coordinates y) is
+    lexicographically smallest.  Point coordinates are ints or Fractions.
     """
     p = tuple(point[a] if a in point else _missing(a) for a in vset.labels)
     _require_exact(p, "point coordinate")
@@ -504,52 +506,40 @@ def _missing(a: str):
 
 def _polar_facet(reduced: list[tuple[int, ...]], total: list[int],
                  y_p: Vector) -> Vector:
-    """A vertex of the polar polytope maximizing the violation at ``y_p``.
+    """The separator's polar vertex: the lexicographically smallest z that
+    maximizes the violation at ``y_p`` (see :func:`membership`).
 
     With m vertices summing to ``total`` (m times the centroid c), maximize
     z.(y_p - c) over {z : z.(m v - total) <= m}, i.e. z.(v - c) <= 1; the
-    optimum is > 1 exactly when y_p lies outside, and any vertex of the
-    optimal face is a vertex of the polar, hence a facet of the primal.
-    The LP is integral: the objective is the direction m y_p - total
-    scaled to integers by s, so the test for > 1 reads z.d > m s.
+    optimum is > 1 exactly when y_p lies outside.  Minimizing z_1, z_2, ...
+    in turn over the bounded optimal face leaves one point, a vertex of the
+    polar, hence a facet of the primal.  The LP is integral: the objective
+    is the direction m y_p - total scaled to integers by s, so the test for
+    > 1 reads z.d > m s.
     """
     k, m = len(total), len(reduced)
     rows = [[m * v[j] - total[j] for j in range(k)] for v in reduced]
     d, s = scale_to_integers([m * y - t for y, t in zip(y_p, total)])
-    # variables: z+ (k), z- (k), slack (m)
+    # variables: z+ (k), z- (k), slack (m); minimize -d.z, then z_1, ..., z_k
     A = [r + [-x for x in r] + [int(i == t) for t in range(m)] for i, r in enumerate(rows)]
-    res = solve_standard([-x for x in d] + d + [0] * m, A, [m] * m)
+    costs = [[-x for x in d]] + [[int(i == j) for j in range(k)] for i in range(k)]
+    res = solve_lexicographic([c + [-x for x in c] + [0] * m for c in costs], A, [m] * m)
     check_invariant(res.status == OPTIMAL, "polar LP is bounded: the vertices span the hull")
-    z = [res.x[j] - res.x[k + j] for j in range(k)]
+    z = tuple(res.x[j] - res.x[k + j] for j in range(k))
     check_invariant(_dot(z, d) > m * s,
                     "point outside the polytope violates the polar by more than 1")
-
-    while True:
-        tight = [r for r in rows if _dot(r, z) == m]
-        rr, piv = _rref(tight + [d])
-        null = _nullspace(rr, piv, k)
-        if not null:
-            # at an optimum the objective lies in the span of the tight rows,
-            # so an empty nullspace means the tight rows alone have full rank
-            check_invariant(len(_rref(tight)[1]) == k, "purification stalled")
-            break
-        for w in (null[0], tuple(-v for v in null[0])):
-            steps = [(m - _dot(r, z)) / g for r in rows if (g := _dot(r, w)) > 0]
-            if steps:
-                break
-        best = min(steps, default=None)
-        check_invariant(best is not None and best > 0, "purification step is not positive")
-        z = tuple(zi + best * wi for zi, wi in zip(z, w))
-    return tuple(z)
+    return z
 
 
 def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:
     """Does the inequality follow from nonnegativity plus unit context sums?
 
     Maximizes the inequality functional over {p >= 0, sum over each context
-    = 1} with an exact LP and compares the optimum against the bound.  A
-    float coefficient or bound raises ``ValueError``, and so does a logic
-    that does not validate, naming the failed rules.
+    = 1} with an exact LP and compares the optimum against the bound.  The
+    witness of a failed check is the optimal basic solution Bland's rule
+    reaches, so it depends on the pivot path.  A float coefficient or bound
+    raises ``ValueError``; a logic that does not validate raises
+    ``InvalidInput``, also a ``ValueError``, naming the failed rules.
     """
     _check_valid(logic)
     for a in ineq.labels:
@@ -586,11 +576,11 @@ def parse_inequality(text: str) -> Inequality:
         lhs, rhs = text.split(">=", 1)
         flip = True
     else:
-        raise ValueError("inequality needs '<=' or '>='")
+        raise InvalidInput("inequality needs '<=' or '>='")
     try:
         bound = Fraction(rhs.strip())
     except (ValueError, ZeroDivisionError) as err:
-        raise ValueError(f"bad bound {rhs.strip()!r}") from err
+        raise InvalidInput(f"bad bound {rhs.strip()!r}") from err
 
     coeffs: dict[str, Fraction] = {}
     order: list[str] = []
@@ -608,13 +598,13 @@ def parse_inequality(text: str) -> Inequality:
             try:
                 coeff = sign * Fraction(num.strip())
             except (ValueError, ZeroDivisionError) as err:
-                raise ValueError(f"bad coefficient in term {term!r}") from err
+                raise InvalidInput(f"bad coefficient in term {term!r}") from err
             atom = atom.strip()
         else:
             coeff = sign
             atom = term
         if not ATOM_TOKEN.match(atom):
-            raise ValueError(f"bad atom {atom!r} in term {term!r}")
+            raise InvalidInput(f"bad atom {atom!r} in term {term!r}")
         if atom not in coeffs:
             coeffs[atom] = Fraction(0)
             order.append(atom)

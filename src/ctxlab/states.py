@@ -32,7 +32,7 @@ from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 from ctxlab.exactlp import scale_to_integers
-from ctxlab.logic import Logic, LogicError, paste_logics, validate_logic
+from ctxlab.logic import InvalidInput, Logic, LogicError, paste_logics, validate_logic
 
 Number = Union[Fraction, float]
 
@@ -177,7 +177,7 @@ def _check_valid(logic: Logic) -> None:
     report = validate_logic(logic)
     if not report.ok:
         rules = sorted({v.rule for v in report.violations})
-        raise ValueError(f"logic does not validate (rules: {', '.join(rules)})")
+        raise InvalidInput(f"logic does not validate (rules: {', '.join(rules)})")
 
 
 @lru_cache(maxsize=256)

@@ -14,8 +14,9 @@ vertices fall on one side.  Only meant for small inputs (the subset count is
 binomial).
 
 ``fraction_membership`` solves the LPs of ``polytope.membership`` in the
-Fraction coordinates of a ``FractionHull``, with the polar purification on
-the reference null space, so weights and separators must come out equal.
+Fraction coordinates of a ``FractionHull``: the polar LP with the same
+lexicographic objectives (the violation, then each coordinate of the polar
+vertex), so weights and separators must come out equal.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from ctxlab.exactlp import OPTIMAL, solve_standard
+from ctxlab.exactlp import OPTIMAL, solve_lexicographic, solve_standard
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
                              VertexSet, _dot)
 from canonical_oracle import canonical_form_oracle, integer_primitive
@@ -113,23 +114,17 @@ def fraction_membership(point, vset: VertexSet) -> MembershipResult:
     centroid = tuple(sum(r[j] for r in reduced) / m for j in range(k))
     rows = [tuple(v[j] - centroid[j] for j in range(k)) for v in reduced]
     d = tuple(y_p[j] - centroid[j] for j in range(k))
-    # maximize z.d over z.row <= 1 with z = z+ - z-, then purify to a vertex
+    # maximize z.d over z.row <= 1 with z = z+ - z-, then minimize z_1, z_2, ...
     A = [[*r, *(-x for x in r), *(Fraction(int(i == t)) for t in range(m))]
          for i, r in enumerate(rows)]
-    res = solve_standard([*(-x for x in d), *d, *[Fraction(0)] * m], A,
-                         [Fraction(1)] * m)
+
+    def split(w):  # w.z as a cost over z+, z- and the m slacks
+        return [*w, *(-x for x in w), *[Fraction(0)] * m]
+
+    costs = [split([-x for x in d])]
+    costs += [split([Fraction(int(i == j)) for j in range(k)]) for i in range(k)]
+    res = solve_lexicographic(costs, A, [Fraction(1)] * m)
     z = [res.x[j] - res.x[k + j] for j in range(k)]
-    while True:
-        tight = [list(r) for r in rows if _dot(r, z) == 1]
-        null = nullspace(*rref(tight + [list(d)]), k)
-        if not null:
-            break
-        for w in (null[0], tuple(-v for v in null[0])):
-            steps = [(1 - _dot(r, z)) / g for r in rows if (g := _dot(r, w)) > 0]
-            if steps:
-                break
-        best = min(steps)
-        z = [zi + best * wi for zi, wi in zip(z, w)]
     sep = hull.canonical(z, 1 + _dot(z, centroid))
     return MembershipResult(inside=False, separator=sep,
                             value_at_point=_dot(sep.coeffs, p),

@@ -68,3 +68,4 @@ def test_cli_reports_no_states_as_a_domain_failure(argv, json_flag, cega18,
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no two-valued states" in err

@@ -68,11 +68,11 @@ HULL = {
 
 MEMBERSHIP = {
     "triangle4d":
-        "89fea9ba2b4866aaf72e03c53e54363c362f1dfc7c674b65651e0f5fabb1ccb1",
+        "6c8e2283d68923e502d6aa7fcca98d99aa7700a21ad0f8f348c4377762b83b2d",
     "square4d":
-        "3a2ae4323936f245b5a22a96715eb1a9fb1a84caadeb0b6ac039820c12931c5e",
+        "0b7ca7b77d46fdd08f2b34f9d81b7854286524bba629aae8a9efbe2651c172cb",
     "pentagon":
-        "db6e009e75a1aa5990e2426c7b08c417fa0c43c43ca8c033d3cb82d9ef14f3c7",
+        "d56a4d617f8ae7565d929e0a279c3427355657c1c1ae0d59073e769af48b2476",
     "specker_bug":
         "91fb663b39ebaf5f4374c5b6614b2c7df513090b42c10cb24f5da30eb406a973",
     "specker_bug_extended":

@@ -66,6 +66,25 @@ def test_every_exported_error_is_a_logic_error():
         assert issubclass(getattr(ctxlab, name), ctxlab.LogicError), name
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ctxlab.enumerate_states(ctxlab.Logic(("a", "b", "x"), (("a", "b"),))),
+     "logic does not validate (rules: unused-atom)"),
+    (lambda: ctxlab.Logic(("a", "a"), ()), "duplicate atom id 'a'"),
+    (lambda: ctxlab.parse_inequality("x + y"), "inequality needs '<=' or '>='"),
+    (lambda: ctxlab.parse_inequality("x <= huh"), "bad bound 'huh'"),
+    (lambda: ctxlab.parse_inequality("abc*x <= 1"), "bad coefficient in term 'abc*x'"),
+    (lambda: ctxlab.parse_inequality("x! <= 1"), "bad atom 'x!' in term 'x!'"),
+], ids=["invalid-logic", "duplicate-atom", "no-sense", "bound", "coefficient", "atom"])
+def test_refusals_are_logic_errors_and_value_errors(call, message):
+    for base in (ctxlab.LogicError, ValueError):
+        try:
+            call()
+        except base as err:
+            assert str(err) == message
+        else:
+            pytest.fail("no refusal")
+
+
 def test_star_import_binds_every_name():
     namespace: dict = {}
     exec("from ctxlab import *", namespace)

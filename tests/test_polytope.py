@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctxlab import polytope
+from ctxlab.catalog import catalog_get
 from ctxlab.exactlp import InternalError, scale_to_integers
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
                              MissingCoordinate, VertexSet, _extreme_rays,
@@ -24,6 +25,8 @@ from dd_oracle import extreme_rays
 from helpers import load_logic
 from hull_oracle import FractionHull, brute_facets, fraction_membership
 from rref_oracle import rref
+from test_golden import WITH_LOGIC
+from test_golden import _points as golden_points
 
 F = Fraction
 
@@ -694,6 +697,36 @@ def test_public_functions_refuse_floats(call, reason):
     assert str(err.value) == reason
 
 
+def specified_separator(x, vs):
+    """The separator ``membership`` specifies for a point x in the affine
+    hull (None off it), read off ``facet_enumeration`` by a scan: each facet
+    a.x <= b is restricted to the reduced coordinates of ``FractionHull``
+    (a'_i = a.B_i and b' = b - a.v0 over its RREF basis B), its polar vertex
+    about the centroid c is z = a' / (b' - a'.c), and the facet with the
+    largest ratio z.(y_x - c) wins, ties going to the smallest z."""
+    ref = FractionHull(vs)
+    if any(polytope._dot(e.coeffs, x) != e.bound for e in ref.equalities):
+        return None
+    m = len(ref.reduced)
+    c = [sum(col) / m for col in zip(*ref.reduced)]
+    d = [y - cj for y, cj in zip(ref.reduce(x), c)]
+
+    def rank(f):
+        a = [polytope._dot(f.coeffs, row) for row in ref.basis]
+        z = [aj / (f.bound - polytope._dot(f.coeffs, ref.v0) - polytope._dot(a, c))
+             for aj in a]
+        return -polytope._dot(z, d), z
+
+    return min(facet_enumeration(vs).facets, key=rank)
+
+
+def assert_specified_separator(x, vs, got):
+    """``got``, the membership result of x, carries the specified facet when
+    x lies in the affine hull but outside the polytope."""
+    if not got.inside and (want := specified_separator(x, vs)) is not None:
+        assert got.separator == want
+
+
 @st.composite
 def rational_vertex_sets(draw):
     dim = draw(st.integers(1, 4))
@@ -709,7 +742,8 @@ def rational_vertex_sets(draw):
 def test_hull_matches_fraction_reference_on_rational_sets(rows, data):
     """The integer hull scales by the common denominator of the set; the
     equalities, pivots, reduced coordinates (over that scale) and
-    membership certificates equal the Fraction-only construction."""
+    membership certificates equal the Fraction-only construction, and the
+    separators follow the tie rule."""
     vs = vset([f"x{i}" for i in range(len(rows[0]))], rows)
     hull, ref = polytope._Hull(vs), FractionHull(vs)
     assert hull.scale == lcm(*(x.denominator for v in rows for x in v))
@@ -727,11 +761,34 @@ def test_hull_matches_fraction_reference_on_rational_sets(rows, data):
         point = dict(zip(vs.labels, x))
         got = membership(point, vs)
         assert got == fraction_membership(point, vs)
+        assert_specified_separator(x, vs, got)
         if got.inside:
             assert all(type(w) is F for w in got.weights)
         else:
             sep = got.separator
             assert all(type(v) is F for v in (*sep.coeffs, sep.bound, got.value_at_point))
+
+
+@pytest.mark.parametrize("seed,name", enumerate(WITH_LOGIC))
+def test_separator_follows_the_tie_rule_on_golden_points(seed, name):
+    vs = vertices_from_states(catalog_get(name).logic)
+    for x in golden_points(vs.vertices, seed):
+        assert_specified_separator(x, vs, membership(dict(zip(vs.labels, x)), vs))
+
+
+@given(st.sampled_from(["pentagon", "triangle4d", "square4d", "specker_bug"]),
+       st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+       st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_separator_follows_the_tie_rule_on_affine_points(name, raw, den, data):
+    vs = vertices_from_states(load_logic(name))
+    picks = data.draw(st.lists(st.integers(0, len(vs.vertices) - 1),
+                               min_size=3, max_size=3, unique=True))
+    weights = [F(r, den) for r in raw]
+    weights.append(1 - sum(weights))  # an affine combination: in the hull
+    x = tuple(sum(w * vs.vertices[i][j] for w, i in zip(weights, picks))
+              for j in range(len(vs.labels)))
+    assert_specified_separator(x, vs, membership(dict(zip(vs.labels, x)), vs))
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
