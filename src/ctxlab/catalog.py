@@ -4,8 +4,9 @@ Each entry bundles a logic shipped as a data file, the classification the
 state machinery must reproduce, any known vector realization, and short notes.
 A realization's vector file is parsed on the first read of
 ``entry.realization``, so listing or loading entries never needs numpy, and
-the realization module is imported only by that read and by
-``impossible_fig6``.
+the realization module is imported only by that read.  The angle window of
+``impossible_fig6`` is two ``math`` calls, defined here and re-exported by
+``ctxlab.realization``.
 One entry, ``impossible_fig6``, intentionally carries no logic at all: it is
 the record of an angle-window obstruction, so only its feasibility data is
 meaningful and structure-requiring operations must be refused by callers.
@@ -17,17 +18,37 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations
+from math import acos, asin
 from typing import TYPE_CHECKING
 
 from ctxlab.logic import Logic, LogicError, parse_logic
 from ctxlab.states import PairProperty
 
 if TYPE_CHECKING:
-    from ctxlab.realization import FeasibilityWindow, Realization
+    from ctxlab.realization import Realization
 
 
 class UnknownEntry(LogicError):
     """Requested name is not in the catalog."""
+
+
+@dataclass(frozen=True)
+class FeasibilityWindow:
+    """Angle constraints a single pair of atoms would have to satisfy."""
+
+    tifs_min_angle: float
+    tits_max_angle: float
+    feasible: bool
+
+
+def bug_pasting_feasibility() -> FeasibilityWindow:
+    """Angle window for gluing the true-implies-false and true-implies-true
+    bug variants onto one atom pair in dimension 3: the pair would need an
+    angle of at least arccos(1/3) and at most arcsin(1/3) simultaneously."""
+    lo = acos(1 / 3)
+    hi = asin(1 / 3)
+    return FeasibilityWindow(tifs_min_angle=lo, tits_max_angle=hi,
+                             feasible=lo <= hi)
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,6 @@ def catalog_get(name: str) -> CatalogEntry:
                            f"known: {', '.join(CATALOG_NAMES)}")
     expected, realized, notes = _ENTRIES[name]
     if expected is None:
-        from ctxlab.realization import bug_pasting_feasibility
         return CatalogEntry(name=name, logic=None, expected=None, notes=notes,
                             angle_window=bug_pasting_feasibility())
     return CatalogEntry(name=name, logic=parse_logic(_data_text(name + ".logic")),

@@ -70,6 +70,12 @@ class VertexSet:
 
     def __post_init__(self):
         n = len(self.labels)
+        # one pass over the lengths and the coordinate types; the scan per
+        # vertex below runs only to name the first bad vertex or value
+        if set(map(len, self.vertices)) <= {n} and all(
+                issubclass(t, (int, Fraction))
+                for t in set(map(type, chain.from_iterable(self.vertices)))):
+            return
         for v in self.vertices:
             if len(v) != n:
                 raise ValueError(f"vertex has {len(v)} coordinates for {n} labels")
@@ -274,13 +280,13 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
     coefficients nonnegative and minimal coefficient sum, refined to the
     lexicographically smallest coefficient vector; keeps the eliminated form
     when none is nonnegative.  Coprime-integer scaled; a float entry raises
-    ``ValueError``.
+    ``ValueError``, and inconsistent equalities raise ``InvalidInput``.
     """
     aug, rows = (*coeffs, bound), [(*e.coeffs, e.bound) for e in equalities]
     _require_exact((*aug, *chain.from_iterable(rows)), "coefficient or bound")
     rr, piv = _rref(rows)
     if piv and piv[-1] == len(coeffs):
-        raise ValueError("equalities are inconsistent")
+        raise InvalidInput("equalities are inconsistent")
     return _canonical_form(labels, scale_to_integers(aug)[0], rr, piv)
 
 
@@ -409,7 +415,9 @@ def vertices_from_states(logic: Logic,
     """States as 0/1 vertices over ``project`` (default: all atoms).
 
     Projection can collapse states onto the same vertex; duplicates are
-    merged and counted.  Vertices come back sorted lexicographically.
+    merged and counted.  Vertices come back sorted lexicographically.  A
+    projection naming an unknown atom raises ``UnknownAtom``, one naming an
+    atom twice ``InvalidInput``.
     """
     if states is None:
         states = enumerate_states(logic)
@@ -422,7 +430,7 @@ def vertices_from_states(logic: Logic,
             if a not in logic.atom_index:
                 raise UnknownAtom(f"projection names unknown atom {a!r}")
             if a in seen:
-                raise ValueError(f"projection repeats atom {a!r}")
+                raise InvalidInput(f"projection repeats atom {a!r}")
             seen.add(a)
     counted = Counter(_rows(logic, states, labels))
     ordered = sorted(counted)
@@ -435,9 +443,9 @@ def vertices_from_states(logic: Logic,
 def facet_enumeration(vset: VertexSet) -> Polytope:
     """All facets of conv(vertices) inside its affine hull, plus the hull
     equalities, everything canonicalized and sorted.  Results are memoized;
-    vertex sets hash by value."""
+    vertex sets hash by value.  An empty vertex set raises ``InvalidInput``."""
     if not vset.vertices:
-        raise ValueError("no vertices")
+        raise InvalidInput("no vertices")
     hull = _Hull(vset)
     M = [(1,) + y for y in hull.reduced]
     facets = [hull.canonical(tuple(-v for v in ray[1:]), ray[0])

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import acos, asin, sqrt
+from math import acos, sqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+# the angle window lives with the catalog entry that records it, so that
+# listing the catalog does not load this module; it stays public here
+from ctxlab.catalog import FeasibilityWindow, bug_pasting_feasibility
 from ctxlab.logic import Logic, LogicError
 from ctxlab.states import MissingAtom
 
@@ -94,15 +97,6 @@ class RealizationReport:
     collinear_pairs: tuple[tuple[str, str], ...]
     missing_atoms: tuple[str, ...] = ()
     skipped_contexts: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class FeasibilityWindow:
-    """Angle constraints a single pair of atoms would have to satisfy."""
-
-    tifs_min_angle: float
-    tits_max_angle: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -354,16 +348,6 @@ def angle(u, v) -> float:
         if not abs(float(np.linalg.norm(w)) - 1) <= DEFAULT_TOLERANCE:
             raise NonUnitVector(f"norm {float(np.linalg.norm(w))}, expected 1")
     return acos(min(abs(_inner(uu, vv)), 1.0))
-
-
-def bug_pasting_feasibility() -> FeasibilityWindow:
-    """Angle window for gluing the true-implies-false and true-implies-true
-    bug variants onto one atom pair in dimension 3: the pair would need an
-    angle of at least arccos(1/3) and at most arcsin(1/3) simultaneously."""
-    lo = acos(1 / 3)
-    hi = asin(1 / 3)
-    return FeasibilityWindow(tifs_min_angle=lo, tits_max_angle=hi,
-                             feasible=lo <= hi)
 
 
 def quantum_vs_classical(logic: Logic, r: Realization, psi,

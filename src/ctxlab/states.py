@@ -19,6 +19,15 @@ state through its own ``atoms``: ``pair_property`` and the witness searches
 of ``certify_value_indefiniteness`` index the bytes of
 :func:`enumerate_states`'s states by the logic's atom positions, and
 ``TwoValuedState.__getitem__`` and ``bit_string`` read a state's own bytes.
+
+The states come from a frontier search (:func:`_true_masks`), a dynamic
+program over the contexts rather than a depth-first search.  It takes next
+the context with the most atoms already seen and groups the partial states
+by their values on the boundary, the seen atoms that a later context still
+holds, so each context branches once per group of partial states with the
+same completions.  Each state is an int true mask whose numeric order is
+the canonical order, so the states are sorted once at the end and the
+order in which the search took the contexts never shows.
 """
 
 from __future__ import annotations
@@ -180,43 +189,123 @@ def _check_valid(logic: Logic) -> None:
         raise InvalidInput(f"logic does not validate (rules: {', '.join(rules)})")
 
 
+def _true_masks(logic: Logic) -> list[int]:
+    """The true masks of all states of a valid logic, in no set order; atom
+    i sits at bit n-1-i of a true mask.
+
+    The search takes the contexts one at a time and keeps the partial
+    states, each an assignment to the atoms seen so far, grouped by their
+    values on the boundary: the seen atoms that a later context still
+    holds.  Two partial states that agree there have the same completions,
+    so each step branches once per group, on the boundary atom of the
+    context that is already true or on each of its free atoms, and applies
+    the choice to every member's full true mask.  Groups that reach the
+    same boundary values merge.
+
+    A boundary key is a pair (true, false) of masks over boundary slots,
+    not over atom bits: an atom takes a free slot when it is first seen and
+    gives it back after the context that holds it last, so the keys stay as
+    narrow as the boundary however many atoms the logic has.
+
+    The next context is one with the most atoms already seen, taken from a
+    bucket queue indexed by that count (stale entries are skipped when
+    popped), so ordering costs time linear in the total context size.
+    """
+    n = len(logic.atoms)
+    get = logic.atom_index.__getitem__
+    contexts = [list(map(get, c)) for c in logic.contexts]
+    around: list[list[int]] = [[] for _ in range(n)]  # the contexts of each atom
+    for ci, c in enumerate(contexts):
+        for i in c:
+            around[i].append(ci)
+    left = list(map(len, around))  # contexts of each atom still to come
+    seen = [0] * len(contexts)  # atoms seen, per context; -1 once taken
+    buckets = [list(range(len(contexts) - 1, -1, -1))]
+    buckets += [[] for _ in range(max(map(len, contexts), default=0))]
+    top = 0
+    slot = [0] * n  # each seen atom's slot bit; 0 for an atom not seen yet
+    spare = 0  # slot bits given back
+    fresh = 1  # the lowest slot bit never used
+    # bit n of every true mask is a constant 1: bin() then keeps the leading
+    # zeros, and the empty logic still gives one state with bits ()
+    groups = {(0, 0): [1 << n]}
+    for _ in contexts:
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            ci = bucket.pop()
+            if seen[ci] == top:
+                break
+        seen[ci] = -1
+        ctx = retire = 0
+        picks = []  # (slot bit, true-mask bit) per atom of the context
+        for i in contexts[ci]:
+            b = slot[i]
+            if not b:  # first sight of atom i
+                if spare:
+                    b = spare & -spare
+                    spare ^= b
+                else:
+                    b = fresh
+                    fresh <<= 1
+                slot[i] = b
+                for d in around[i]:
+                    c = seen[d]
+                    if c >= 0:
+                        seen[d] = c = c + 1
+                        buckets[c].append(d)
+                        if c > top:
+                            top = c
+            ctx |= b
+            picks.append((b, 1 << (n - 1 - i)))
+            left[i] -= 1
+            if not left[i]:
+                retire |= b
+        spare |= retire
+        keep = ~retire
+        merged: dict[tuple[int, int], list[int]] = {}
+        for (true, false), members in groups.items():
+            hit = true & ctx
+            if hit:
+                if not hit & (hit - 1):  # exactly one true atom already
+                    key = (true & keep, (false | ctx ^ hit) & keep)
+                    if (old := merged.get(key)) is None:
+                        merged[key] = members
+                    else:
+                        old += members
+                continue
+            for b, g in picks:
+                if b & false:
+                    continue
+                key = ((true | b) & keep, (false | ctx ^ b) & keep)
+                grown = [m | g for m in members]
+                if (old := merged.get(key)) is None:
+                    merged[key] = grown
+                else:
+                    old += grown
+        groups = merged
+    # a valid logic puts every atom in a context, so in the end every atom
+    # has left the boundary and all surviving states share the empty key
+    return groups.get((0, 0), [])
+
+
 @lru_cache(maxsize=256)
 def enumerate_states(logic: Logic) -> tuple[TwoValuedState, ...]:
     """All two-valued states of a valid logic, canonically ordered.
 
-    Depth-first search over contexts in declaration order: pick the single
-    true atom of each context, mark its other atoms false, prune on conflict.
-    The search pops (next context, true mask, false mask) triples of ints
-    off an explicit stack, so Python's recursion limit does not bound its
-    depth.  Atom i sits at bit n-1-i, so the numeric order of the true masks
-    is the lexicographic order of the bit strings, and sorting them gives
-    the canonical order.  The test suite checks the search against an
-    exhaustive one over all 2^n bit vectors.
+    A frontier search (:func:`_true_masks`) collects the true mask of every
+    state, an int with atom i at bit n-1-i.  The numeric order of the true
+    masks is the lexicographic order of the bit strings, so sorting them
+    gives the canonical order, whatever order the search took the contexts
+    in.  The search keeps no stack and no recursion, so neither Python's
+    recursion limit nor the depth of the logic bounds it.  The test suite
+    checks it against an exhaustive search over all 2^n bit vectors.
     """
     _check_valid(logic)
     n = len(logic.atoms)
-    idx = logic.atom_index
-    masks = [sum(1 << (n - 1 - idx[a]) for a in c) for c in logic.contexts]
-    found: list[int] = []
-    # bit n of the true mask is a constant 1: bin() then keeps the leading
-    # zeros, and the empty logic still gives one state with bits ()
-    stack = [(0, 1 << n, 0)]
-    while stack:
-        ci, true, false = stack.pop()
-        if ci == len(masks):
-            found.append(true)
-            continue
-        ctx = masks[ci]
-        hit = true & ctx
-        if hit:
-            if not hit & (hit - 1):  # exactly one true atom already
-                stack.append((ci + 1, true, false | (ctx ^ hit)))
-            continue
-        free = ctx & ~false
-        while free:
-            bit = free & -free
-            free ^= bit
-            stack.append((ci + 1, true | bit, false | (ctx ^ bit)))
+    found = _true_masks(logic)
     found.sort()
     # bin() writes each true mask as "0b1" and its n bits: one translate
     # turns all of them, joined, into one blob of 0/1 bytes, and each state

@@ -133,6 +133,18 @@ def test_realization_commands_skip_polytope(argv):
     assert "polytope" not in modules
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["catalog"], 0),
+    (["catalog", "--json"], 0),
+    (["states", "--catalog", "impossible_fig6"], 1),
+], ids=["catalog", "catalog-json", "impossible_fig6"])
+def test_catalog_and_angle_window_skip_realization(argv, code):
+    # impossible_fig6's window is two math calls, built without the module
+    done, numpy, modules = probe(argv)
+    assert (done, numpy) == (code, False)
+    assert "realization" not in modules
+
+
 @pytest.mark.parametrize("argv", [
     ["urn", *SOURCE, "--context", "99", "--seed", "1"],
     ["violate", "--catalog", "specker_bug", "--psi", "a",

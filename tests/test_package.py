@@ -74,7 +74,15 @@ def test_every_exported_error_is_a_logic_error():
     (lambda: ctxlab.parse_inequality("x <= huh"), "bad bound 'huh'"),
     (lambda: ctxlab.parse_inequality("abc*x <= 1"), "bad coefficient in term 'abc*x'"),
     (lambda: ctxlab.parse_inequality("x! <= 1"), "bad atom 'x!' in term 'x!'"),
-], ids=["invalid-logic", "duplicate-atom", "no-sense", "bound", "coefficient", "atom"])
+    (lambda: ctxlab.facet_enumeration(ctxlab.VertexSet(("x",), (), ())), "no vertices"),
+    (lambda: ctxlab.vertices_from_states(ctxlab.catalog_get("pentagon").logic,
+                                         project=("1", "1")),
+     "projection repeats atom '1'"),
+    (lambda: ctxlab.canonical_inequality(("x", "y"), (1, 0), 1,
+                                         [ctxlab.Equality(("x", "y"), (0, 0), 1)]),
+     "equalities are inconsistent"),
+], ids=["invalid-logic", "duplicate-atom", "no-sense", "bound", "coefficient", "atom",
+        "no-vertices", "projection-repeat", "inconsistent-equalities"])
 def test_refusals_are_logic_errors_and_value_errors(call, message):
     for base in (ctxlab.LogicError, ValueError):
         try:

@@ -657,12 +657,19 @@ class TestVertexCoordinates:
         (((0.0, 1), (1, 0)), "vertex coordinate 0.0 is not an int or a Fraction"),
         (((0, 0), (1, 0, 1)), "vertex has 3 coordinates for 2 labels"),
         (((0,), (1, 0)), "vertex has 1 coordinates for 2 labels"),
+        # the first bad vertex names the reason, whichever check it fails
+        (((0, 0.5), (1,)), "vertex coordinate 0.5 is not an int or a Fraction"),
+        (((0,), (1, 0.5)), "vertex has 1 coordinates for 2 labels"),
+        (((0, F(1, 2)), (1, "1")), "vertex coordinate '1' is not an int or a Fraction"),
     ])
     def test_bad_vertex_sets_raise(self, rows, reason):
         # no such set exists, so neither public function can be handed one
         with pytest.raises(ValueError) as err:
             VertexSet(("x", "y"), rows, (1,) * len(rows))
         assert str(err.value) == reason
+
+    def test_bool_coordinates_count_as_ints(self):
+        assert VertexSet(("x", "y"), ((False, True), (1, F(0))), (1, 1)).vertices
 
     def test_float_set_is_no_cache_hit_of_the_equal_fraction_set(self):
         # a float set equals and hashes like the Fraction set of the same

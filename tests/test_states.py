@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -112,6 +113,25 @@ class TestEnumerate:
         states = enumerate_states(logic)
         assert [s.bits for s in states] == [
             tuple((i + j) % 2 for i in range(n + 1)) for j in (0, 1)]
+
+    def test_cycle24_has_lucas_many_states(self):
+        # the Lucas number L_24: the k-cycle's count is L_k (perfbench/gen.py)
+        assert len(enumerate_states(cycle(24))) == 103_682
+
+    def test_peres24_has_no_state(self):
+        # Peres' 24 rays of R^4: (1,0,0,0), (1,±1,0,0), (1,±1,±1,±1) up to
+        # sign and permutation; the contexts are its orthogonal bases
+        rays = sorted({tuple(c if next(x for x in v if x) > 0 else -c for c in v)
+                       for base in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1))
+                       for signs in itertools.product((1, -1), repeat=4)
+                       for v in itertools.permutations([b * s for b, s in zip(base, signs)])})
+        names = ["r" + "".join("m" if c < 0 else str(c) for c in r) for r in rays]
+        bases = [q for q in itertools.combinations(range(len(rays)), 4)
+                 if all(sum(x * y for x, y in zip(rays[i], rays[j])) == 0
+                        for i, j in itertools.combinations(q, 2))]
+        logic = Logic(tuple(names), tuple(tuple(names[i] for i in q) for q in bases))
+        assert (len(logic.atoms), len(logic.contexts)) == (24, 24)
+        assert enumerate_states(logic) == ()
 
 
 class TestBruteForce:
@@ -462,10 +482,10 @@ class TestSerialization:
 
 
 @st.composite
-def small_valid_logics(draw):
-    n = draw(st.integers(2, 8))
+def small_valid_logics(draw, max_atoms=8, max_contexts=4):
+    n = draw(st.integers(2, max_atoms))
     atoms = tuple(str(i) for i in range(1, n + 1))
-    n_ctx = draw(st.integers(1, 4))
+    n_ctx = draw(st.integers(1, max_contexts))
     contexts, seen = [], set()
     for _ in range(n_ctx):
         size = draw(st.integers(2, min(4, n)))
@@ -477,13 +497,19 @@ def small_valid_logics(draw):
     return Logic(tuple(a for a in atoms if a in used), tuple(contexts))
 
 
-@given(small_valid_logics())
-@settings(max_examples=80, deadline=None)
-def test_enumeration_matches_brute_force(logic):
+@given(small_valid_logics(max_atoms=12, max_contexts=8), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_enumeration_matches_brute_force(logic, rng):
     from ctxlab.logic import validate_logic
     if not validate_logic(logic).ok:
         return
-    assert enumerate_states(logic) == brute_force_states(logic)
+    expected = brute_force_states(logic)
+    assert enumerate_states(logic) == expected
+    # the search picks its own context order, so the declared order of the
+    # contexts, and of the atoms inside each, must not show in the result
+    contexts = [tuple(rng.sample(c, len(c))) for c in logic.contexts]
+    rng.shuffle(contexts)
+    assert enumerate_states(Logic(logic.atoms, tuple(contexts))) == expected
 
 
 @given(st.lists(st.integers(0, 100), min_size=11, max_size=11).filter(lambda w: sum(w) > 0))
