@@ -20,14 +20,10 @@ of ``certify_value_indefiniteness`` index the bytes of
 :func:`enumerate_states`'s states by the logic's atom positions, and
 ``TwoValuedState.__getitem__`` and ``bit_string`` read a state's own bytes.
 
-The states come from a frontier search (:func:`_true_masks`), a dynamic
-program over the contexts rather than a depth-first search.  It takes next
-the context with the most atoms already seen and groups the partial states
-by their values on the boundary, the seen atoms that a later context still
-holds, so each context branches once per group of partial states with the
-same completions.  Each state is an int true mask whose numeric order is
-the canonical order, so the states are sorted once at the end and the
-order in which the search took the contexts never shows.
+The states come from a frontier search (:func:`_true_masks`): a dynamic
+program over the contexts that groups partial states by their values on
+the atoms a later context still holds.  The states are sorted once at the
+end, so the order in which the search took the contexts never shows.
 """
 
 from __future__ import annotations
