@@ -170,7 +170,7 @@ def _psi(args, r: Realization):
 
 
 def _project(args) -> tuple[str, ...] | None:
-    if getattr(args, "project", None):
+    if getattr(args, "project", None) is not None:  # '' and ',' name no atom
         return tuple(p for p in args.project.split(",") if p)
     return None
 

@@ -22,12 +22,18 @@ pivot loop does integer arithmetic only.  Each decision the simplex makes is
 the sign of an entry or a comparison of two ratios rhs_i / a_i, and a
 positive scaling of a row changes neither; the pivot sequence, and with it
 every solution, dual and Farkas vector, is the one the rational tableau
-takes.  Fractions are built only when a result is read off, as entries over
-their row's scale.  Inputs are ints or Fractions, taken as given: the public
+takes.  Fractions are built only when a result is read off: a solution
+entry is its row's rhs over the row's scale, and each dual entry is one
+Fraction of an integer sum over the common denominator of the basic rows'
+scales.  Inputs are ints or Fractions, taken as given: the public
 functions of :mod:`ctxlab.polytope` refuse anything else before an LP is
-built.  Problem sizes here are tens of rows and at most a couple
-of hundred columns, where simplicity and exactness matter more than sparse
-data structures; pivots leave rows with a zero in the pivot column alone.
+built, and rows that are already all ints are copied, not re-scaled.
+Problem sizes here are tens of rows and at most a couple of hundred
+columns, where simplicity and exactness matter more than sparse data
+structures, but the tableau is mostly zeros: a pivot leaves rows with a
+zero in the pivot column alone and, in the rest, changes only the entries
+on the pivot row's support beyond one scaling (none when the pivot entry
+is 1), the same elimination as the polytope layer's ``_rref``.
 """
 
 from __future__ import annotations
@@ -66,16 +72,31 @@ def scale_to_integers(values: Sequence) -> tuple[list[int], int]:
     """``(ints, scale)`` with ints = scale * values, where scale is the lcm of
     the denominators of the values (ints or Fractions; 1 for no values): the
     smallest positive integer multiple of the vector.  The one place that
-    turns exact rationals into an integer row."""
+    turns exact rationals into an integer row.  The list is always new, so
+    callers may update it in place."""
+    if set(map(type, values)) <= {int}:  # already integral: copy, scale 1
+        return list(values), 1
     ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*[q for _, q in ratios])
-    return [p * (scale // q) for p, q in ratios], scale
+    scale = lcm(*{q for _, q in ratios})
+    return [p * (scale // q) for p, q in ratios] if scale > 1 else [p for p, _ in ratios], scale
 
 
 def _primitive(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries (a zero row passes through)."""
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
+
+
+def _eliminate(row: list[int], p: int, f: int, support: list[tuple[int, int]]) -> list[int]:
+    """``p * row - f * top`` over its gcd, where ``support`` lists the
+    (index, entry) pairs of ``top``'s nonzero entries: only those entries
+    change beyond the scaling, which is skipped when p == 1 (the row is
+    then updated in place)."""
+    if p != 1:
+        row = [p * v for v in row]
+    for k, w in support:
+        row[k] -= f * w
+    return _primitive(row)
 
 
 class _Tableau:
@@ -112,27 +133,25 @@ class _Tableau:
         """Install a cost row reduced against the current basis."""
         row = _primitive(scale_to_integers(costs)[0] + [0])
         for basic_row, bv in zip(self.rows, self.basis):
-            f = row[bv]
-            if f:
-                p = basic_row[bv]
-                row = _primitive([p * d - f * v for d, v in zip(row, basic_row)])
+            if f := row[bv]:
+                row = _eliminate(row, basic_row[bv], f,
+                                 [(k, w) for k, w in enumerate(basic_row) if w])
         self.cost = row
 
     def pivot(self, r: int, col: int) -> None:
         """Make ``col`` basic in row r: every other row with a nonzero f in
-        ``col`` becomes ``p * row - f * rr`` over its gcd (p = rr[col] > 0),
-        a positive multiple of the rational update."""
+        ``col``, cost row included, becomes ``p * row - f * rr`` over its
+        gcd (p = rr[col] > 0), a positive multiple of the rational update."""
         rr = self.rows[r]
         if rr[col] < 0:  # only when phase 1 drives an artificial out
             rr = self.rows[r] = [-v for v in rr]
         p = rr[col]
+        support = [(k, w) for k, w in enumerate(rr) if w]
         for i, row in enumerate(self.rows):
-            f = row[col]
-            if f and i != r:
-                self.rows[i] = _primitive([p * v - f * w for v, w in zip(row, rr)])
-        f = self.cost[col] if self.cost else 0
-        if f:
-            self.cost = _primitive([p * v - f * w for v, w in zip(self.cost, rr)])
+            if i != r and (f := row[col]):
+                self.rows[i] = _eliminate(row, p, f, support)
+        if self.cost and (f := self.cost[col]):
+            self.cost = _eliminate(self.cost, p, f, support)
         self.basis[r] = col
 
     def run(self) -> str:
@@ -166,16 +185,15 @@ class _Tableau:
         return x
 
     def dual_for(self, costs: list) -> list[Fraction]:
-        """y = c_B . B^-1 in the original row order and scaling."""
-        y = []
-        for j in range(self.m):
-            col = self.n + j
-            acc = Fraction(0)
-            for row, bv in zip(self.rows, self.basis):
-                if costs[bv] and row[col]:
-                    acc += costs[bv] * Fraction(row[col], row[bv])
-            y.append(acc * self.sign[j])
-        return y
+        """y = c_B . B^-1 in the original row order and scaling, summed in
+        integers over one common denominator: row i contributes c[bv] *
+        row[n + j] / row[bv], and the costs are scaled to integers first."""
+        ints, scale = scale_to_integers(costs)
+        basic = [(ints[bv], row[bv], row) for row, bv in zip(self.rows, self.basis) if ints[bv]]
+        den = lcm(*[d for _, d, _ in basic])
+        weights = [(c * (den // d), row) for c, d, row in basic]
+        return [Fraction(sign * sum(w * row[self.n + j] for w, row in weights), scale * den)
+                for j, sign in enumerate(self.sign)]
 
 
 def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
@@ -242,6 +260,6 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
             return LPResult(status=UNBOUNDED)
     x = t.solution()
     first = costs[0]
-    obj = sum(ci * xi for ci, xi in zip(first, x))
+    obj = sum((first[bv] * x[bv] for bv in t.basis if bv < n), Fraction(0))
     y = t.dual_for([*first, *padding])
     return LPResult(status=OPTIMAL, x=tuple(x), objective=obj, dual=tuple(y))

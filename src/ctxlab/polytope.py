@@ -38,9 +38,9 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _primitive, check_invariant,
-                             scale_to_integers, solve_lexicographic,
-                             solve_standard)
+from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _eliminate, _primitive,
+                             check_invariant, scale_to_integers,
+                             solve_lexicographic, solve_standard)
 from ctxlab.logic import ATOM_TOKEN, InvalidInput, Logic, LogicError
 from ctxlab.states import (TwoValuedState, UnknownAtom, _check_valid, _rows,
                            enumerate_states)
@@ -168,12 +168,9 @@ def _rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
         top = rows[r] = rows[r] if rows[r][col] > 0 else [-v for v in rows[r]]
         p = top[col]
         support = [(k, w) for k, w in enumerate(top) if w]
-        for i, row in enumerate(rows):  # p * row - f * top, like _Tableau.pivot
+        for i, row in enumerate(rows):  # like _Tableau.pivot; rows are copies
             if i != r and (f := row[col]):
-                row = [p * v for v in row] if p != 1 else row  # copied above
-                for k, w in support:
-                    row[k] -= f * w
-                rows[i] = _primitive(row)
+                rows[i] = _eliminate(row, p, f, support)
         pivots.append(col)
         r += 1
     return rows[:r], pivots
@@ -208,11 +205,12 @@ class _Hull:
     of their denominators; ``v0`` is the first and ``basis``/``pivots`` the
     RREF of the differences v - v0.  A point x of the hull is fixed by its
     ``dim`` reduced coordinates, scale * x - v0 on the pivots (``reduce``).
-    ``equalities`` are the canonical hull equalities, one per null-space
-    vector, and ``equality_ints`` the same as integer [coeffs | bound].  The
-    vertices in reduced coordinates (``reduced``) and the equalities'
-    ``rref`` are computed on first use: a point off the hull needs neither,
-    a point inside only ``reduced``.
+    ``equality_ints`` are the canonical hull equalities as integer
+    [coeffs | bound], one per null-space vector.  Their Fraction form
+    (``equalities``), the vertices in reduced coordinates (``reduced``) and
+    the equalities' ``rref`` are computed on first use: membership builds
+    only the one equality a point violates, a point off the hull needs
+    nothing else, and a point inside only ``reduced``.
     """
 
     def __init__(self, vset: VertexSet):
@@ -229,8 +227,11 @@ class _Hull:
         for a in _nullspace(self.basis, self.pivots, n):  # a.x == a.v0 / scale
             vec = _primitive([scale * c for c in a] + [sum(c * w for c, w in zip(a, v0))])
             self.equality_ints.append(vec if next(c for c in vec if c) > 0 else [-c for c in vec])
-        self.equalities = tuple(Equality(self.labels, tuple(map(Fraction, vec[:-1])),
-                                         Fraction(vec[-1])) for vec in self.equality_ints)
+
+    @cached_property
+    def equalities(self) -> tuple[Equality, ...]:
+        return tuple(Equality(self.labels, tuple(map(Fraction, vec[:-1])), Fraction(vec[-1]))
+                     for vec in self.equality_ints)
 
     def reduce(self, point: Vector) -> Vector:
         return tuple(self.scale * point[p] - self.v0[p] for p in self.pivots)
@@ -483,11 +484,12 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
         return MembershipResult(inside=False)
     hull = _Hull(vset)
     ints, s = scale_to_integers(p)
-    for vec, eq in zip(hull.equality_ints, hull.equalities):
+    for vec in hull.equality_ints:
         lhs, rhs = sum(c * x for c, x in zip(vec[:-1], ints)), s * vec[-1]
         if lhs != rhs:
             sign = 1 if lhs > rhs else -1
-            sep = Inequality(vset.labels, tuple(sign * v for v in eq.coeffs), sign * eq.bound)
+            sep = Inequality(vset.labels, tuple(Fraction(sign * v) for v in vec[:-1]),
+                             Fraction(sign * vec[-1]))
             return MembershipResult(inside=False, separator=sep,
                                     value_at_point=_dot(sep.coeffs, p),
                                     max_over_vertices=sep.bound)

@@ -272,6 +272,15 @@ class TestTextOutputs:
         assert code == 0
         assert out.splitlines() == ["labels: ", "dim: 0", "vertices: 1"]
 
+    @pytest.mark.parametrize("command", ["hull", "member"])
+    def test_empty_projection_spellings_agree(self, capsys, exotic, command):
+        # --project '' names no atom, as ',' does: neither runs unprojected
+        extra = ("--assign", exotic) if command == "member" else ()
+        outs = [run(capsys, command, "--catalog", "pentagon", *extra, "--project", spelling)
+                for spelling in ("", ",")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and "dim: 5" not in outs[0][1]
+
     def test_member_outside_report(self, capsys, exotic):
         code, out, _ = run(capsys, "member", "--catalog", "pentagon",
                            "--assign", exotic, "--project", "1,3,5,7,9",

@@ -299,6 +299,31 @@ def test_integer_tableau_matches_fraction_oracle(lp):
         assert_matches_oracle(*lp)
 
 
+@contextmanager
+def recorded_pivots(cls):
+    """Record the (row, col) of every pivot ``cls._Tableau`` makes."""
+    path, pivot = [], cls._Tableau.pivot
+
+    def recording_pivot(t, r, col):
+        path.append((r, col))
+        pivot(t, r, col)
+
+    with mock.patch.object(cls._Tableau, "pivot", recording_pivot):
+        yield path
+
+
+@given(rational_lps())
+@settings(max_examples=400, deadline=None)
+def test_integer_tableau_takes_the_oracle_pivot_path(lp):
+    """Equal results are not enough: both kernels pivot on the same
+    entries in the same order."""
+    with recorded_pivots(exactlp) as got:
+        solve_lexicographic(*lp)
+    with recorded_pivots(lp_oracle) as want:
+        lp_oracle.solve_lexicographic(*lp)
+    assert got == want
+
+
 def test_artificial_driven_out_on_negative_pivot():
     # -x1 - x2 = 0 forces x = 0.  Phase 1 is optimal at once with the
     # artificial basic at zero, and driving it out pivots on the -1 of x1.
@@ -346,3 +371,16 @@ def test_scale_to_integers_matches_fraction_reference(values):
 
 def test_scale_to_integers_of_nothing():
     assert scale_to_integers([]) == ([], 1)
+
+
+def test_scale_to_integers_copies_int_rows():
+    # callers update the returned row in place (_rref, _Tableau.pivot), so
+    # an all-int input must come back equal but never as the same list
+    values = [3, 0, -2]
+    ints, scale = scale_to_integers(values)
+    assert (ints, scale) == ([3, 0, -2], 1) and ints is not values
+    ints[0] = 99
+    assert values == [3, 0, -2]
+    ints, scale = scale_to_integers((True, False, 2))
+    assert (ints, scale) == ([1, 0, 2], 1)
+    assert [type(v) for v in ints] == [int, int, int]
