@@ -108,8 +108,9 @@ def _logic(args, suffix: str = "") -> Logic:
 def _realization(args) -> tuple[Realization, bool]:
     """Vector input plus whether partial coverage is acceptable.
 
-    ``--vectors`` files are checked strictly; a catalog realization that is
-    partial by design (only some atoms have vectors) is checked as such.
+    ``--vectors`` files are checked strictly.  Catalog realizations may be
+    partial by design (only some atoms have vectors); checking a full one
+    as partial gives the same report.
     """
     from ctxlab.realization import parse_vectors
     if getattr(args, "vectors", None):
@@ -117,9 +118,7 @@ def _realization(args) -> tuple[Realization, bool]:
             return parse_vectors(fh.read()), False
     entry = _entry(args)
     if entry is not None and entry.realization is not None:
-        logic = entry.logic
-        partial = set(entry.realization.vectors) != set(logic.atoms)
-        return entry.realization, partial
+        return entry.realization, True
     raise LogicError("no vectors: pass --vectors FILE or pick a catalog "
                        "entry that ships a realization")
 

@@ -296,10 +296,11 @@ def _canonical_form(labels: tuple[str, ...], aug: list[int],
     """:func:`canonical_inequality` of the int row ``aug`` = [coeffs | bound]
     given the ``_rref`` of the equalities' rows [coeffs | bound].  Every step
     scales the row by a positive integer, which the final primitive scaling
-    removes: eliminating pivot p makes ``row[p] * aug - aug[p] * row``."""
+    removes: eliminating pivot p makes ``row[p] * aug - aug[p] * row``
+    (``_eliminate``, which may update ``aug`` in place)."""
     for row, p in zip(rr, piv):
         if f := aug[p]:
-            aug = _primitive([row[p] * a - f * b for a, b in zip(aug, row)])
+            aug = _eliminate(aug, row[p], f, [(k, w) for k, w in enumerate(row) if w])
     if rr:
         s = _nonneg_representative(aug[:-1], rr, piv)
         if s is not None:
@@ -340,44 +341,34 @@ def _extreme_rays(M: list[Sequence]) -> list[tuple[int, ...]]:
     The work is exact and integral: each row is scaled to primitive integers
     (a positive row scaling leaves the cone unchanged), rays are primitive
     int tuples, and the zero set of a ray (the processed rows it is tight
-    on) is an int bitmask with bit j for row j.  Two rays are adjacent when
-    no third ray's zero set contains their common one.  A new ray combines
-    its parents with positive weights and both are >= 0 on every processed
-    row, so it is zero on a row exactly when both parents are: its zero set
-    is theirs intersected, plus the row that created it.
+    on) is an int bitmask with bit j for row j.  One ``_rref`` of
+    [rows^T | I] seeds the cone: its pivot columns among the rows are the
+    first d independent rows, and the identity block of RREF row j is
+    column j of their inverse, the ray positive on chosen row j and zero on
+    the other chosen rows; every zero set starts empty.  Then each row, the
+    chosen ones first, takes one update: rays zero on it gain its bit, rays
+    negative on it go, and each positive-negative pair that is adjacent (no
+    third ray's zero set contains their common one) makes a new ray.  It
+    combines its parents with positive weights and both are >= 0 on every
+    processed row, so it is zero on a row exactly when both parents are:
+    its zero set is theirs intersected, plus the row that created it.
     """
-    d = len(M[0])
+    n, d = len(M), len(M[0])
     rows = [_primitive(scale_to_integers(row)[0]) for row in M]
     supports = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
-    # initial simplicial subcone from the first d linearly independent rows:
-    # the pivot columns of rref(rows^T)
-    _, chosen = _rref([list(col) for col in zip(*rows)])
+    rr, piv = _rref([list(col) + [int(j == t) for j in range(d)]
+                     for t, col in enumerate(zip(*rows))])
+    chosen = [p for p in piv if p < n]
     if len(chosen) < d:
         raise ValueError("cone is not pointed: constraint rows do not span")
+    rays = [tuple(_primitive(row[n:])) for row in rr]
+    zero_sets = [0] * d
 
-    # columns of the inverse of the chosen rows are the initial rays: ray_j
-    # satisfies rows_chosen . ray_j = e_j, and its entry i is
-    # rr[i][d + j] / rr[i][i]
-    aug = [rows[i] + [int(j == t) for j in range(d)] for t, i in enumerate(chosen)]
-    rr, piv = _rref(aug)
-    check_invariant(piv == list(range(d)), "initial cone rows are independent")
-    scale = lcm(*(row[i] for i, row in enumerate(rr)))
-    rays = [tuple(_primitive([row[d + j] * (scale // row[i]) for i, row in enumerate(rr)]))
-            for j in range(d)]
-    chosen_bits = sum(1 << i for i in chosen)
-    zero_sets = [chosen_bits & ~(1 << i) for i in chosen]
-
-    in_chosen = set(chosen)
-    for i in range(len(rows)):
-        if i in in_chosen:
-            continue
+    for i in chosen + sorted(set(range(n)).difference(chosen)):
         bit = 1 << i
         vals = [sum(a * r[k] for k, a in supports[i]) for r in rays]
-        neg = [t for t, v in enumerate(vals) if v < 0]
-        if not neg:
-            zero_sets = [zs | bit if v == 0 else zs for zs, v in zip(zero_sets, vals)]
-            continue
         pos = [t for t, v in enumerate(vals) if v > 0]
+        neg = [t for t, v in enumerate(vals) if v < 0]
         new_rays: list[tuple[int, ...]] = []
         new_zero: list[int] = []
         for p in pos:

@@ -458,8 +458,6 @@ def convex_mixture(states: Sequence[TwoValuedState],
     where it is true, over the common denominator.
     """
     nums, d = _scaled_weights(weights, states)
-    if not states:
-        return {}
     atoms = states[0].atoms
     _require_atoms(states, atoms, "the first state")
     positions = range(len(atoms))

@@ -18,6 +18,9 @@ from ctxlab.states import PairProperty
 from helpers import DATA
 
 HUGE = "9" * 400  # an integer past the float range
+# context sums give 2 over the first two contexts and 3 over the last three:
+# no probability measure, hence no two-valued state
+PRISM = "context 1 2 3\ncontext 4 5 6\ncontext 1 4\ncontext 2 5\ncontext 3 6\n"
 
 
 def run(capsys, *argv):
@@ -222,6 +225,42 @@ class TestExitCodes:
         if argv[0] == "realization-check":
             assert "line 1, column 7" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("logic a b\ncontext x y\n", "line 1, column 1: 'logic' takes exactly one name"),
+        ("logic\ncontext x y\n", "line 1, column 1: 'logic' takes exactly one name"),
+        ("atom\ncontext x y\n", "line 1, column 1: 'atom' needs an id"),
+        ("atom x-y\ncontext x y\n", "line 1, column 6: bad atom id 'x-y'"),
+    ], ids=["logic-two-names", "logic-no-name", "atom-no-id", "atom-bad-id"])
+    def test_logic_syntax_error_exits_1(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.logic"
+        path.write_text(text)
+        assert run(capsys, "validate", "--logic", str(path)) == (1, "", f"error: {message}\n")
+
+    def test_vector_line_without_components_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "short.vec"
+        path.write_text("vec 1 1 0 0 0\nvec 2\n")
+        assert run(capsys, "realization-check", "--catalog", "triangle4d",
+                   "--vectors", str(path)) == (
+            1, "", "error: line 2, column 1: need an atom id and components\n")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("repeated.assign", "1 1/2\n# comment\n1 1/3\n", "repeated.assign:3: repeated atom '1'"),
+        ("empty.assign", "# only a comment\n\n", "empty.assign: no assignment lines"),
+    ], ids=["repeated-atom", "no-lines"])
+    def test_bad_assignment_file_exits_1(self, capsys, tmp_path, monkeypatch,
+                                         name, text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert run(capsys, "member", "--catalog", "pentagon", "--assign", name) == (
+            1, "", f"error: {message}\n")
+
+    def test_born_atom_without_vector_exits_1(self, capsys):
+        # specker_bug's realization gives vectors only to the lettered atoms
+        assert run(capsys, "born", "--catalog", "specker_bug", "--psi", "a",
+                   "--atom", "1") == (
+            1, "", "error: no probability for atom '1'; it has no vector "
+                   "in this realization\n")
+
     def test_huge_draw_count_exits_1(self, capsys):
         # more draws than an index can count is a domain error, not a traceback
         code, _, err = run(capsys, "urn", "--catalog", "pentagon", "--context", "0",
@@ -349,6 +388,55 @@ class TestTextOutputs:
                            str(DATA / "triangle4d.vec"))
         assert code == 0
         assert "ok: yes" in out
+
+    def test_empty_axiom_region(self, capsys, tmp_path):
+        # no measure at all: every inequality is (vacuously) implied
+        path = tmp_path / "prism.logic"
+        path.write_text(PRISM)
+        argv = ("axiom-check", "--logic", str(path), "--ineq", "1 <= 0")
+        assert run(capsys, *argv) == (
+            0, "inequality: 1 <= 0\nimplied: yes\nregion: empty\n", "")
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert payload == {"command": "axiom-check", "inequality": "1 <= 0",
+                           "implied": True, "region_empty": True,
+                           "optimum": None, "witness": None}
+        assert run(capsys, "states", "--count", "--logic", str(path)) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("name, text, missing, skipped", [
+        ("triangle4d", "dimension: 4\nok: yes\n", [], []),
+        ("square4d", "dimension: 4\nok: yes\n", [], []),
+        ("specker_bug", "dimension: 3\nok: yes\nmissing: 1 2 3 4 5 6 7 8 9 10 11\n"
+         "skipped_contexts: 0 1 2 3 4 5 6\n",
+         [str(k) for k in range(1, 12)], list(range(7))),
+    ])
+    def test_realization_check_catalog_pinned(self, capsys, name, text, missing, skipped):
+        # catalog realizations are checked as possibly partial; on a full one
+        # that is the strict report
+        assert run(capsys, "realization-check", "--catalog", name) == (0, text, "")
+        code, payload, _ = run_json(capsys, "realization-check", "--catalog", name)
+        assert code == 0
+        assert payload == {"command": "realization-check", "ok": True,
+                           "dimension": int(text.split()[1]),
+                           "norm_failures": [], "context_failures": [],
+                           "collinear_pairs": [], "missing_atoms": missing,
+                           "skipped_contexts": skipped}
+
+    def test_realization_check_failure_lines(self, capsys, tmp_path):
+        # d is not a unit vector and not orthogonal to c; a and c share a ray
+        logic, vec = tmp_path / "two.logic", tmp_path / "bad.vec"
+        logic.write_text("context a b\ncontext c d\n")
+        vec.write_text("vec a 1 0\nvec b 0 1\nvec c 1 0\nvec d 2 2\n")
+        argv = ("realization-check", "--logic", str(logic), "--vectors", str(vec))
+        assert run(capsys, *argv) == (
+            1, "dimension: 2\nok: no\nbad_norm: d 8\nbad_context: 1 c,d inner 2\n"
+               "collinear: a c\n", "")
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 1
+        assert (payload["norm_failures"], payload["context_failures"],
+                payload["collinear_pairs"]) == (
+            [["d", 8.0]], [{"context": 1, "pair": ["c", "d"], "value": 2.0}],
+            [["a", "c"]])
 
     def test_born_vector_psi(self, capsys):
         code, out, _ = run(capsys, "born", "--catalog", "triangle4d",

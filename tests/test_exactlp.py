@@ -226,6 +226,11 @@ def test_lexicographic_rejects_bad_objectives():
         solve_lexicographic([[1, 0], [1]], [[1, 1]], [1])
 
 
+def test_lexicographic_rejects_rhs_length_mismatch():
+    with pytest.raises(ValueError, match="rhs length mismatch"):
+        solve_lexicographic([[1, 0]], [[1, 1]], [1, 2])
+
+
 # ------------------------------------------------ integer rows vs the reference
 
 # zero-heavy rational entries: degenerate vertices, zero and sparse rows

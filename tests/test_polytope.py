@@ -29,6 +29,7 @@ from test_golden import WITH_LOGIC
 from test_golden import _points as golden_points
 
 F = Fraction
+PRISM = "context 1 2 3\ncontext 4 5 6\ncontext 1 4\ncontext 2 5\ncontext 3 6\n"
 
 
 def vset(labels, rows):
@@ -545,6 +546,15 @@ class TestAxiomImplied:
         lg = load_logic("pentagon")
         r = axiom_implied(lg, Inequality(("1",), (F(1),), F(1)))
         assert r.implied and not r.region_empty
+
+    def test_empty_region_implies_everything(self):
+        # the prism: the two 3-atom contexts make the atom sum 2, the three
+        # 2-atom contexts make it 3, so no measure (and no state) exists
+        from ctxlab.logic import parse_logic
+        lg = parse_logic(PRISM)
+        r = axiom_implied(lg, Inequality(("1",), (F(1),), F(0)))
+        assert (r.implied, r.optimum, r.witness, r.region_empty) == (True, None, None, True)
+        assert not enumerate_states(lg)
 
     def test_invalid_logic_rejected(self):
         from ctxlab.logic import Logic

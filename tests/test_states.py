@@ -391,6 +391,11 @@ class TestMixtures:
         p = convex_mixture(states, weights)
         assert all(p[a] == b for a, b in zip(states[k].atoms, states[k].bits))
 
+    def test_no_states_no_weights_is_not_normalized(self):
+        # an empty weight tuple sums to 0, so there is no empty mixture
+        with pytest.raises(WeightsNotNormalized, match=r"^weights sum to 0, not 1$"):
+            convex_mixture((), ())
+
     def test_weight_count_mismatch(self):
         states = enumerate_states(load_logic("pentagon"))
         with pytest.raises(WeightCountMismatch):
