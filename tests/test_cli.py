@@ -15,12 +15,9 @@ from ctxlab.logic import parse_logic
 from ctxlab.polytope import parse_inequality
 from ctxlab.states import PairProperty
 
-from helpers import DATA
+from helpers import DATA, PRISM
 
 HUGE = "9" * 400  # an integer past the float range
-# context sums give 2 over the first two contexts and 3 over the last three:
-# no probability measure, hence no two-valued state
-PRISM = "context 1 2 3\ncontext 4 5 6\ncontext 1 4\ncontext 2 5\ncontext 3 6\n"
 
 
 def run(capsys, *argv):

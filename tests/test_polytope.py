@@ -22,14 +22,13 @@ from ctxlab.states import UnknownAtom, enumerate_states
 from canonical_oracle import (canonical_form_oracle, eliminate_pivots,
                               nonneg_representative)
 from dd_oracle import extreme_rays
-from helpers import load_logic
+from helpers import PRISM, load_logic
 from hull_oracle import FractionHull, brute_facets, fraction_membership
 from rref_oracle import rref
 from test_golden import WITH_LOGIC
 from test_golden import _points as golden_points
 
 F = Fraction
-PRISM = "context 1 2 3\ncontext 4 5 6\ncontext 1 4\ncontext 2 5\ncontext 3 6\n"
 
 
 def vset(labels, rows):
@@ -548,8 +547,6 @@ class TestAxiomImplied:
         assert r.implied and not r.region_empty
 
     def test_empty_region_implies_everything(self):
-        # the prism: the two 3-atom contexts make the atom sum 2, the three
-        # 2-atom contexts make it 3, so no measure (and no state) exists
         from ctxlab.logic import parse_logic
         lg = parse_logic(PRISM)
         r = axiom_implied(lg, Inequality(("1",), (F(1),), F(0)))
