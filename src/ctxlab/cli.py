@@ -124,8 +124,11 @@ def _realization(args) -> tuple[Realization, bool]:
 
 
 def _fraction(text: str, where: str) -> Fraction:
+    from ctxlab.exactlp import parse_rational
     try:
-        return Fraction(text)
+        return parse_rational(text)
+    except OverflowError as err:
+        raise LogicError(f"{where}: {err} in {text!r}") from None
     except ZeroDivisionError:
         raise LogicError(f"{where}: zero denominator in {text!r}") from None
     except ValueError:

@@ -38,6 +38,7 @@ is 1), the same elimination as the polytope layer's ``_rref``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -46,6 +47,8 @@ from typing import Sequence
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+MAX_EXPONENT = 4300  # Python's default int digit limit, sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
 class InternalError(RuntimeError):
@@ -66,6 +69,16 @@ class LPResult:
     objective: Fraction | None = None
     dual: tuple[Fraction, ...] | None = None
     farkas: tuple[Fraction, ...] | None = None
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, but an exponent over ``MAX_EXPONENT`` in magnitude
+    raises ``OverflowError`` first: ``Fraction`` builds 10**|e|, seconds of
+    work at |e| = 10**7."""
+    m = _EXPONENT.search(text)
+    if m and (len(e := m[1].replace("_", "").lstrip("0")) > 4 or int(e or 0) > MAX_EXPONENT):
+        raise OverflowError(f"exponent magnitude over {MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def scale_to_integers(values: Sequence) -> tuple[list[int], int]:

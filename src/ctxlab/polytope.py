@@ -5,19 +5,20 @@ subset of atoms); coordinates must be ints or Fractions.  Facets are
 enumerated with the double description method inside the affine hull of the
 vertex set; affine-hull equalities are reported separately from proper
 facets.  Membership tests run an exact rational LP and return either convex
-weights or a separating inequality that is simultaneously a facet.  Both take
-all they derive from the vertex set (hull equalities, reduced coordinates,
-canonical forms) from one ``_Hull``.  Everything here is exact rational or
-integer arithmetic; there is no floating-point fallback: a float vertex or
-point coordinate, or inequality or equality entry, raises ``ValueError``
+weights or a separating inequality: a violated hull equality or one of the
+enumerated facets.  Both take all they derive from the vertex set (hull
+equalities, reduced coordinates) from ``_Hull``.  Everything here is exact
+rational or integer arithmetic; there is no floating-point fallback: a float
+vertex or point coordinate, or inequality or equality entry, raises ``ValueError``
 (``VertexSet``, ``canonical_inequality``, ``membership`` and
 ``axiom_implied`` check; the LP layer below takes what they pass).  Linear
 algebra runs on integers, scaled by ``exactlp.scale_to_integers``:
 ``_rref`` eliminates fraction-free, ``_Hull`` scales the vertices once to
 a common denominator, double description keeps rows and rays primitive int
-tuples, with a ray's zero set an int bitmask, and canonical forms and polar
-facets hand the exact LP only int rows, right-hand sides and objectives.
-Fractions are built where a result leaves the module.
+tuples, with a ray's zero set an int bitmask, canonical forms hand the
+exact LP only int rows, right-hand sides and objectives, and membership
+ranks the facets by integer cross-multiplication.  Fractions are built where
+a result leaves the module.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -39,7 +40,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _eliminate, _primitive,
-                             check_invariant, scale_to_integers,
+                             check_invariant, parse_rational, scale_to_integers,
                              solve_lexicographic, solve_standard)
 from ctxlab.logic import ATOM_TOKEN, InvalidInput, Logic, LogicError
 from ctxlab.states import (TwoValuedState, UnknownAtom, _check_valid, _rows,
@@ -467,7 +468,9 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     with the largest polar ratio (a.p - a.c) / (b - a.c), c the centroid of
     the deduplicated vertices; ties go to the facet whose polar vertex z
     (the facet as z.(y - c) <= 1 in the hull's reduced coordinates y) is
-    lexicographically smallest.  Point coordinates are ints or Fractions.
+    lexicographically smallest.  That facet is scanned from
+    ``facet_enumeration(vset)``, so later outside queries on an equal vertex
+    set read the memoized facets.  Point coordinates are ints or Fractions.
     """
     p = tuple(point[a] if a in point else _missing(a) for a in vset.labels)
     _require_exact(p, "point coordinate")
@@ -491,13 +494,8 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     if res.status == OPTIMAL:
         return MembershipResult(inside=True, weights=res.x)
 
-    total = [sum(col) for col in cols]
-    z = _polar_facet(reduced, total, y_p)
-    sep = hull.canonical(z, 1 + _dot(z, total) / m)
-    value = _dot(sep.coeffs, p)
-    check_invariant(hull.supports(sep) and value > sep.bound,
-                    "separator not tight or not violated")
-    return MembershipResult(inside=False, separator=sep, value_at_point=value,
+    sep = _separator(hull, ints, s, facet_enumeration(vset).facets)
+    return MembershipResult(inside=False, separator=sep, value_at_point=_dot(sep.coeffs, p),
                             max_over_vertices=sep.bound)
 
 
@@ -505,31 +503,27 @@ def _missing(a: str):
     raise MissingCoordinate(f"point lacks coordinate {a!r}")
 
 
-def _polar_facet(reduced: list[tuple[int, ...]], total: list[int],
-                 y_p: Vector) -> Vector:
-    """The separator's polar vertex: the lexicographically smallest z that
-    maximizes the violation at ``y_p`` (see :func:`membership`).
-
-    With m vertices summing to ``total`` (m times the centroid c), maximize
-    z.(y_p - c) over {z : z.(m v - total) <= m}, i.e. z.(v - c) <= 1; the
-    optimum is > 1 exactly when y_p lies outside.  Minimizing z_1, z_2, ...
-    in turn over the bounded optimal face leaves one point, a vertex of the
-    polar, hence a facet of the primal.  The LP is integral: the objective
-    is the direction m y_p - total scaled to integers by s, so the test for
-    > 1 reads z.d > m s.
-    """
-    k, m = len(total), len(reduced)
-    rows = [[m * v[j] - total[j] for j in range(k)] for v in reduced]
-    d, s = scale_to_integers([m * y - t for y, t in zip(y_p, total)])
-    # variables: z+ (k), z- (k), slack (m); minimize -d.z, then z_1, ..., z_k
-    A = [r + [-x for x in r] + [int(i == t) for t in range(m)] for i, r in enumerate(rows)]
-    costs = [[-x for x in d]] + [[int(i == j) for j in range(k)] for i in range(k)]
-    res = solve_lexicographic([c + [-x for x in c] + [0] * m for c in costs], A, [m] * m)
-    check_invariant(res.status == OPTIMAL, "polar LP is bounded: the vertices span the hull")
-    z = tuple(res.x[j] - res.x[k + j] for j in range(k))
-    check_invariant(_dot(z, d) > m * s,
-                    "point outside the polytope violates the polar by more than 1")
-    return z
+def _separator(hull: _Hull, point: list[int], s: int,
+               facets: Sequence[Inequality]) -> Inequality:
+    """The facet :func:`membership` specifies for the in-hull point ``point``
+    / s, scanned from the integral ``facets``.  With m vertices, M = m * scale
+    and u = a.T, T the sum of the scaled vertices, the polar ratio of a.x <= b
+    is (M a.point - s u) / (s (M b - u)), with M b - u > 0; a tied facet's
+    polar vertex is z_j = m a.basis_j / (basis_j[pivot_j] (M b - u))."""
+    m = len(hull.ints)
+    M, total = m * hull.scale, [sum(col) for col in zip(*hull.ints)]
+    best, tied = (s, 1), []  # ratio 1: the point on the facet's plane
+    for f in facets:
+        terms = [(k, c.numerator) for k, c in enumerate(f.coeffs) if c]
+        u = sum(c * total[k] for k, c in terms)
+        num, den = M * sum(c * point[k] for k, c in terms) - s * u, M * f.bound.numerator - u
+        if (order := num * best[1] - best[0] * den) > 0:
+            best, tied = (num, den), []
+        if order >= 0:
+            tied.append((f, terms, den))
+    check_invariant(best[0] > s * best[1], "a point outside the polytope violates a facet")
+    return min(tied, key=lambda t: [Fraction(m * sum(c * row[k] for k, c in t[1]), row[p] * t[2])
+                                    for row, p in zip(hull.basis, hull.pivots)])[0]
 
 
 def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:
@@ -570,47 +564,36 @@ def parse_inequality(text: str) -> Inequality:
     star.  ``<=`` and ``>=`` are accepted; the latter is normalized by
     negation.
     """
-    if "<=" in text:
-        lhs, rhs = text.split("<=", 1)
-        flip = False
-    elif ">=" in text:
-        lhs, rhs = text.split(">=", 1)
-        flip = True
-    else:
+    sense = "<=" if "<=" in text else ">="
+    if sense not in text:
         raise InvalidInput("inequality needs '<=' or '>='")
-    try:
-        bound = Fraction(rhs.strip())
-    except (ValueError, ZeroDivisionError) as err:
-        raise InvalidInput(f"bad bound {rhs.strip()!r}") from err
+    lhs, rhs = text.split(sense, 1)
+    bound = _rational(rhs.strip(), f"bad bound {rhs.strip()!r}")
 
-    coeffs: dict[str, Fraction] = {}
-    order: list[str] = []
-    stripped = lhs.replace("-", "+-").split("+")
-    for term in stripped:
+    coeffs: dict[str, Fraction] = {}  # atoms in first-seen order
+    for term in lhs.replace("-", "+-").split("+"):
         term = term.strip()
         if not term:
             continue
-        sign = Fraction(1)
-        if term.startswith("-"):
-            sign = Fraction(-1)
-            term = term[1:].strip()
+        sign = Fraction(-1 if term.startswith("-") else 1)
+        term = term.removeprefix("-").strip()
         if "*" in term:
             num, atom = term.split("*", 1)
-            try:
-                coeff = sign * Fraction(num.strip())
-            except (ValueError, ZeroDivisionError) as err:
-                raise InvalidInput(f"bad coefficient in term {term!r}") from err
+            coeff = sign * _rational(num.strip(), f"bad coefficient in term {term!r}")
             atom = atom.strip()
         else:
-            coeff = sign
-            atom = term
+            coeff, atom = sign, term
         if not ATOM_TOKEN.match(atom):
             raise InvalidInput(f"bad atom {atom!r} in term {term!r}")
-        if atom not in coeffs:
-            coeffs[atom] = Fraction(0)
-            order.append(atom)
-        coeffs[atom] += coeff
-    if flip:
-        bound = -bound
-        coeffs = {a: -v for a, v in coeffs.items()}
-    return Inequality(tuple(order), tuple(coeffs[a] for a in order), bound)
+        coeffs[atom] = coeffs.get(atom, 0) + coeff
+    orient = Fraction(1 if sense == "<=" else -1)
+    return Inequality(tuple(coeffs), tuple(orient * c for c in coeffs.values()), orient * bound)
+
+
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except OverflowError as err:
+        raise InvalidInput(f"{what}: {err}") from None
+    except (ValueError, ZeroDivisionError) as err:
+        raise InvalidInput(what) from err

@@ -13,10 +13,13 @@ has codimension one inside the polytope's affine hull, kept when all
 vertices fall on one side.  Only meant for small inputs (the subset count is
 binomial).
 
-``fraction_membership`` solves the LPs of ``polytope.membership`` in the
-Fraction coordinates of a ``FractionHull``: the polar LP with the same
-lexicographic objectives (the violation, then each coordinate of the polar
-vertex), so weights and separators must come out equal.
+``fraction_membership`` answers ``polytope.membership`` in the Fraction
+coordinates of a ``FractionHull`` by LPs alone: the same inside LP, and for a
+point outside, a lexicographic LP on the polar (the violation, then each
+coordinate of the polar vertex).  ``membership`` scans the enumerated
+facets instead; this polar LP is kept, unchanged, as the independent
+reference the scan is compared against, so weights and separators must
+come out equal.
 """
 
 from __future__ import annotations

@@ -205,6 +205,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{name}:2: not a rational" in err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["mixture", "--catalog", "pentagon", "--weights", "big.weights"],
+         "big.weights:2: exponent magnitude over 4300 in '1e5000'"),
+        (["member", "--catalog", "pentagon", "--assign", "big.assign"],
+         "big.assign:1: exponent magnitude over 4300 in '-1e-5000'"),
+        (["axiom-check", "--catalog", "pentagon", "--ineq", "1e5000*1 + 2 <= 1"],
+         "bad coefficient in term '1e5000*1': exponent magnitude over 4300"),
+        (["axiom-check", "--catalog", "pentagon", "--ineq", "1 <= 1e5_000"],
+         "bad bound '1e5_000': exponent magnitude over 4300"),
+    ], ids=["weights", "assignment", "coefficient", "bound"])
+    def test_huge_exponent_is_refused_at_its_place(self, capsys, tmp_path, monkeypatch,
+                                                   argv, where):
+        # Fraction builds 10**|e| first: Fraction('1e10000000') alone takes seconds
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.weights").write_text("0\n1e5000\n")
+        (tmp_path / "big.assign").write_text("1 -1e-5000\n")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, f"error: {where}\n")
+
     @pytest.mark.parametrize("argv", [
         ["realization-check", "--catalog", "triangle4d", "--vectors", "huge.vec"],
         ["born", "--catalog", "triangle4d", "--psi", f"1 {HUGE} 0 0"],

@@ -389,3 +389,15 @@ def test_scale_to_integers_copies_int_rows():
     ints, scale = scale_to_integers((True, False, 2))
     assert (ints, scale) == ([1, 0, 2], 1)
     assert [type(v) for v in ints] == [int, int, int]
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", "1e0004300", " 7e1 ", "3/4"])
+def test_parse_rational_reads_exponents_up_to_the_limit(text):
+    assert exactlp.parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1e5_000", "1e" + "9" * 5000,
+                                  "1e100000000"])
+def test_parse_rational_refuses_larger_exponents_before_building_them(text):
+    with pytest.raises(OverflowError, match="exponent magnitude over 4300"):
+        exactlp.parse_rational(text)

@@ -423,6 +423,19 @@ class TestMembership:
         assert r.value_at_point == F(5, 2)
         assert r.max_over_vertices == 2
 
+    def test_outside_points_read_the_cached_facets(self):
+        """A point in the hull but outside the polytope takes its separator
+        from ``facet_enumeration``: a query on an equal vertex set, built
+        separately, reads the facets the first query enumerated."""
+        facet_enumeration.cache_clear()
+        first, second = (vertices_from_states(load_logic("pentagon")) for _ in range(2))
+        assert first == second and first is not second
+        point = {a: F(int(a) % 2, 2) for a in first.labels}  # 1/2 on the odd atoms
+        for vs in (first, second):
+            r = membership(point, vs)
+            assert not r.inside and r.separator in facet_enumeration(vs).facets
+        assert facet_enumeration.cache_info()[:2] == (3, 1)  # hits, misses
+
     def test_off_hull_point_gets_equality_separator(self):
         lg = load_logic("pentagon")
         vs = vertices_from_states(lg)
