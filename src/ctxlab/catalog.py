@@ -21,8 +21,7 @@ from itertools import combinations
 from math import acos, asin
 from typing import TYPE_CHECKING
 
-from ctxlab.logic import Logic, LogicError, parse_logic
-from ctxlab.states import PairProperty
+from ctxlab.logic import Logic, LogicError, PairProperty, parse_logic
 
 if TYPE_CHECKING:
     from ctxlab.realization import Realization

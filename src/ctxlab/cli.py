@@ -12,7 +12,12 @@ Exit 1 means a negative verdict or a refused input: a ``ctxlab.LogicError``
 ``OSError``.  Any other exception is a bug and keeps its traceback.
 Rationals print as ``p/q``; floats use 12 significant digits.  ``--json``
 emits one object validating against the schema shipped for the subcommand.
-Each subcommand imports only the layers it uses.
+
+Each call is a fresh process, and where bytecode writing is off it compiles
+every module it imports from source, so start-up is part of every answer.
+Each subcommand therefore imports only the layers it uses, inside its
+handler, and :func:`main` builds the arguments of the named subcommand
+alone (:func:`build_parser`).
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ctxlab.logic import (LogicError, export_greechie_dot, parse_logic,
-                          paste_logics, serialize_logic, validate_logic)
+from ctxlab.logic import (LogicError, PairProperty, export_greechie_dot,
+                          parse_logic, paste_logics, serialize_logic,
+                          validate_logic)
 
 if TYPE_CHECKING:
     from ctxlab.logic import Logic
@@ -136,14 +142,17 @@ def _fraction(text: str, where: str) -> Fraction:
 
 
 def _read_weights(path: str) -> MixtureWeights:
-    from ctxlab.states import MixtureWeights
+    from ctxlab.states import MixtureWeights, WeightsNotNormalized
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 values.append(_fraction(line, f"{path}:{lineno}"))
-    return MixtureWeights(tuple(values))
+    try:
+        return MixtureWeights(tuple(values))
+    except WeightsNotNormalized as err:
+        raise LogicError(f"{path}: {err}") from None
 
 
 def _read_assignment(path: str) -> dict[str, Fraction]:
@@ -517,7 +526,133 @@ def _cmd_export_dot(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand's own arguments; --json comes from the shared parent
+
+def _states_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--count", action="store_true", help="print only the count")
+
+
+def _property_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--given", required=True, metavar="ATOM")
+    p.add_argument("--target", required=True, metavar="ATOM")
+    p.add_argument("--expect", metavar="PROPERTY",
+                   choices=[prop.value for prop in PairProperty],
+                   help="exit 1 unless the property matches")
+
+
+def _mixture_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--weights", required=True, metavar="FILE",
+                   help="file with one rational weight per state line")
+
+
+def _hull_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--project", metavar="A,B,...",
+                   help="project onto these atoms first")
+
+
+def _member_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--assign", required=True, metavar="FILE",
+                   help="file with 'atom value' lines")
+    p.add_argument("--project", metavar="A,B,...")
+    p.add_argument("--expect", choices=["inside", "outside"],
+                   help="exit 1 unless the result matches")
+
+
+def _axiom_check_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--ineq", required=True, metavar="EXPR",
+                   help="inequality such as '1 + 4 + 7 <= 1'")
+
+
+def _realization_check_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--vectors", metavar="FILE")
+
+
+def _born_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--vectors", metavar="FILE")
+    p.add_argument("--psi", required=True, metavar="ATOM|TOKENS",
+                   help="atom id or space-separated component tokens")
+    p.add_argument("--atom", metavar="ATOM", help="print one probability")
+
+
+def _violate_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--vectors", metavar="FILE")
+    p.add_argument("--psi", required=True, metavar="ATOM|TOKENS")
+    p.add_argument("--ineq", required=True, action="append", metavar="EXPR",
+                   help="repeatable; exit 0 iff some inequality is violated")
+
+
+def _paste_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    _add_source(p, second=True)
+
+
+def _certify_vi_args(p: argparse.ArgumentParser) -> None:
+    _paste_args(p)
+    p.add_argument("--given", required=True, metavar="ATOM")
+    p.add_argument("--target", required=True, metavar="ATOM")
+
+
+def _urn_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--context", required=True, type=int, metavar="INDEX")
+    p.add_argument("--draws", type=int, default=10000, metavar="N")
+    p.add_argument("--seed", required=True, type=int, metavar="SEED")
+    p.add_argument("--weights", metavar="FILE",
+                   help="rational weight per state; default uniform")
+
+
+def _no_args(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+# name -> (handler, help text, adds its arguments), in usage order
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the context structure rules", _add_source),
+    "states": (_cmd_states, "enumerate the two-valued states", _states_args),
+    "classify": (_cmd_classify, "count states, test unital and separating",
+                 _add_source),
+    "property": (_cmd_property, "forced relation between two atoms", _property_args),
+    "mixture": (_cmd_mixture, "convex mixture of the states", _mixture_args),
+    "hull": (_cmd_hull, "facets of the correlation polytope", _hull_args),
+    "member": (_cmd_member, "test a point against the polytope", _member_args),
+    "axiom-check": (_cmd_axiom_check,
+                    "is the inequality implied by the measure axioms",
+                    _axiom_check_args),
+    "realization-check": (_cmd_realization_check,
+                          "verify unit norms and context orthogonality",
+                          _realization_check_args),
+    "born": (_cmd_born, "projection probabilities for a state vector", _born_args),
+    "violate": (_cmd_violate,
+                "evaluate classical inequalities on Born probabilities",
+                _violate_args),
+    "paste": (_cmd_paste, "paste two logics along shared atoms", _paste_args),
+    "certify-vi": (_cmd_certify_vi,
+                   "certify that the antecedent can hold no consistent value",
+                   _certify_vi_args),
+    "urn": (_cmd_urn, "simulate urn draws for one context", _urn_args),
+    "catalog": (_cmd_catalog, "list the built-in fixtures", _no_args),
+    "export-dot": (_cmd_export_dot, "hypergraph as Graphviz DOT", _add_source),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The ``ctxlab`` parser, ready to parse ``argv``.
+
+    When ``argv[0]`` names a subcommand, argparse hands the rest of ``argv``
+    to that subcommand's parser alone, so only it gets its arguments; the
+    others are registered by name and help text only, which is all that
+    top-level usage, help and errors print.  Any other ``argv``, or none,
+    builds every subcommand in full.
+    """
     parser = argparse.ArgumentParser(
         prog="ctxlab",
         description="finite pasted-context logics: states, polytopes, "
@@ -526,92 +661,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a JSON object instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, func, help_text, source=True):
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (func, help_text, add_args) in _COMMANDS.items():
+        if only not in (None, name):
+            sub.add_parser(name, help=help_text)
+            continue
         p = sub.add_parser(name, parents=[common], help=help_text)
-        if source:
-            _add_source(p)
+        add_args(p)
         p.set_defaults(func=func)
-        return p
-
-    cmd("validate", _cmd_validate, "check the context structure rules")
-
-    p = cmd("states", _cmd_states, "enumerate the two-valued states")
-    p.add_argument("--count", action="store_true", help="print only the count")
-
-    cmd("classify", _cmd_classify, "count states, test unital and separating")
-
-    p = cmd("property", _cmd_property, "forced relation between two atoms")
-    p.add_argument("--given", required=True, metavar="ATOM")
-    p.add_argument("--target", required=True, metavar="ATOM")
-    # the PairProperty values, written out so parsing imports no layer
-    p.add_argument("--expect", metavar="PROPERTY",
-                   choices=["TrueImpliesFalse", "TrueImpliesTrue",
-                            "AntecedentNeverTrue", "Unconstrained"],
-                   help="exit 1 unless the property matches")
-
-    p = cmd("mixture", _cmd_mixture, "convex mixture of the states")
-    p.add_argument("--weights", required=True, metavar="FILE",
-                   help="file with one rational weight per state line")
-
-    p = cmd("hull", _cmd_hull, "facets of the correlation polytope")
-    p.add_argument("--project", metavar="A,B,...",
-                   help="project onto these atoms first")
-
-    p = cmd("member", _cmd_member, "test a point against the polytope")
-    p.add_argument("--assign", required=True, metavar="FILE",
-                   help="file with 'atom value' lines")
-    p.add_argument("--project", metavar="A,B,...")
-    p.add_argument("--expect", choices=["inside", "outside"],
-                   help="exit 1 unless the result matches")
-
-    p = cmd("axiom-check", _cmd_axiom_check,
-            "is the inequality implied by the measure axioms")
-    p.add_argument("--ineq", required=True, metavar="EXPR",
-                   help="inequality such as '1 + 4 + 7 <= 1'")
-
-    p = cmd("realization-check", _cmd_realization_check,
-            "verify unit norms and context orthogonality")
-    p.add_argument("--vectors", metavar="FILE")
-
-    p = cmd("born", _cmd_born, "projection probabilities for a state vector")
-    p.add_argument("--vectors", metavar="FILE")
-    p.add_argument("--psi", required=True, metavar="ATOM|TOKENS",
-                   help="atom id or space-separated component tokens")
-    p.add_argument("--atom", metavar="ATOM", help="print one probability")
-
-    p = cmd("violate", _cmd_violate,
-            "evaluate classical inequalities on Born probabilities")
-    p.add_argument("--vectors", metavar="FILE")
-    p.add_argument("--psi", required=True, metavar="ATOM|TOKENS")
-    p.add_argument("--ineq", required=True, action="append", metavar="EXPR",
-                   help="repeatable; exit 0 iff some inequality is violated")
-
-    p = cmd("paste", _cmd_paste, "paste two logics along shared atoms")
-    _add_source(p, second=True)
-
-    p = cmd("certify-vi", _cmd_certify_vi,
-            "certify that the antecedent can hold no consistent value")
-    _add_source(p, second=True)
-    p.add_argument("--given", required=True, metavar="ATOM")
-    p.add_argument("--target", required=True, metavar="ATOM")
-
-    p = cmd("urn", _cmd_urn, "simulate urn draws for one context")
-    p.add_argument("--context", required=True, type=int, metavar="INDEX")
-    p.add_argument("--draws", type=int, default=10000, metavar="N")
-    p.add_argument("--seed", required=True, type=int, metavar="SEED")
-    p.add_argument("--weights", metavar="FILE",
-                   help="rational weight per state; default uniform")
-
-    cmd("catalog", _cmd_catalog, "list the built-in fixtures", source=False)
-
-    cmd("export-dot", _cmd_export_dot, "hypergraph as Graphviz DOT")
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (LogicError, ValueError, OSError) as err:

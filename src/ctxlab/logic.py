@@ -17,10 +17,17 @@ An optional ``logic <name>`` header must come first.  ``atom <id> [label...]``
 lines pre-declare atoms (labels are ignored); atoms first seen inside a
 context are appended in first-occurrence order.  ``#`` starts a comment.
 Atom ids are tokens over ``[A-Za-z0-9_']``.
+
+This is the base layer, so it also holds the vocabulary the layers above
+share: the domain error types and the :class:`PairProperty` verdicts.
+``ctxlab.states`` re-exports ``PairProperty`` and ``MissingAtom``, while
+``ctxlab.catalog`` and ``ctxlab.realization`` take them from here and so
+never load the state layer.
 """
 
 from __future__ import annotations
 
+import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,6 +73,19 @@ class PasteInvalid(LogicError):
     def __init__(self, message: str, report: "ValidationReport"):
         super().__init__(message)
         self.report = report
+
+
+class MissingAtom(LogicError):
+    """A probability assignment lacks a value for some atom of the logic."""
+
+
+class PairProperty(enum.Enum):
+    """What every two-valued state with the antecedent true does to the target."""
+
+    TRUE_IMPLIES_FALSE = "TrueImpliesFalse"
+    TRUE_IMPLIES_TRUE = "TrueImpliesTrue"
+    ANTECEDENT_NEVER_TRUE = "AntecedentNeverTrue"
+    UNCONSTRAINED = "Unconstrained"
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 # the angle window lives with the catalog entry that records it, so that
 # listing the catalog does not load this module; it stays public here
 from ctxlab.catalog import FeasibilityWindow, bug_pasting_feasibility
-from ctxlab.logic import Logic, LogicError
-from ctxlab.states import MissingAtom
+from ctxlab.logic import Logic, LogicError, MissingAtom
 
 if TYPE_CHECKING:
     import numpy as np

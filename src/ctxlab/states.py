@@ -28,7 +28,6 @@ end, so the order in which the search took the contexts never shows.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -37,17 +36,15 @@ from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 from ctxlab.exactlp import scale_to_integers
-from ctxlab.logic import InvalidInput, Logic, LogicError, paste_logics, validate_logic
+# MissingAtom and PairProperty live in the base layer and are re-exported here
+from ctxlab.logic import (InvalidInput, Logic, LogicError, MissingAtom, PairProperty,
+                          paste_logics, validate_logic)
 
 Number = Union[Fraction, float]
 
 
 class UnknownAtom(LogicError):
     pass
-
-
-class MissingAtom(LogicError):
-    """A probability assignment lacks a value for some atom of the logic."""
 
 
 class WeightCountMismatch(LogicError):
@@ -129,13 +126,6 @@ _set_atoms = TwoValuedState.atoms.__set__
 _set_raw = TwoValuedState._raw.__set__
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' characters to bits
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # and back
-
-
-class PairProperty(enum.Enum):
-    TRUE_IMPLIES_FALSE = "TrueImpliesFalse"
-    TRUE_IMPLIES_TRUE = "TrueImpliesTrue"
-    ANTECEDENT_NEVER_TRUE = "AntecedentNeverTrue"
-    UNCONSTRAINED = "Unconstrained"
 
 
 @dataclass(frozen=True)
@@ -427,7 +417,11 @@ class MixtureWeights:
         if min(nums, default=0) < 0:
             raise WeightsNotNormalized("negative weight")
         if sum(nums) != d:
-            raise WeightsNotNormalized(f"weights sum to {Fraction(sum(nums), d)}, not 1")
+            try:
+                total = str(Fraction(sum(nums), d))
+            except ValueError:  # past Python's int-to-str digit limit
+                total = "a number too long to print"
+            raise WeightsNotNormalized(f"weights sum to {total}, not 1")
         object.__setattr__(self, "_scaled", (nums, d))
 
     def __len__(self) -> int:

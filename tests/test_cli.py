@@ -277,6 +277,20 @@ class TestExitCodes:
             1, "", "error: no probability for atom '1'; it has no vector "
                    "in this realization\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1e4300\n", "weights sum to a number too long to print, not 1"),
+        ("1/2\n1/3\n", "weights sum to 5/6, not 1"),
+        ("3/2\n-1/2\n", "negative weight"),
+    ], ids=["over-digit-limit", "printable", "negative"])
+    def test_unnormalized_weights_name_the_file(self, capsys, tmp_path, monkeypatch,
+                                                text, message):
+        # 10**4300 has one digit more than Python turns into a string
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.weights").write_text(text)
+        code, _, err = run(capsys, "mixture", "--catalog", "pentagon",
+                           "--weights", "w.weights")
+        assert (code, err) == (1, f"error: w.weights: {message}\n")
+
     def test_huge_draw_count_exits_1(self, capsys):
         # more draws than an index can count is a domain error, not a traceback
         code, _, err = run(capsys, "urn", "--catalog", "pentagon", "--context", "0",
@@ -292,6 +306,47 @@ class TestExitCodes:
                            "--assign", str(path), "--project", "1,3")
         assert code == 1
         assert err.startswith("error:")
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+COMMANDS = tuple(next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+class TestParserParity:
+    """``main`` builds only the named subcommand's parser; every usage,
+    help and error text must read as from the full parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["-h", "states"],
+        ["--json", "states", "--catalog", "pentagon"],
+        ["states", "--catalog", "pentagon", "extra"],
+        *([name, flag] for name in COMMANDS for flag in ("--help", "--bogus")),
+        *([name] for name in COMMANDS),
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_text_as_the_full_parser(self, capsys, monkeypatch, argv):
+        one = _outcome(capsys, argv)
+        full = build_parser()
+        monkeypatch.setattr("ctxlab.cli.build_parser", lambda argv=None: full)
+        assert one == _outcome(capsys, argv)
+        assert one[0] in (0, 2)
+
+    def test_sixteen_subcommands(self):
+        assert len(COMMANDS) == 16
+
+    def test_shared_vocabulary_is_one_object(self):
+        import ctxlab
+        import ctxlab.logic
+        import ctxlab.states
+        assert ctxlab.logic.PairProperty is ctxlab.states.PairProperty is ctxlab.PairProperty
+        assert ctxlab.logic.MissingAtom is ctxlab.states.MissingAtom
 
 
 class TestTextOutputs:

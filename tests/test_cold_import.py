@@ -54,6 +54,14 @@ def probe(argv: list[str] | None, cwd=None) -> tuple[int | None, bool, set[str]]
     return code, numpy, {m.removeprefix("ctxlab.") for m in modules}
 
 
+def test_catalog_entry_loads_only_catalog_and_logic():
+    code = ("import sys, ctxlab.catalog; ctxlab.catalog.catalog_get('pentagon'); "
+            "print(sorted(m for m in sys.modules if m.startswith('ctxlab.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_env(), timeout=120, check=True)
+    assert done.stdout == "['ctxlab.catalog', 'ctxlab.logic']\n"
+
+
 def test_import_does_not_load_numpy():
     assert probe(None)[:2] == (None, False)
 
@@ -131,6 +139,30 @@ def test_realization_commands_skip_polytope(argv):
     code, _, modules = probe(argv)
     assert code == 0
     assert "polytope" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", *SOURCE],
+    ["paste", "--catalog", "tifs_fig5a", "--catalog2", "tits_fig5b"],
+    ["catalog"],
+    ["export-dot", *SOURCE],
+], ids=lambda argv: argv[0])
+def test_structural_commands_skip_states_and_lp(argv):
+    # the catalog's PairProperty comes from the logic layer
+    code, _, modules = probe(argv)
+    assert code == 0
+    assert not modules & {"states", "exactlp"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["realization-check", "--catalog", "triangle4d"],
+    ["born", "--catalog", "specker_bug", "--psi", "a"],
+], ids=lambda argv: argv[0])
+def test_realization_commands_skip_states(argv):
+    # the realization layer's MissingAtom comes from the logic layer
+    code, _, modules = probe(argv)
+    assert code == 0
+    assert "realization" in modules and "states" not in modules
 
 
 @pytest.mark.parametrize("argv, code", [
