@@ -4,7 +4,9 @@ Each entry bundles a logic shipped as a data file, the classification the
 state machinery must reproduce, any known vector realization, and short notes.
 A realization's vector file is parsed on the first read of
 ``entry.realization``, so listing or loading entries never needs numpy, and
-the realization module is imported only by that read.  The angle window of
+the realization module is imported only by that read.  The expected pair
+properties are ``ctxlab.logic.PairProperty`` values, so the catalog never
+loads the state layer.  The angle window of
 ``impossible_fig6`` is two ``math`` calls, defined here and re-exported by
 ``ctxlab.realization``.
 One entry, ``impossible_fig6``, intentionally carries no logic at all: it is

@@ -7,8 +7,9 @@ a/b, a/sqrt(b), complex pairs) so inputs stay reproducible.  Angles are
 measured between rays, so the sign of a vector never matters.  numpy is
 imported by the functions that build or compute with a vector, not by this
 module, so the combinatorial layers and the CLI load without it; likewise
-the polytope layer is imported only by ``quantum_vs_classical``.  Every
-tolerance test is written so that NaN fails it.
+the polytope layer, and through it the state layer, is imported only by
+``quantum_vs_classical`` (``MissingAtom`` comes from the logic layer).
+Every tolerance test is written so that NaN fails it.
 """
 
 from __future__ import annotations
