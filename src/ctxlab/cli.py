@@ -134,11 +134,11 @@ def _realization(args) -> tuple[Realization, bool]:
 
 
 def _fraction(text: str, where: str) -> Fraction:
-    from ctxlab.exactlp import parse_rational
+    from ctxlab.exactlp import _quote, parse_rational
     try:
         return parse_rational(text)
     except OverflowError as err:
-        raise LogicError(f"{where}: {err} in {text!r}") from None
+        raise LogicError(f"{where}: {err} in {_quote(text)}") from None
     except ZeroDivisionError:
         raise LogicError(f"{where}: zero denominator in {text!r}") from None
     except ValueError:

@@ -30,10 +30,10 @@ functions of :mod:`ctxlab.polytope` refuse anything else before an LP is
 built, and rows that are already all ints are copied, not re-scaled.
 Problem sizes here are tens of rows and at most a couple of hundred
 columns, where simplicity and exactness matter more than sparse data
-structures, but the tableau is mostly zeros: a pivot leaves rows with a
-zero in the pivot column alone and, in the rest, changes only the entries
-on the pivot row's support beyond one scaling (none when the pivot entry
-is 1), the same elimination as the polytope layer's ``_rref``.
+structures, but the tableau is mostly zeros: ``_pivot``, the one pivot step
+of the simplex and of :mod:`ctxlab.polytope`'s RREF, and ``_reduce``, which
+clears a row against pivot rows, change only the entries on the pivot row's
+support beyond one scaling (none when the pivot entry is 1).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 MAX_EXPONENT = 4300  # Python's default int digit limit, sys.int_info.default_max_str_digits
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+_DIGITS = re.compile(r"[\d_]+")
 
 
 class InternalError(RuntimeError):
@@ -74,11 +75,18 @@ class LPResult:
 def parse_rational(text: str) -> Fraction:
     """``Fraction(text)``, but an exponent over ``MAX_EXPONENT`` in magnitude
     raises ``OverflowError`` first: ``Fraction`` builds 10**|e|, seconds of
-    work at |e| = 10**7."""
+    work at |e| = 10**7.  So does a run of more digits, which int refuses."""
     m = _EXPONENT.search(text)
     if m and (len(e := m[1].replace("_", "").lstrip("0")) > 4 or int(e or 0) > MAX_EXPONENT):
         raise OverflowError(f"exponent magnitude over {MAX_EXPONENT}")
+    if any(len(run) - run.count("_") > MAX_EXPONENT for run in _DIGITS.findall(text)):
+        raise OverflowError(f"more than {MAX_EXPONENT} digits")
     return Fraction(text)
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, cut to 20 characters past ``MAX_EXPONENT`` ones."""
+    return repr(text) if len(text) <= MAX_EXPONENT else f"{text[:20]!r}..."
 
 
 def scale_to_integers(values: Sequence) -> tuple[list[int], int]:
@@ -101,15 +109,36 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _eliminate(row: list[int], p: int, f: int, support: list[tuple[int, int]]) -> list[int]:
-    """``p * row - f * top`` over its gcd, where ``support`` lists the
-    (index, entry) pairs of ``top``'s nonzero entries: only those entries
-    change beyond the scaling, which is skipped when p == 1 (the row is
-    then updated in place)."""
+    """``p * row - f * top`` over its gcd; ``support`` holds top's nonzero
+    (index, entry) pairs, and ``row`` is updated in place when p == 1."""
     if p != 1:
         row = [p * v for v in row]
     for k, w in support:
         row[k] -= f * w
     return _primitive(row)
+
+
+def _pivot(rows: list[list[int]], r: int, col: int) -> tuple[int, list[tuple[int, int]]]:
+    """Gauss-Jordan step: make rows[r][col] positive and clear ``col`` from the
+    other rows.  Returns that pivot entry and the support of rows[r]."""
+    top = rows[r]
+    if top[col] < 0:
+        top = rows[r] = [-v for v in top]
+    p = top[col]
+    support = [(k, w) for k, w in enumerate(top) if w]
+    for i, row in enumerate(rows):
+        if i != r and (f := row[col]):
+            rows[i] = _eliminate(row, p, f, support)
+    return p, support
+
+
+def _reduce(row: list[int], rows: Sequence[list[int]], cols: Sequence[int]) -> list[int]:
+    """``row`` with column ``cols[j]`` cleared against ``rows[j]`` for each j
+    in turn (``_eliminate``, which may update ``row`` in place)."""
+    for top, col in zip(rows, cols):
+        if f := row[col]:
+            row = _eliminate(row, top[col], f, [(k, w) for k, w in enumerate(top) if w])
+    return row
 
 
 class _Tableau:
@@ -144,25 +173,13 @@ class _Tableau:
 
     def set_costs(self, costs: list) -> None:
         """Install a cost row reduced against the current basis."""
-        row = _primitive(scale_to_integers(costs)[0] + [0])
-        for basic_row, bv in zip(self.rows, self.basis):
-            if f := row[bv]:
-                row = _eliminate(row, basic_row[bv], f,
-                                 [(k, w) for k, w in enumerate(basic_row) if w])
-        self.cost = row
+        self.cost = _reduce(_primitive(scale_to_integers(costs)[0] + [0]),
+                            self.rows, self.basis)
 
     def pivot(self, r: int, col: int) -> None:
-        """Make ``col`` basic in row r: every other row with a nonzero f in
-        ``col``, cost row included, becomes ``p * row - f * rr`` over its
-        gcd (p = rr[col] > 0), a positive multiple of the rational update."""
-        rr = self.rows[r]
-        if rr[col] < 0:  # only when phase 1 drives an artificial out
-            rr = self.rows[r] = [-v for v in rr]
-        p = rr[col]
-        support = [(k, w) for k, w in enumerate(rr) if w]
-        for i, row in enumerate(self.rows):
-            if i != r and (f := row[col]):
-                self.rows[i] = _eliminate(row, p, f, support)
+        """Make ``col`` basic in row r (negated only when phase 1 drives an
+        artificial out), clearing it from the cost row too."""
+        p, support = _pivot(self.rows, r, col)
         if self.cost and (f := self.cost[col]):
             self.cost = _eliminate(self.cost, p, f, support)
         self.basis[r] = col

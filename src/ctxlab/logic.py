@@ -146,6 +146,14 @@ class Logic:
                 f"{len(self.contexts)} contexts)")
 
 
+def _token_lines(text: str):
+    """``(lineno, tokens)`` for each line of ``text`` with a token left after
+    cutting its ``#`` comment; a token is ``(word, 1-based column)``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if tokens := [(m[0], m.start() + 1) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]:
+            yield lineno, tokens
+
+
 def parse_logic(text: str) -> Logic:
     """Parse the text format into a :class:`Logic`.
 
@@ -153,17 +161,11 @@ def parse_logic(text: str) -> Logic:
     duplicate contexts, or a duplicate atom inside one context.
     """
     name = ""
-    atoms: list[str] = []
-    atom_set: set[str] = set()
-    contexts: list[tuple[str, ...]] = []
-    context_sets: set[frozenset[str]] = set()
+    atoms: dict[str, None] = {}  # in order of first appearance
+    contexts: dict[frozenset[str], tuple[str, ...]] = {}
     saw_directive = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if not tokens:
-            continue
+    for lineno, tokens in _token_lines(text):
         (word, col), args = tokens[0], tokens[1:]
 
         if word == "logic":
@@ -178,10 +180,9 @@ def parse_logic(text: str) -> Logic:
             ident, icol = args[0]
             if not ATOM_TOKEN.match(ident):
                 raise LogicParseError(f"bad atom id {ident!r}", lineno, icol)
-            if ident in atom_set:
+            if ident in atoms:
                 raise LogicParseError(f"atom {ident!r} already declared", lineno, icol)
-            atoms.append(ident)
-            atom_set.add(ident)
+            atoms[ident] = None
             # remaining tokens are a free-form label, ignored
         elif word == "context":
             if len(args) < 2:
@@ -194,19 +195,16 @@ def parse_logic(text: str) -> Logic:
                     raise LogicParseError(
                         f"atom {ident!r} repeated in one context", lineno, icol)
                 members.append(ident)
-                if ident not in atom_set:
-                    atoms.append(ident)
-                    atom_set.add(ident)
+                atoms.setdefault(ident)
             key = frozenset(members)
-            if key in context_sets:
+            if key in contexts:
                 raise LogicParseError("duplicate context", lineno, col)
-            context_sets.add(key)
-            contexts.append(tuple(members))
+            contexts[key] = tuple(members)
         else:
             raise LogicParseError(f"unknown directive {word!r}", lineno, col)
         saw_directive = True
 
-    return Logic(atoms=tuple(atoms), contexts=tuple(contexts), name=name)
+    return Logic(atoms=tuple(atoms), contexts=tuple(contexts.values()), name=name)
 
 
 def serialize_logic(logic: Logic) -> str:
@@ -313,20 +311,10 @@ def paste_logics(first: Logic, second: Logic) -> Logic:
         if not report.ok:
             raise PasteInvalid(f"{label} input logic is invalid", report)
 
-    atoms = list(first.atoms)
-    known = set(atoms)
-    for a in second.atoms:
-        if a not in known:
-            atoms.append(a)
-            known.add(a)
-
-    merged: list[tuple[str, ...]] = []
-    seen: set[frozenset[str]] = set()
+    atoms = tuple(dict.fromkeys(first.atoms + second.atoms))
+    merged: dict[frozenset[str], tuple[str, ...]] = {}
     for ctx in first.contexts + second.contexts:
-        key = frozenset(ctx)
-        if key not in seen:
-            seen.add(key)
-            merged.append(tuple(ctx))
+        merged.setdefault(frozenset(ctx), tuple(ctx))
 
     if first.name and second.name:
         name = first.name if first.name == second.name else f"{first.name}+{second.name}"
@@ -334,8 +322,8 @@ def paste_logics(first: Logic, second: Logic) -> Logic:
         name = first.name or second.name
 
     idx = {a: i for i, a in enumerate(atoms)}
-    merged.sort(key=lambda c: _context_sort_key(idx, c))
-    pasted = Logic(atoms=tuple(atoms), contexts=tuple(merged), name=name)
+    contexts = sorted(merged.values(), key=lambda c: _context_sort_key(idx, c))
+    pasted = Logic(atoms=atoms, contexts=tuple(contexts), name=name)
 
     report = validate_logic(pasted)
     if not report.ok:

@@ -12,13 +12,13 @@ rational or integer arithmetic; there is no floating-point fallback: a float
 vertex or point coordinate, or inequality or equality entry, raises ``ValueError``
 (``VertexSet``, ``canonical_inequality``, ``membership`` and
 ``axiom_implied`` check; the LP layer below takes what they pass).  Linear
-algebra runs on integers, scaled by ``exactlp.scale_to_integers``:
-``_rref`` eliminates fraction-free, ``_Hull`` scales the vertices once to
-a common denominator, double description keeps rows and rays primitive int
-tuples, with a ray's zero set an int bitmask, canonical forms hand the
-exact LP only int rows, right-hand sides and objectives, and membership
-ranks the facets by integer cross-multiplication.  Fractions are built where
-a result leaves the module.
+algebra runs on integers, scaled by ``exactlp.scale_to_integers``: ``_rref``
+and canonical forms eliminate with the exact LP's ``_pivot`` and ``_reduce``,
+``_Hull`` scales the vertices once to a common denominator, double
+description keeps rows and rays primitive int tuples, with a ray's zero set
+an int bitmask, canonical forms hand the exact LP only int rows, right-hand
+sides and objectives, and membership ranks the facets by integer
+cross-multiplication.  Fractions are built where a result leaves the module.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -31,6 +31,7 @@ representative exists, that pivot-eliminated form is kept.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _eliminate, _primitive,
+from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _pivot, _primitive, _quote, _reduce,
                              check_invariant, parse_rational, scale_to_integers,
                              solve_lexicographic, solve_standard)
 from ctxlab.logic import ATOM_TOKEN, InvalidInput, Logic, LogicError
@@ -47,6 +48,8 @@ from ctxlab.states import (TwoValuedState, UnknownAtom, _check_valid, _rows,
                            enumerate_states)
 
 Vector = tuple[Fraction, ...]
+# a term of parse_inequality: a sign, then text up to a sign not in a starred exponent
+_TERM = re.compile(r"[+-]?\s*(?:(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE][+-](?=[^+-]*\*))?[^+-]*")
 
 
 class MissingCoordinate(LogicError):
@@ -160,21 +163,14 @@ def _rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     (entry c is ``Fraction(row[c], row[piv[j]])``), and the pivot columns."""
     rows = [_primitive(scale_to_integers(r)[0]) for r in rows]
     pivots: list[int] = []
-    r = 0
     for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r] = rows[r] if rows[r][col] > 0 else [-v for v in rows[r]]
-        p = top[col]
-        support = [(k, w) for k, w in enumerate(top) if w]
-        for i, row in enumerate(rows):  # like _Tableau.pivot; rows are copies
-            if i != r and (f := row[col]):
-                rows[i] = _eliminate(row, p, f, support)
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
+        if piv is not None:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            _pivot(rows, r, col)  # rows are copies: _pivot may update them in place
+            pivots.append(col)
+    return rows[:len(pivots)], pivots
 
 
 def _nullspace(rr: list[list[int]], piv: list[int], n: int) -> list[list[int]]:
@@ -247,12 +243,12 @@ class _Hull:
 
     def canonical(self, red_coeffs: Sequence, red_bound) -> Inequality:
         """Canonical form of red_coeffs . y <= red_bound in reduced
-        coordinates (ints or Fractions)."""
+        coordinates (ints)."""
         aug = [0] * len(self.labels) + [red_bound]
         for c, p in zip(red_coeffs, self.pivots):
             aug[p] = self.scale * c
             aug[-1] += c * self.v0[p]
-        return _canonical_form(self.labels, scale_to_integers(aug)[0], *self.rref)
+        return _canonical_form(self.labels, aug, *self.rref)
 
     def supports(self, form: _LinearForm) -> bool:
         """Whether coeffs . x <= bound holds on every vertex, with equality on
@@ -295,13 +291,10 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
 def _canonical_form(labels: tuple[str, ...], aug: list[int],
                     rr: list[list[int]], piv: list[int]) -> Inequality:
     """:func:`canonical_inequality` of the int row ``aug`` = [coeffs | bound]
-    given the ``_rref`` of the equalities' rows [coeffs | bound].  Every step
-    scales the row by a positive integer, which the final primitive scaling
-    removes: eliminating pivot p makes ``row[p] * aug - aug[p] * row``
-    (``_eliminate``, which may update ``aug`` in place)."""
-    for row, p in zip(rr, piv):
-        if f := aug[p]:
-            aug = _eliminate(aug, row[p], f, [(k, w) for k, w in enumerate(row) if w])
+    given the ``_rref`` of the equalities' rows [coeffs | bound].  Each step
+    scales ``aug`` by a positive integer, which the final primitive scaling
+    removes; ``_reduce`` may update ``aug`` in place."""
+    aug = _reduce(aug, rr, piv)
     if rr:
         s = _nonneg_representative(aug[:-1], rr, piv)
         if s is not None:
@@ -561,25 +554,27 @@ def parse_inequality(text: str) -> Inequality:
     Terms are ``atom`` or ``coeff*atom`` with rational coefficients; bare
     tokens are always atom names (atom ids are frequently numeric), so
     constants other than the right-hand bound need an explicit coefficient
-    star.  ``<=`` and ``>=`` are accepted; the latter is normalized by
-    negation.
+    star.  A ``+`` or ``-`` right after the ``e`` of a number that starts a
+    term is the exponent's sign when the term has a star: ``1e-2*x`` is
+    ``1/100*x``, while ``1e-2`` is the atoms ``1e`` and ``2``.  ``<=`` and
+    ``>=`` are accepted; the latter is normalized by negation.
     """
     sense = "<=" if "<=" in text else ">="
     if sense not in text:
         raise InvalidInput("inequality needs '<=' or '>='")
     lhs, rhs = text.split(sense, 1)
-    bound = _rational(rhs.strip(), f"bad bound {rhs.strip()!r}")
+    bound = _rational(rhs.strip(), "bad bound", rhs.strip())
 
     coeffs: dict[str, Fraction] = {}  # atoms in first-seen order
-    for term in lhs.replace("-", "+-").split("+"):
-        term = term.strip()
+    for term in _TERM.findall(lhs):
+        term = term.removeprefix("+").strip()
         if not term:
             continue
         sign = Fraction(-1 if term.startswith("-") else 1)
         term = term.removeprefix("-").strip()
         if "*" in term:
             num, atom = term.split("*", 1)
-            coeff = sign * _rational(num.strip(), f"bad coefficient in term {term!r}")
+            coeff = sign * _rational(num.strip(), "bad coefficient in term", term)
             atom = atom.strip()
         else:
             coeff, atom = sign, term
@@ -590,10 +585,10 @@ def parse_inequality(text: str) -> Inequality:
     return Inequality(tuple(coeffs), tuple(orient * c for c in coeffs.values()), orient * bound)
 
 
-def _rational(text: str, what: str) -> Fraction:
+def _rational(text: str, what: str, shown: str) -> Fraction:
     try:
         return parse_rational(text)
     except OverflowError as err:
-        raise InvalidInput(f"{what}: {err}") from None
+        raise InvalidInput(f"{what} {_quote(shown)}: {err}") from None
     except (ValueError, ZeroDivisionError) as err:
-        raise InvalidInput(what) from err
+        raise InvalidInput(f"{what} {shown!r}") from err

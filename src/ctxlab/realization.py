@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 # the angle window lives with the catalog entry that records it, so that
 # listing the catalog does not load this module; it stays public here
 from ctxlab.catalog import FeasibilityWindow, bug_pasting_feasibility
-from ctxlab.logic import Logic, LogicError, MissingAtom
+from ctxlab.logic import Logic, LogicError, MissingAtom, _token_lines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,11 +153,7 @@ def parse_vectors(text: str) -> Realization:
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if not tokens:
-            continue
+    for lineno, tokens in _token_lines(text):
         head, col = tokens[0]
         if head != "vec":
             raise VectorParseError(f"unknown directive {head!r}", lineno, col)

@@ -145,6 +145,12 @@ class TestExitCodes:
                          "--ineq", "1 + 3 + 5 + 7 + 9 <= 2")
         assert code == 1
 
+    @pytest.mark.parametrize("ineq", ["1e-2*1 + 2 <= 1", "0.01*1 + 2 <= 1"])
+    def test_axiom_check_reads_a_signed_exponent(self, capsys, ineq):
+        code, out, err = run(capsys, "axiom-check", "--catalog", "pentagon", "--ineq", ineq)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "inequality: 1/100*1 + 2 <= 1"
+
     def test_violate_exit_when_satisfied(self, capsys):
         code, out, _ = run(capsys, "violate", "--catalog", "triangle4d",
                            "--psi", "4", "--ineq", "1 + 2 + 3 <= 1")
@@ -223,6 +229,27 @@ class TestExitCodes:
         (tmp_path / "big.assign").write_text("1 -1e-5000\n")
         code, _, err = run(capsys, *argv)
         assert (code, err) == (1, f"error: {where}\n")
+
+    @pytest.mark.parametrize("argv, where", [
+        (["mixture", "--catalog", "pentagon", "--weights", "long.weights"],
+         "long.weights:2: more than 4300 digits in '19999999999999999999'..."),
+        (["member", "--catalog", "pentagon", "--assign", "long.assign"],
+         "long.assign:1: more than 4300 digits in '19999999999999999999'..."),
+        (["axiom-check", "--catalog", "pentagon", "--ineq", f"1{'9' * 4301}*1 + 2 <= 1"],
+         "bad coefficient in term '19999999999999999999'...: more than 4300 digits"),
+        (["axiom-check", "--catalog", "pentagon", "--ineq", f"1 <= 1{'9' * 4301}"],
+         "bad bound '19999999999999999999'...: more than 4300 digits"),
+    ], ids=["weights", "assignment", "coefficient", "bound"])
+    def test_too_many_digits_is_refused_in_one_short_line(self, capsys, tmp_path,
+                                                          monkeypatch, argv, where):
+        # Python's int refuses a run of more than 4300 digits with a ValueError;
+        # reported as 'not a rational', it echoed every digit
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.weights").write_text(f"0\n1{'9' * 4301}\n")
+        (tmp_path / "long.assign").write_text(f"1 1{'9' * 4301}\n")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, f"error: {where}\n")
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("argv", [
         ["realization-check", "--catalog", "triangle4d", "--vectors", "huge.vec"],

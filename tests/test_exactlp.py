@@ -401,3 +401,18 @@ def test_parse_rational_reads_exponents_up_to_the_limit(text):
 def test_parse_rational_refuses_larger_exponents_before_building_them(text):
     with pytest.raises(OverflowError, match="exponent magnitude over 4300"):
         exactlp.parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["9" * 4300, "1_" * 4299 + "1", "9" * 4300 + "." + "9" * 4300],
+                         ids=["4300-digits", "underscores-not-counted", "two-runs-of-4300"])
+def test_parse_rational_reads_digit_runs_up_to_the_limit(text):
+    assert exactlp.parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "-" + "1_" * 4300 + "1", "1/" + "7" * 4301,
+                                  "0." + "5" * 4301, "1e" + "0" * 4301 + "1"],
+                         ids=["integer", "underscored", "denominator", "decimals", "exponent"])
+def test_parse_rational_refuses_digit_runs_past_the_limit(text):
+    # Python's int refuses them too, with a ValueError that names no place
+    with pytest.raises(OverflowError, match="^more than 4300 digits$"):
+        exactlp.parse_rational(text)

@@ -91,6 +91,41 @@ class TestParse:
         l = parse_logic(PENTAGON)
         assert parse_logic(serialize_logic(l)) == l
 
+class TestLineReading:
+    """How lines are cut into tokens; vector files read lines the same way."""
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+    def test_line_ends(self, end):
+        l = parse_logic(end.join(["logic ends", "context a b", "context b c", ""]))
+        assert (l.name, l.atoms) == ("ends", ("a", "b", "c"))
+        with pytest.raises(LogicParseError) as err:
+            parse_logic(end.join(["context a b", "  frobnicate c", ""]))
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_tabs_separate_tokens_and_count_one_column(self):
+        assert parse_logic("context\ta\t b\n").atoms == ("a", "b")
+        with pytest.raises(LogicParseError) as err:
+            parse_logic("context a b\n\t frobnicate c\n")
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_hash_glued_to_a_token_starts_a_comment(self):
+        l = parse_logic("context a b#c d\ncontext b e#\n")
+        assert l.atoms == ("a", "b", "e")
+        with pytest.raises(LogicParseError) as err:
+            parse_logic("context a#b\n")
+        assert err.value.message == "a context needs at least two atoms"
+
+    def test_comment_only_lines_keep_line_numbers(self):
+        with pytest.raises(LogicParseError) as err:
+            parse_logic("# header\n   # indented\n\ncontext a b\n\tcontext a b # again\n")
+        assert (err.value.line, err.value.column) == (5, 2)
+
+    def test_error_names_the_offending_token_column(self):
+        with pytest.raises(LogicParseError) as err:
+            parse_logic("context a b\ncontext  c\td-e f\n")
+        assert (err.value.line, err.value.column) == (2, 12)
+        assert str(err.value) == "line 2, column 12: bad atom id 'd-e'"
+
 
 class TestValidate:
     def test_pentagon_ok(self):

@@ -613,6 +613,30 @@ class TestParseInequality:
         f = parse_inequality("x + 2*x <= 1")
         assert f.coeffs == (F(3),)
 
+    @pytest.mark.parametrize("text, labels, coeffs", [
+        ("1e-2*1 + 2 <= 1", ("1", "2"), (F(1, 100), F(1))),
+        ("2E+3*a - b <= 1", ("a", "b"), (F(2000), F(-1))),
+        ("a - 1e-2 * b <= 1", ("a", "b"), (F(1), F(-1, 100))),
+        ("-.5e+1*x <= 1", ("x",), (F(-5),)),
+        # bare tokens stay atom names, and an 'e' not after a number splits
+        ("1e-2 <= 1", ("1e", "2"), (F(1), F(-1))),
+        ("x1e-y <= 1", ("x1e", "y"), (F(1), F(-1))),
+        ("e-2*x <= 1", ("e", "x"), (F(1), F(-2))),
+        ("a + -b <= 1", ("a", "b"), (F(1), F(-1))),
+    ])
+    def test_exponent_sign_belongs_to_a_starred_coefficient(self, text, labels, coeffs):
+        f = parse_inequality(text)
+        assert (f.labels, f.coeffs, f.bound) == (labels, coeffs, 1)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1" * 4301 + "*x <= 1", "bad coefficient in term '11111111111111111111'...: "),
+        ("x <= 1" + "0" * 4300, "bad bound '10000000000000000000'...: "),
+    ], ids=["coefficient", "bound"])
+    def test_too_many_digits_is_refused_in_one_short_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_inequality(text)
+        assert str(err.value) == message + "more than 4300 digits"
+
     def test_bad_input(self):
         with pytest.raises(ValueError):
             parse_inequality("x + y")

@@ -76,6 +76,39 @@ class TestParse:
         with pytest.raises(VectorParseError):
             parse_vectors("# nothing\n")
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+    def test_line_ends(self, end):
+        r = parse_vectors(end.join(["vec a 1 0", "vec b 0 1", ""]))
+        assert (r.dimension, set(r.vectors)) == (2, {"a", "b"})
+        with pytest.raises(VectorParseError) as err:
+            parse_vectors(end.join(["vec a 1 0", "  vector b 0 1", ""]))
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_tabs_separate_tokens_and_count_one_column(self):
+        r = parse_vectors("vec\ta\t1\t 0\n")
+        assert r.dimension == 2
+        with pytest.raises(VectorParseError) as err:
+            parse_vectors("vec a\t1\tbad\n")
+        assert (err.value.line, err.value.column) == (1, 9)
+
+    def test_hash_glued_to_a_token_starts_a_comment(self):
+        r = parse_vectors("vec a 1 0#2\nvec b 0 1#\n")
+        assert (r.dimension, set(r.vectors)) == (2, {"a", "b"})
+        with pytest.raises(VectorParseError) as err:
+            parse_vectors("vec a#1 0\n")
+        assert str(err.value) == "line 1, column 1: need an atom id and components"
+
+    def test_comment_only_lines_keep_line_numbers(self):
+        with pytest.raises(VectorParseError) as err:
+            parse_vectors("# header\n   # indented\n\nvec a 1 0\n\tvec a 0 1 # again\n")
+        assert (err.value.line, err.value.column) == (5, 6)
+
+    def test_error_names_the_offending_token_column(self):
+        with pytest.raises(VectorParseError) as err:
+            parse_vectors("vec a 1 0\nvec  b\t0 x\n")
+        assert (err.value.line, err.value.column) == (2, 10)
+        assert str(err.value) == "line 2, column 10: bad component token 'x'"
+
     def test_parse_vector_helper(self):
         v = parse_vector(["1/sqrt(2)", "0", "-1/sqrt(2)", "0"])
         assert v @ v == pytest.approx(1.0, abs=1e-12)
