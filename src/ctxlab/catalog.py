@@ -16,14 +16,13 @@ meaningful and structure-requiring operations must be refused by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations
 from math import acos, asin
 from typing import TYPE_CHECKING
 
-from ctxlab.logic import Logic, LogicError, PairProperty, parse_logic
+from ctxlab.logic import Logic, LogicError, PairProperty, _Record, parse_logic
 
 if TYPE_CHECKING:
     from ctxlab.realization import Realization
@@ -33,8 +32,7 @@ class UnknownEntry(LogicError):
     """Requested name is not in the catalog."""
 
 
-@dataclass(frozen=True)
-class FeasibilityWindow:
+class FeasibilityWindow(_Record):
     """Angle constraints a single pair of atoms would have to satisfy."""
 
     tifs_min_angle: float
@@ -52,8 +50,7 @@ def bug_pasting_feasibility() -> FeasibilityWindow:
                              feasible=lo <= hi)
 
 
-@dataclass(frozen=True)
-class ExpectedStates:
+class ExpectedStates(_Record):
     """Classification the states module must reproduce for an entry."""
 
     state_count: int
@@ -64,8 +61,7 @@ class ExpectedStates:
     special_pairs: tuple[tuple[str, str, PairProperty], ...] = ()
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One fixture; ``realized`` says whether it ships a vector file."""
 
     name: str

@@ -39,10 +39,11 @@ support beyond one scaling (none when the pivot entry is 1).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+from ctxlab.logic import _Record
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -63,8 +64,7 @@ def check_invariant(holds: bool, what: str) -> None:
         raise InternalError(what)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(_Record):
     status: str
     x: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None

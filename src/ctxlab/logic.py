@@ -19,7 +19,8 @@ context are appended in first-occurrence order.  ``#`` starts a comment.
 Atom ids are tokens over ``[A-Za-z0-9_']``.
 
 This is the base layer, so it also holds the vocabulary the layers above
-share: the domain error types and the :class:`PairProperty` verdicts.
+share: the domain error types, the :class:`PairProperty` verdicts and the
+base class of every record.
 ``ctxlab.states`` re-exports ``PairProperty`` and ``MissingAtom``, while
 ``ctxlab.catalog`` and ``ctxlab.realization`` take them from here and so
 never load the state layer.
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 ATOM_TOKEN = re.compile(r"[A-Za-z0-9_']+\Z")
 
@@ -88,8 +89,67 @@ class PairProperty(enum.Enum):
     UNCONSTRAINED = "Unconstrained"
 
 
-@dataclass(frozen=True)
-class Violation:
+class _Record:
+    """A frozen dataclass's behaviour without its generated code.  The fields
+    are the annotations, base classes' first; a class attribute of the same
+    name is a default.  ``identity=True`` keeps identity equality and hash.
+    """
+
+    def __init_subclass__(cls, identity: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(dict.fromkeys((*getattr(cls, "__match_args__", ()),
+                                     *cls.__dict__.get("__annotations__", ()))))
+        cls.__match_args__ = names
+        defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+        cls._spec = names, frozenset(names), defaults, hasattr(cls, "__post_init__")
+        get = attrgetter(*names)  # a tuple only for two or more names
+        cls._values = get if len(names) > 1 else staticmethod(lambda r: (get(r),))
+        if identity:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        names, name_set, defaults, post_init = self._spec
+        count = len(args) + len(kwargs)
+        if args:
+            kwargs.update(zip(names, args))
+        if count != len(args) or count != len(names):  # keywords, defaults or a bad call
+            given = len(kwargs)  # fewer than count: a repeated field or too many positionals
+            if given < len(names):
+                kwargs = {**defaults, **kwargs}
+            if given != count or kwargs.keys() != name_set:
+                raise TypeError(f"{type(self).__qualname__}() takes ({', '.join(names)}), got "
+                                f"{len(args)} positional and {count - len(args)} keyword "
+                                f"arguments, unmatched {sorted(name_set ^ kwargs.keys())}")
+        # a fresh dict rather than the instance's own: attribute reads stay fast
+        object.__setattr__(self, "__dict__", kwargs)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__, other.__dict__
+        if len(mine) == len(theirs) == len(self.__match_args__):  # no cached values
+            return mine == theirs
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Violation(_Record):
     """One validation rule failure, as data."""
 
     rule: str
@@ -97,8 +157,7 @@ class Violation:
     offenders: tuple = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     ok: bool
     violations: tuple[Violation, ...] = ()
 
@@ -106,8 +165,7 @@ class ValidationReport:
         return [v for v in self.violations if v.rule == rule]
 
 
-@dataclass(frozen=True)
-class Logic:
+class Logic(_Record):
     """An orthogonality hypergraph.
 
     ``atoms`` keeps declaration order; that order is the canonical coordinate
@@ -208,7 +266,13 @@ def parse_logic(text: str) -> Logic:
 
 
 def serialize_logic(logic: Logic) -> str:
-    """Inverse of :func:`parse_logic` up to comments and labels."""
+    """Inverse of :func:`parse_logic` up to comments and labels; raises
+    :class:`InvalidInput` for an atom id or name that would not read back."""
+    if logic.name and not re.match(r"[^\s#]+\Z", logic.name):
+        raise InvalidInput(f"logic name {logic.name!r} is not one token without '#'")
+    for a in (*logic.atoms, *(a for c in logic.contexts for a in c)):
+        if not ATOM_TOKEN.match(a):
+            raise InvalidInput(f"bad atom id {a!r}")
     lines = []
     if logic.name:
         lines.append(f"logic {logic.name}")

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -43,7 +42,7 @@ from typing import Mapping, Sequence
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _pivot, _primitive, _quote, _reduce,
                              check_invariant, parse_rational, scale_to_integers,
                              solve_lexicographic, solve_standard)
-from ctxlab.logic import ATOM_TOKEN, InvalidInput, Logic, LogicError
+from ctxlab.logic import ATOM_TOKEN, InvalidInput, Logic, LogicError, _Record
 from ctxlab.states import (TwoValuedState, UnknownAtom, _check_valid, _rows,
                            enumerate_states)
 
@@ -62,8 +61,7 @@ def _require_exact(values, what: str) -> None:
             raise ValueError(f"{what} {x!r} is not an int or a Fraction")
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(_Record):
     """Deduplicated vertex list with multiplicities, sorted lexicographically.
     Construction raises ``ValueError`` for a coordinate that is not an int or
     a Fraction, or a vertex whose length is not that of ``labels``."""
@@ -86,8 +84,7 @@ class VertexSet:
             _require_exact(v, "vertex coordinate")
 
 
-@dataclass(frozen=True)
-class _LinearForm:
+class _LinearForm(_Record):
     labels: tuple[str, ...]
     coeffs: Vector
     bound: Fraction
@@ -103,25 +100,21 @@ class _LinearForm:
         return total
 
 
-@dataclass(frozen=True)
 class Inequality(_LinearForm):
     """coeffs . x <= bound over the named coordinates."""
 
 
-@dataclass(frozen=True)
 class Equality(_LinearForm):
     """coeffs . x == bound on every vertex (affine hull description)."""
 
 
-@dataclass(frozen=True)
-class InequalityEvaluation:
+class InequalityEvaluation(_Record):
     value: object
     bound: object
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(_Record):
     labels: tuple[str, ...]
     vertices: tuple[Vector, ...]
     counts: tuple[int, ...]
@@ -130,8 +123,7 @@ class Polytope:
     facets: tuple[Inequality, ...]
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(_Record):
     """Inside: convex ``weights`` over the vertex list.  Outside: a
     ``separator`` facet (or violated hull equality) with its value at the
     point and its exact maximum over the vertices.  An empty vertex set (a
@@ -145,8 +137,7 @@ class MembershipResult:
     max_over_vertices: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class ImplicationResult:
+class ImplicationResult(_Record):
     """Whether max coeffs . p over the measure axiom region stays <= bound."""
 
     implied: bool

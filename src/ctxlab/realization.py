@@ -15,14 +15,13 @@ Every tolerance test is written so that NaN fails it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import acos, sqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 # the angle window lives with the catalog entry that records it, so that
 # listing the catalog does not load this module; it stays public here
 from ctxlab.catalog import FeasibilityWindow, bug_pasting_feasibility
-from ctxlab.logic import Logic, LogicError, MissingAtom, _token_lines
+from ctxlab.logic import Logic, LogicError, MissingAtom, _Record, _token_lines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,9 +64,9 @@ class NonOrthonormalContext(RealizationError):
     """Context vectors fail pairwise orthogonality or unit norm."""
 
 
-@dataclass(frozen=True, eq=False)
-class Realization:
-    """Per-atom unit vectors in a fixed dimension, with a check tolerance."""
+class Realization(_Record, identity=True):
+    """Per-atom unit vectors in a fixed dimension, with a check tolerance; for
+    another, construct a new Realization.  It compares by identity."""
 
     dimension: int
     vectors: Mapping[str, np.ndarray]
@@ -79,15 +78,13 @@ class Realization:
         return self.vectors[atom]
 
 
-@dataclass(frozen=True)
-class ContextFailure:
+class ContextFailure(_Record):
     context_index: int
     pair: tuple[str, str]
     value: float
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(_Record):
     """ok requires clean orthogonality, unit norms and no collinear atoms."""
 
     ok: bool
@@ -99,8 +96,7 @@ class RealizationReport:
     skipped_contexts: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(_Record):
     assignment: Mapping[str, float]
     evaluations: tuple[tuple[Inequality, float, bool], ...]
     violated: tuple[Inequality, ...]
@@ -149,7 +145,7 @@ def parse_vectors(text: str) -> Realization:
 
     The dimension is the first vector's; every vector must match it.  ``#``
     starts a comment.  The Realization gets the default check tolerance;
-    ``dataclasses.replace`` gives it another.
+    a new ``Realization`` over the same vectors carries another.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None

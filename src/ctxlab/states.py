@@ -29,7 +29,6 @@ end, so the order in which the search took the contexts never shows.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
@@ -38,7 +37,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from ctxlab.exactlp import scale_to_integers
 # MissingAtom and PairProperty live in the base layer and are re-exported here
 from ctxlab.logic import (InvalidInput, Logic, LogicError, MissingAtom, PairProperty,
-                          paste_logics, validate_logic)
+                          _Record, paste_logics, validate_logic)
 
 Number = Union[Fraction, float]
 
@@ -77,8 +76,9 @@ class TwoValuedState:
 
     The bits are kept as one private ``bytes`` value, byte i holding atom
     i's value, and ``bits`` returns them as a tuple of ints.  Frozen like a
-    frozen dataclass: equal when the class, the atoms and the bits are
-    equal, hashable, and assignment raises ``FrozenInstanceError``.
+    ctxlab record, whose ``__setattr__`` and ``__delattr__`` it shares:
+    equal when the class, the atoms and the bits are equal, hashable, and
+    assignment or deletion raises ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ("atoms", "_raw")
@@ -102,11 +102,8 @@ class TwoValuedState:
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(atoms={self.atoms!r}, bits={self.bits!r})"
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
 
     def __reduce__(self):
         return type(self), (self.atoms, self._raw)
@@ -128,8 +125,7 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' characters to bits
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # and back
 
 
-@dataclass(frozen=True)
-class StateSpaceReport:
+class StateSpaceReport(_Record):
     count: int
     unital: bool
     non_unital_atoms: tuple[str, ...]
@@ -137,8 +133,7 @@ class StateSpaceReport:
     inseparable_pairs: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(_Record):
     """Result of checking the probability-measure axioms on an assignment.
 
     Nonnegativity and per-context unit sums are checked numerically.
@@ -151,8 +146,7 @@ class MeasureReport:
     context_sum_failures: tuple[tuple[int, Number], ...]
 
 
-@dataclass(frozen=True)
-class IndefinitenessCertificate:
+class IndefinitenessCertificate(_Record):
     """Witness that the antecedent atom can carry no consistent value.
 
     The first logic forces target false whenever the antecedent is true, the
@@ -396,8 +390,7 @@ def pair_property(logic: Logic, antecedent: str, target: str) -> PairProperty:
     return PairProperty.UNCONSTRAINED
 
 
-@dataclass(frozen=True)
-class MixtureWeights:
+class MixtureWeights(_Record):
     """Nonnegative rational weights summing to exactly one.
 
     Values that are not already a ``Fraction`` are converted with

@@ -13,13 +13,12 @@ import random
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, repeat
 from typing import Mapping, Sequence
 
-from ctxlab.logic import Logic, LogicError
+from ctxlab.logic import Logic, LogicError, _Record
 from ctxlab.states import (MixtureWeights, TwoValuedState, _columns, _rows,
                            _scaled_weights, enumerate_states)
 
@@ -30,8 +29,7 @@ class UnknownContext(LogicError):
     """Context index outside the logic's context list."""
 
 
-@dataclass(frozen=True)
-class PartitionRepresentation:
+class PartitionRepresentation(_Record):
     """Atoms as 1-based state-index sets; faithful when the state space is
     separating (sets pairwise distinct) and unital (sets nonempty)."""
 
@@ -40,8 +38,7 @@ class PartitionRepresentation:
     faithful: bool
 
 
-@dataclass(frozen=True)
-class UrnResult:
+class UrnResult(_Record):
     """Empirical per-atom frequencies for one context; exact rationals that
     sum to 1, plus the seed and generator id for reproducibility."""
 

@@ -19,8 +19,8 @@ import ctxlab
 SRC = str(pathlib.Path(ctxlab.__file__).resolve().parents[1])
 
 # run cli.main(argv) with stdout and stderr discarded (argv null: only
-# ``import ctxlab``); print the exit code, whether numpy was imported and
-# which ctxlab submodules were
+# ``import ctxlab``); print the exit code, whether numpy was imported, which
+# ctxlab submodules were and which of the costly standard modules were
 _PROBE = """
 import contextlib, io, json, sys
 import ctxlab
@@ -35,8 +35,11 @@ if argv is not None:
         except SystemExit as exc:
             code = exc.code
 print(json.dumps([code, "numpy" in sys.modules,
-                  sorted(m for m in sys.modules if m.startswith("ctxlab."))]))
+                  sorted(m for m in sys.modules if m.startswith("ctxlab.")),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
+# dataclasses takes 10-13 ms to import, most of it inspect; numpy loads inspect
+COSTLY = {"dataclasses", "inspect"}
 
 
 def _env() -> dict:
@@ -46,18 +49,18 @@ def _env() -> dict:
     return env
 
 
-def probe(argv: list[str] | None, cwd=None) -> tuple[int | None, bool, set[str]]:
+def probe(argv: list[str] | None, cwd=None) -> tuple[int | None, bool, set[str], set[str]]:
     done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
                           capture_output=True, text=True, env=_env(),
                           cwd=cwd, timeout=120, check=True)
-    code, numpy, modules = json.loads(done.stdout)
-    return code, numpy, {m.removeprefix("ctxlab.") for m in modules}
+    code, numpy, modules, costly = json.loads(done.stdout)
+    return code, numpy, {m.removeprefix("ctxlab.") for m in modules}, set(costly)
 
 
-def loaded_after(statement: str) -> list[str]:
-    """The ctxlab submodules a fresh interpreter holds after ``statement``."""
+def loaded_after(statement: str, prefix: str = "ctxlab.") -> list[str]:
+    """The modules under ``prefix`` a fresh interpreter holds after ``statement``."""
     code = (f"import json, sys, ctxlab; {statement}; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ctxlab.'))))")
+            f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_env(), timeout=120, check=True)
     return json.loads(done.stdout)
@@ -109,9 +112,10 @@ SOURCE = ["--catalog", "pentagon"]
      "--expect", "TrueImpliesFalsee"],
 ], ids=lambda argv: " ".join(argv) or "empty")
 def test_usage_error_loads_no_layer(argv):
-    code, _, modules = probe(argv)
+    code, _, modules, costly = probe(argv)
     assert code == 2
     assert not modules & {"states", "polytope", "realization", "urn"}
+    assert not costly
 
 
 @pytest.mark.parametrize("argv", [
@@ -123,7 +127,7 @@ def test_usage_error_loads_no_layer(argv):
     ["urn", *SOURCE, "--context", "0", "--draws", "100", "--seed", "1"],
 ], ids=lambda argv: argv[0])
 def test_state_commands_skip_polytope_and_realization(argv):
-    code, _, modules = probe(argv)
+    code, _, modules, _ = probe(argv)
     assert code == 0
     assert not modules & {"polytope", "realization"}
 
@@ -135,7 +139,7 @@ def test_state_commands_skip_polytope_and_realization(argv):
 ], ids=lambda argv: argv[0])
 def test_polytope_commands_skip_realization_and_urn(argv, tmp_path):
     (tmp_path / "half.assign").write_text("".join(f"{a} 1/2\n" for a in "13579"))
-    code, _, modules = probe(argv, cwd=tmp_path)
+    code, _, modules, _ = probe(argv, cwd=tmp_path)
     assert code == 0
     assert "polytope" in modules
     assert not modules & {"realization", "urn"}
@@ -147,7 +151,7 @@ def test_polytope_commands_skip_realization_and_urn(argv, tmp_path):
     ["catalog"],
 ], ids=lambda argv: argv[0])
 def test_realization_commands_skip_polytope(argv):
-    code, _, modules = probe(argv)
+    code, _, modules, _ = probe(argv)
     assert code == 0
     assert "polytope" not in modules
 
@@ -160,7 +164,7 @@ def test_realization_commands_skip_polytope(argv):
 ], ids=lambda argv: argv[0])
 def test_structural_commands_skip_states_and_lp(argv):
     # the catalog's PairProperty comes from the logic layer
-    code, _, modules = probe(argv)
+    code, _, modules, _ = probe(argv)
     assert code == 0
     assert not modules & {"states", "exactlp"}
 
@@ -171,7 +175,7 @@ def test_structural_commands_skip_states_and_lp(argv):
 ], ids=lambda argv: argv[0])
 def test_realization_commands_skip_states(argv):
     # the realization layer's MissingAtom comes from the logic layer
-    code, _, modules = probe(argv)
+    code, _, modules, _ = probe(argv)
     assert code == 0
     assert "realization" in modules and "states" not in modules
 
@@ -183,7 +187,7 @@ def test_realization_commands_skip_states(argv):
 ], ids=["catalog", "catalog-json", "impossible_fig6"])
 def test_catalog_and_angle_window_skip_realization(argv, code):
     # impossible_fig6's window is two math calls, built without the module
-    done, numpy, modules = probe(argv)
+    done, numpy, modules, _ = probe(argv)
     assert (done, numpy) == (code, False)
     assert "realization" not in modules
 
@@ -202,3 +206,33 @@ def test_lazily_loaded_domain_errors_exit_1(argv):
                           timeout=120)
     assert done.returncode == 1
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", *SOURCE],
+    ["states", *SOURCE],
+    ["classify", *SOURCE],
+    ["property", "--catalog", "specker_bug", "--given", "a", "--target", "b"],
+    ["mixture", *SOURCE, "--weights", "fifth.weights"],
+    ["hull", *SOURCE],
+    ["member", *SOURCE, "--assign", "half.assign", "--project", "1,3,5,7,9"],
+    ["axiom-check", *SOURCE, "--ineq", "1 + 2 + 3 <= 1"],
+    ["paste", "--catalog", "tifs_fig5a", "--catalog2", "tits_fig5b"],
+    ["certify-vi", "--catalog", "tifs_fig5a", "--catalog2", "tits_fig5b",
+     "--given", "a", "--target", "b"],
+    ["urn", *SOURCE, "--context", "0", "--draws", "100", "--seed", "1"],
+    ["catalog", "--json"],
+    ["export-dot", *SOURCE],
+], ids=lambda argv: argv[0])
+def test_records_load_neither_dataclasses_nor_inspect(argv, tmp_path):
+    # realization-check, born and violate load numpy, which loads inspect
+    (tmp_path / "fifth.weights").write_text("1/5\n" * 5 + "0\n" * 6)
+    (tmp_path / "half.assign").write_text("".join(f"{a} 1/2\n" for a in "13579"))
+    code, _, _, costly = probe(argv, cwd=tmp_path)
+    assert code == 0
+    assert not costly
+
+
+@pytest.mark.parametrize("module", ["polytope", "urn", "catalog"])
+def test_layer_import_loads_neither_dataclasses_nor_inspect(module):
+    assert not set(loaded_after(f"import ctxlab.{module}", prefix="")) & COSTLY

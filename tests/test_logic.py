@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxlab.logic import (
+    InvalidInput,
     Logic,
     LogicParseError,
     PasteInvalid,
@@ -89,6 +92,27 @@ class TestParse:
 
     def test_roundtrip_pentagon(self):
         l = parse_logic(PENTAGON)
+        assert parse_logic(serialize_logic(l)) == l
+
+    @pytest.mark.parametrize("logic, message", [
+        # read back as the atoms a, c, b
+        (Logic(("a b", "c"), (("a b", "c"),)), "bad atom id 'a b'"),
+        (Logic(("a", "b"), (("a", "b#"),)), "bad atom id 'b#'"),
+        (Logic(("a", ""), (("a", ""),)), "bad atom id ''"),
+        # read back as the name x, or not read at all
+        (Logic(("a", "b"), (("a", "b"),), "x#y"), "logic name 'x#y'"),
+        (Logic(("a", "b"), (("a", "b"),), "my logic"), "logic name 'my logic'"),
+        (Logic(("a", "b"), (("a", "b"),), "#"), "logic name '#'"),
+        (Logic(("a", "b"), (("a", "b"),), "a\u2028b"), "logic name"),
+    ], ids=["space-atom", "hash-atom", "empty-atom", "hash-name", "space-name",
+            "comment-name", "line-separator-name"])
+    def test_serialize_refuses_what_does_not_read_back(self, logic, message):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            serialize_logic(logic)
+
+    @pytest.mark.parametrize("name", ["p", "a+b", "fig5a'", "x-y.z", "日本"])
+    def test_any_one_token_name_round_trips(self, name):
+        l = Logic(("a", "b"), (("a", "b"),), name)
         assert parse_logic(serialize_logic(l)) == l
 
 class TestLineReading:
