@@ -208,8 +208,9 @@ def test_assignment_and_deletion_raise_frozen_instance_error(cls, data):
 @given(data=st.data())
 def test_pickle_and_copy_round_trip(cls, data):
     record = cls(**data.draw(_kwargs(cls)))
-    for back in (pickle.loads(pickle.dumps(record)), copy.copy(record),
-                 copy.deepcopy(record)):
+    for back in (*(pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+                 copy.copy(record), copy.deepcopy(record)):
         assert type(back) is cls and repr(back) == repr(record)
         if "nan" not in repr(record):  # a copied NaN equals no other NaN
             assert back == record and hash(back) == hash(record)
