@@ -29,8 +29,8 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ctxlab.logic import (LogicError, PairProperty, export_greechie_dot,
-                          parse_logic, paste_logics, serialize_logic,
+from ctxlab.logic import (LogicError, PairProperty, _quote, export_greechie_dot,
+                          parse_logic, parse_rational, paste_logics, serialize_logic,
                           validate_logic)
 
 if TYPE_CHECKING:
@@ -135,7 +135,6 @@ def _realization(args) -> tuple[Realization, bool]:
 
 
 def _fraction(text: str, where: str) -> Fraction:
-    from ctxlab.exactlp import _quote, parse_rational
     try:
         return parse_rational(text)
     except OverflowError as err:
@@ -425,11 +424,12 @@ def _cmd_violate(args) -> int:
 
 def _cmd_paste(args) -> int:
     pasted = paste_logics(_logic(args), _logic(args, "2"))
+    text = serialize_logic(pasted)
     payload = {"command": "paste", "name": pasted.name,
                "atoms": list(pasted.atoms),
                "contexts": [list(c) for c in pasted.contexts],
-               "serialized": serialize_logic(pasted)}
-    _emit(args, payload, serialize_logic(pasted))
+               "serialized": text}
+    _emit(args, payload, text)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals: the simplex and its kernel.
 
 Two-phase primal simplex on the standard form
 
@@ -27,7 +27,7 @@ entry is its row's rhs over the row's scale, and each dual entry is one
 Fraction of an integer sum over the common denominator of the basic rows'
 scales.  Inputs are ints or Fractions, taken as given: the public
 functions of :mod:`ctxlab.polytope` refuse anything else before an LP is
-built, and rows that are already all ints are copied, not re-scaled.
+built, and ``logic.scale_to_integers`` copies rows that are all ints.
 Problem sizes here are tens of rows and at most a couple of hundred
 columns, where simplicity and exactness matter more than sparse data
 structures, but the tableau is mostly zeros: ``_pivot``, the one pivot step
@@ -38,19 +38,15 @@ support beyond one scaling (none when the pivot entry is 1).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from ctxlab.logic import _Record
+from ctxlab.logic import _Record, scale_to_integers
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-MAX_EXPONENT = 4300  # Python's default int digit limit, sys.int_info.default_max_str_digits
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
-_DIGITS = re.compile(r"[\d_]+")
 
 
 class InternalError(RuntimeError):
@@ -70,36 +66,6 @@ class LPResult(_Record):
     objective: Fraction | None = None
     dual: tuple[Fraction, ...] | None = None
     farkas: tuple[Fraction, ...] | None = None
-
-
-def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, but an exponent over ``MAX_EXPONENT`` in magnitude
-    raises ``OverflowError`` first: ``Fraction`` builds 10**|e|, seconds of
-    work at |e| = 10**7.  So does a run of more digits, which int refuses."""
-    m = _EXPONENT.search(text)
-    if m and (len(e := m[1].replace("_", "").lstrip("0")) > 4 or int(e or 0) > MAX_EXPONENT):
-        raise OverflowError(f"exponent magnitude over {MAX_EXPONENT}")
-    if any(len(run) - run.count("_") > MAX_EXPONENT for run in _DIGITS.findall(text)):
-        raise OverflowError(f"more than {MAX_EXPONENT} digits")
-    return Fraction(text)
-
-
-def _quote(text: str) -> str:
-    """``repr(text)``, cut to 20 characters past ``MAX_EXPONENT`` ones."""
-    return repr(text) if len(text) <= MAX_EXPONENT else f"{text[:20]!r}..."
-
-
-def scale_to_integers(values: Sequence) -> tuple[list[int], int]:
-    """``(ints, scale)`` with ints = scale * values, where scale is the lcm of
-    the denominators of the values (ints or Fractions; 1 for no values): the
-    smallest positive integer multiple of the vector.  The one place that
-    turns exact rationals into an integer row.  The list is always new, so
-    callers may update it in place."""
-    if set(map(type, values)) <= {int}:  # already integral: copy, scale 1
-        return list(values), 1
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*{q for _, q in ratios})
-    return [p * (scale // q) for p, q in ratios] if scale > 1 else [p for p, _ in ratios], scale
 
 
 def _primitive(row: list[int]) -> list[int]:

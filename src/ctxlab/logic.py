@@ -19,8 +19,9 @@ context are appended in first-occurrence order.  ``#`` starts a comment.
 Atom ids are tokens over ``[A-Za-z0-9_']``.
 
 This is the base layer, so it also holds the vocabulary the layers above
-share: the domain error types, the :class:`PairProperty` verdicts and the
-base class of every record.
+share: the domain error types, the :class:`PairProperty` verdicts, the
+base class of every record and exact-number input (:func:`parse_rational`,
+:func:`scale_to_integers`).
 ``ctxlab.states`` re-exports ``PairProperty`` and ``MissingAtom``, while
 ``ctxlab.catalog`` and ``ctxlab.realization`` take them from here and so
 never load the state layer.
@@ -30,10 +31,16 @@ from __future__ import annotations
 
 import enum
 import re
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import attrgetter
+from typing import Sequence
 
 ATOM_TOKEN = re.compile(r"[A-Za-z0-9_']+\Z")
+MAX_EXPONENT = 4300  # Python's default int digit limit, sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+_DIGITS = re.compile(r"[\d_]+")
 
 _DOT_PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02",
@@ -212,6 +219,36 @@ def _token_lines(text: str):
             yield lineno, tokens
 
 
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, but an exponent over ``MAX_EXPONENT`` in magnitude
+    raises ``OverflowError`` first: ``Fraction`` builds 10**|e|, seconds of
+    work at |e| = 10**7.  So does a run of more digits, which int refuses."""
+    m = _EXPONENT.search(text)
+    if m and (len(e := m[1].replace("_", "").lstrip("0")) > 4 or int(e or 0) > MAX_EXPONENT):
+        raise OverflowError(f"exponent magnitude over {MAX_EXPONENT}")
+    if any(len(run) - run.count("_") > MAX_EXPONENT for run in _DIGITS.findall(text)):
+        raise OverflowError(f"more than {MAX_EXPONENT} digits")
+    return Fraction(text)
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, cut to 20 characters past ``MAX_EXPONENT`` ones."""
+    return repr(text) if len(text) <= MAX_EXPONENT else f"{text[:20]!r}..."
+
+
+def scale_to_integers(values: Sequence) -> tuple[list[int], int]:
+    """``(ints, scale)`` with ints = scale * values, where scale is the lcm of
+    the denominators of the values (ints or Fractions; 1 for no values): the
+    smallest positive integer multiple of the vector.  The one place that
+    turns exact rationals into an integer row.  The list is always new, so
+    callers may update it in place."""
+    if set(map(type, values)) <= {int}:  # already integral: copy, scale 1
+        return list(values), 1
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*{q for _, q in ratios})
+    return [p * (scale // q) for p, q in ratios] if scale > 1 else [p for p, _ in ratios], scale
+
+
 def parse_logic(text: str) -> Logic:
     """Parse the text format into a :class:`Logic`.
 
@@ -267,12 +304,17 @@ def parse_logic(text: str) -> Logic:
 
 def serialize_logic(logic: Logic) -> str:
     """Inverse of :func:`parse_logic` up to comments and labels; raises
-    :class:`InvalidInput` for an atom id or name that would not read back."""
+    :class:`InvalidInput` for a name, atom id or context that would not read back."""
     if logic.name and not re.match(r"[^\s#]+\Z", logic.name):
         raise InvalidInput(f"logic name {logic.name!r} is not one token without '#'")
     for a in (*logic.atoms, *(a for c in logic.contexts for a in c)):
         if not ATOM_TOKEN.match(a):
             raise InvalidInput(f"bad atom id {a!r}")
+    sets = logic.context_sets  # unused atoms and strict subsets read back equal
+    for v in validate_logic(logic).violations:
+        if v.rule in ("undeclared-atom", "context-too-small", "context-duplicate-atom") or (
+                v.rule == "subset-context" and sets[v.offenders[0]] == sets[v.offenders[1]]):
+            raise InvalidInput(v.message)
     lines = []
     if logic.name:
         lines.append(f"logic {logic.name}")
@@ -347,14 +389,10 @@ def validate_logic(logic: Logic) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _context_sort_key(logic_atoms_index: dict[str, int], ctx: tuple[str, ...]):
-    return tuple(sorted(logic_atoms_index[a] for a in ctx))
-
-
 def canonical_logic(logic: Logic) -> Logic:
     """Same logic with contexts sorted by their sorted atom-index tuples."""
     idx = logic.atom_index
-    ordered = sorted(logic.contexts, key=lambda c: _context_sort_key(idx, c))
+    ordered = sorted(logic.contexts, key=lambda c: sorted(map(idx.__getitem__, c)))
     return Logic(atoms=logic.atoms, contexts=tuple(ordered), name=logic.name)
 
 
@@ -386,7 +424,7 @@ def paste_logics(first: Logic, second: Logic) -> Logic:
         name = first.name or second.name
 
     idx = {a: i for i, a in enumerate(atoms)}
-    contexts = sorted(merged.values(), key=lambda c: _context_sort_key(idx, c))
+    contexts = sorted(merged.values(), key=lambda c: sorted(map(idx.__getitem__, c)))
     pasted = Logic(atoms=atoms, contexts=tuple(contexts), name=name)
 
     report = validate_logic(pasted)

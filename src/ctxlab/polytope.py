@@ -12,7 +12,7 @@ rational or integer arithmetic; there is no floating-point fallback: a float
 vertex or point coordinate, or inequality or equality entry, raises ``ValueError``
 (``VertexSet``, ``canonical_inequality``, ``membership`` and
 ``axiom_implied`` check; the LP layer below takes what they pass).  Linear
-algebra runs on integers, scaled by ``exactlp.scale_to_integers``: ``_rref``
+algebra runs on integers, scaled by ``logic.scale_to_integers``: ``_rref``
 and canonical forms eliminate with the exact LP's ``_pivot`` and ``_reduce``,
 ``_Hull`` scales the vertices once to a common denominator, double
 description keeps rows and rays primitive int tuples, with a ray's zero set
@@ -39,10 +39,10 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _pivot, _primitive, _quote, _reduce,
-                             check_invariant, parse_rational, scale_to_integers,
+from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _pivot, _primitive, _reduce, check_invariant,
                              solve_lexicographic, solve_standard)
-from ctxlab.logic import ATOM_TOKEN, InvalidInput, Logic, LogicError, _Record
+from ctxlab.logic import (ATOM_TOKEN, InvalidInput, Logic, LogicError, _Record, _quote,
+                          parse_rational, scale_to_integers)
 from ctxlab.states import (TwoValuedState, UnknownAtom, _check_valid, _rows,
                            enumerate_states)
 

@@ -194,15 +194,14 @@ def check_realization(logic: Logic, r: Realization,
     missing = tuple(a for a in logic.atoms if a not in r.vectors)
     if missing and not allow_partial:
         raise MissingAtom(f"no vectors for atoms: {', '.join(missing)}")
-    for a in logic.atoms:
-        if a in r.vectors and r.vectors[a].shape != (r.dimension,):
+    realized = [a for a in logic.atoms if a in r.vectors]
+    for a in realized:
+        if r.vectors[a].shape != (r.dimension,):
             raise ValueError(f"vector for {a!r} is not {r.dimension}-dimensional")
     tol = r.tolerance
 
     norm_failures = []
-    for a in logic.atoms:
-        if a not in r.vectors:
-            continue
+    for a in realized:
         sq = _inner(r.vectors[a], r.vectors[a]).real
         if not abs(sq - 1) <= tol:
             norm_failures.append((a, sq))
@@ -221,7 +220,6 @@ def check_realization(logic: Logic, r: Realization,
                         i, (a, b), val.real if val.imag == 0 else abs(val)))
 
     collinear = []
-    realized = [a for a in logic.atoms if a in r.vectors]
     for j, a in enumerate(realized):
         for b in realized[j + 1:]:
             if abs(abs(_inner(r.vectors[a], r.vectors[b])) - 1) <= tol:
@@ -260,11 +258,7 @@ def born_probabilities(logic: Logic, r: Realization, psi) -> dict[str, float]:
     up to roundoff because the basis resolves the identity.
     """
     vec = _state_vector(r, psi)
-    probs = {}
-    for a in logic.atoms:
-        if a in r.vectors:
-            probs[a] = abs(_inner(r.vectors[a], vec)) ** 2
-    return probs
+    return {a: abs(_inner(r.vectors[a], vec)) ** 2 for a in logic.atoms if a in r.vectors}
 
 
 def projector(v) -> np.ndarray:

@@ -34,10 +34,9 @@ from functools import lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
-from ctxlab.exactlp import scale_to_integers
 # MissingAtom and PairProperty live in the base layer and are re-exported here
-from ctxlab.logic import (InvalidInput, Logic, LogicError, MissingAtom, PairProperty,
-                          _Record, paste_logics, validate_logic)
+from ctxlab.logic import (InvalidInput, Logic, LogicError, MissingAtom, PairProperty, _Record,
+                          parse_rational, paste_logics, scale_to_integers, validate_logic)
 
 Number = Union[Fraction, float]
 
@@ -393,9 +392,9 @@ def pair_property(logic: Logic, antecedent: str, target: str) -> PairProperty:
 class MixtureWeights(_Record):
     """Nonnegative rational weights summing to exactly one.
 
-    Values that are not already a ``Fraction`` are converted with
-    ``Fraction(value)``.  The checks run on the integer numerators over the
-    weights' common denominator (``exactlp.scale_to_integers``), which are
+    Strings are read by ``logic.parse_rational``, other non-``Fraction``
+    values by ``Fraction(value)``.  The checks run on the integer numerators
+    over the weights' common denominator (``logic.scale_to_integers``),
     kept as ``_scaled``; :func:`convex_mixture` and ``urn_simulate`` read
     them through :func:`_scaled_weights`.
     """
@@ -403,7 +402,8 @@ class MixtureWeights(_Record):
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.weights)
+        ws = tuple(w if isinstance(w, Fraction) else parse_rational(w) if isinstance(w, str)
+                   else Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         nums, d = scale_to_integers(ws)
         # d > 0, so each numerator has its weight's sign
@@ -464,7 +464,7 @@ def check_measure(logic: Logic, assignment: Mapping[str, Number],
     assignments); pass a small float for floating-point inputs.  A NaN value
     fails both checks.  When the tolerance is 0 and every value is a
     ``Fraction``, the sums run on integer numerators over the values' common
-    denominator (``exactlp.scale_to_integers``); a failing total is reported
+    denominator (``logic.scale_to_integers``); a failing total is reported
     as the same ``Fraction`` either way.
     """
     for a in logic.atoms:

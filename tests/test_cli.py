@@ -289,7 +289,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, text, message", [
         ("repeated.assign", "1 1/2\n# comment\n1 1/3\n", "repeated.assign:3: repeated atom '1'"),
         ("empty.assign", "# only a comment\n\n", "empty.assign: no assignment lines"),
-    ], ids=["repeated-atom", "no-lines"])
+        ("three.assign", "1 1/2\n2 0 # ok\n3 1/2 1\n", "three.assign:3: expected 'atom value'"),
+        ("one.assign", "1\n", "one.assign:1: expected 'atom value'"),
+    ], ids=["repeated-atom", "no-lines", "three-tokens", "one-token"])
     def test_bad_assignment_file_exits_1(self, capsys, tmp_path, monkeypatch,
                                          name, text, message):
         monkeypatch.chdir(tmp_path)

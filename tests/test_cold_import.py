@@ -122,14 +122,19 @@ def test_usage_error_loads_no_layer(argv):
     ["states", *SOURCE],
     ["classify", *SOURCE],
     ["property", "--catalog", "specker_bug", "--given", "a", "--target", "b"],
+    ["mixture", *SOURCE, "--weights", "fifth.weights"],
     ["certify-vi", "--catalog", "tifs_fig5a", "--catalog2", "tits_fig5b",
      "--given", "a", "--target", "b"],
     ["urn", *SOURCE, "--context", "0", "--draws", "100", "--seed", "1"],
-], ids=lambda argv: argv[0])
-def test_state_commands_skip_polytope_and_realization(argv):
-    code, _, modules, _ = probe(argv)
+    ["urn", *SOURCE, "--context", "0", "--draws", "100", "--seed", "1",
+     "--weights", "fifth.weights"],
+], ids=["states", "classify", "property", "mixture", "certify-vi", "urn", "urn-weights"])
+def test_state_commands_skip_polytope_and_realization(argv, tmp_path):
+    # exact-number input lives in the logic layer, so no LP is compiled
+    (tmp_path / "fifth.weights").write_text("1/5\n" * 5 + "0\n" * 6)
+    code, _, modules, _ = probe(argv, cwd=tmp_path)
     assert code == 0
-    assert not modules & {"polytope", "realization"}
+    assert not modules & {"polytope", "realization", "exactlp"}
 
 
 @pytest.mark.parametrize("argv", [

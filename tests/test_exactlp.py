@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxlab import exactlp
-from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, UNBOUNDED, scale_to_integers,
-                            solve_lexicographic, solve_standard)
+from ctxlab.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lexicographic, solve_standard
+from ctxlab.logic import parse_rational, scale_to_integers
 
 import lp_oracle
 
@@ -393,20 +393,20 @@ def test_scale_to_integers_copies_int_rows():
 
 @pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", "1e0004300", " 7e1 ", "3/4"])
 def test_parse_rational_reads_exponents_up_to_the_limit(text):
-    assert exactlp.parse_rational(text) == Fraction(text)
+    assert parse_rational(text) == Fraction(text)
 
 
 @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1e5_000", "1e" + "9" * 5000,
                                   "1e100000000"])
 def test_parse_rational_refuses_larger_exponents_before_building_them(text):
     with pytest.raises(OverflowError, match="exponent magnitude over 4300"):
-        exactlp.parse_rational(text)
+        parse_rational(text)
 
 
 @pytest.mark.parametrize("text", ["9" * 4300, "1_" * 4299 + "1", "9" * 4300 + "." + "9" * 4300],
                          ids=["4300-digits", "underscores-not-counted", "two-runs-of-4300"])
 def test_parse_rational_reads_digit_runs_up_to_the_limit(text):
-    assert exactlp.parse_rational(text) == Fraction(text)
+    assert parse_rational(text) == Fraction(text)
 
 
 @pytest.mark.parametrize("text", ["1" * 4301, "-" + "1_" * 4300 + "1", "1/" + "7" * 4301,
@@ -415,4 +415,4 @@ def test_parse_rational_reads_digit_runs_up_to_the_limit(text):
 def test_parse_rational_refuses_digit_runs_past_the_limit(text):
     # Python's int refuses them too, with a ValueError that names no place
     with pytest.raises(OverflowError, match="^more than 4300 digits$"):
-        exactlp.parse_rational(text)
+        parse_rational(text)

@@ -104,11 +104,27 @@ class TestParse:
         (Logic(("a", "b"), (("a", "b"),), "my logic"), "logic name 'my logic'"),
         (Logic(("a", "b"), (("a", "b"),), "#"), "logic name '#'"),
         (Logic(("a", "b"), (("a", "b"),), "a\u2028b"), "logic name"),
+        # read back with the atoms a, b, c
+        (Logic(("a", "b"), (("a", "b"), ("a", "c"))), "context 1 uses undeclared atom 'c'"),
+        # not read at all: parse_logic refuses each
+        (Logic(("a",), (("a",),)), "context 0 has 1 atom(s)"),
+        (Logic(("a", "b"), ((), ("a", "b"))), "context 0 has 0 atom(s)"),
+        (Logic(("a", "b"), (("a", "b"), ("b", "a"))), "context 0 is a subset of context 1"),
+        (Logic(("a", "b"), (("a", "a", "b"),)), "atom 'a' repeated in context 0"),
     ], ids=["space-atom", "hash-atom", "empty-atom", "hash-name", "space-name",
-            "comment-name", "line-separator-name"])
+            "comment-name", "line-separator-name", "undeclared-atom", "one-atom-context",
+            "empty-context", "repeated-context", "repeated-atom"])
     def test_serialize_refuses_what_does_not_read_back(self, logic, message):
         with pytest.raises(InvalidInput, match=re.escape(message)):
             serialize_logic(logic)
+
+    @pytest.mark.parametrize("logic", [
+        Logic(("a", "b", "z"), (("a", "b"),)),
+        Logic(("a", "b", "c"), (("a", "b"), ("c", "b", "a"))),
+    ], ids=["unused-atom", "strict-subset-context"])
+    def test_serialize_keeps_what_validate_refuses_but_reads_back(self, logic):
+        assert not validate_logic(logic).ok
+        assert parse_logic(serialize_logic(logic)) == logic
 
     @pytest.mark.parametrize("name", ["p", "a+b", "fig5a'", "x-y.z", "日本"])
     def test_any_one_token_name_round_trips(self, name):

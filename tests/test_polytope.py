@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ctxlab import polytope
 from ctxlab.catalog import catalog_get
-from ctxlab.exactlp import InternalError, scale_to_integers
+from ctxlab.exactlp import InternalError
+from ctxlab.logic import scale_to_integers
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
                              MissingCoordinate, VertexSet, _extreme_rays,
                              _nonneg_representative, _rref,

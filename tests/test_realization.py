@@ -170,6 +170,13 @@ class TestCheckRealization:
         loose = Realization(2, vecs, tolerance=1e-13)
         assert not check_realization(tiny, loose).ok
 
+    def test_vector_of_wrong_dimension_refused(self):
+        from ctxlab.logic import Logic
+        tiny = Logic(atoms=("a", "b"), contexts=(("a", "b"),))
+        r = Realization(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0, 0.0])})
+        with pytest.raises(ValueError, match=r"^vector for 'b' is not 2-dimensional$"):
+            check_realization(tiny, r)
+
 
 class TestBorn:
     def test_preparation_basis_gives_indicator(self):
@@ -201,6 +208,12 @@ class TestBorn:
         r = load_realization("triangle4d")
         with pytest.raises(NonUnitState):
             born_probabilities(lg, r, np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_psi_of_wrong_length_refused(self):
+        lg = load_logic("triangle4d")
+        r = load_realization("triangle4d")
+        with pytest.raises(ValueError, match=r"^psi is not 4-dimensional$"):
+            born_probabilities(lg, r, np.array([1.0, 0.0, 0.0]))
 
     def test_unrealized_psi_atom(self):
         lg = load_logic("specker_bug")

@@ -407,6 +407,11 @@ class TestMixtures:
         with pytest.raises(WeightsNotNormalized):
             MixtureWeights((Fraction(3, 2), Fraction(-1, 2)))
 
+    def test_text_weights_refuse_huge_exponents_before_building_them(self):
+        # Fraction("1e5000") would build 10**5000 and sum it
+        with pytest.raises(OverflowError, match="^exponent magnitude over 4300$"):
+            MixtureWeights(("1e5000",))
+
 
 class TestCheckMeasure:
     def test_exotic_pentagon_half_measure(self):
