@@ -4,10 +4,11 @@ Atoms become unit vectors, contexts become orthonormal bases, and the Born
 rule turns a state vector into a probability assignment.  Arithmetic is
 64-bit floating point; vector files use an exact token grammar (integers,
 a/b, a/sqrt(b), complex pairs) so inputs stay reproducible.  Angles are
-measured between rays, so the sign of a vector never matters.  numpy is
-imported by the functions that build or compute with a vector, not by this
-module, so the combinatorial layers and the CLI load without it; likewise
-the polytope layer, and through it the state layer, is imported only by
+measured between rays, so the sign of a vector never matters.  Vectors are
+tuples of Python floats (complex if any component is) and inner products add
+left to right, so only the matrix functions (``projector``,
+``maximal_operator``, ``recover_projectors``) import numpy.  Likewise the
+polytope layer, and through it the state layer, is imported only by
 ``quantum_vs_classical`` (``MissingAtom`` comes from the logic layer).
 Every tolerance test is written so that NaN fails it.
 """
@@ -33,6 +34,8 @@ DEFAULT_TOLERANCE = 1e-9
 _REAL = r"[+-]?\d+(?:/(?:\d+|sqrt\(\d+\)))?"
 _REAL_TOKEN = re.compile(_REAL + r"\Z")
 _COMPLEX_TOKEN = re.compile(r"\((" + _REAL + r"),(" + _REAL + r")\)\Z")
+# parsed vectors; every function here also takes any sequence of numbers
+Vector = tuple[complex, ...]
 
 
 class RealizationError(LogicError):
@@ -69,10 +72,10 @@ class Realization(_Record, identity=True):
     another, construct a new Realization.  It compares by identity."""
 
     dimension: int
-    vectors: Mapping[str, np.ndarray]
+    vectors: Mapping[str, Vector]
     tolerance: float = DEFAULT_TOLERANCE
 
-    def vector(self, atom: str) -> np.ndarray:
+    def vector(self, atom: str) -> Vector:
         if atom not in self.vectors:
             raise MissingAtom(f"no vector for atom {atom!r}")
         return self.vectors[atom]
@@ -128,14 +131,13 @@ def parse_scalar(token: str) -> complex | float:
     raise ValueError(f"bad component token {token!r}")
 
 
-def _array(values: Sequence[complex | float]) -> np.ndarray:
-    """Parsed components as a complex vector if any is complex, else float."""
-    import numpy as np
-    is_complex = any(isinstance(v, complex) for v in values)
-    return np.array(values, dtype=complex if is_complex else float)
+def _array(values: Sequence[complex | float]) -> Vector:
+    """Parsed components as complex numbers if any is complex, else floats."""
+    kind = complex if any(isinstance(v, complex) for v in values) else float
+    return tuple(map(kind, values))
 
 
-def parse_vector(tokens: Sequence[str]) -> np.ndarray:
+def parse_vector(tokens: Sequence[str]) -> Vector:
     """Component tokens to a float or complex vector."""
     return _array([parse_scalar(t) for t in tokens])
 
@@ -147,7 +149,7 @@ def parse_vectors(text: str) -> Realization:
     starts a comment.  The Realization gets the default check tolerance;
     a new ``Realization`` over the same vectors carries another.
     """
-    vectors: dict[str, np.ndarray] = {}
+    vectors: dict[str, Vector] = {}
     dim = None
     for lineno, tokens in _token_lines(text):
         head, col = tokens[0]
@@ -176,10 +178,19 @@ def parse_vectors(text: str) -> Realization:
     return Realization(dimension=dim, vectors=vectors)
 
 
-def _inner(u: np.ndarray, v: np.ndarray) -> complex:
-    # conjugate-linear in the first argument
-    import numpy as np
-    return complex(np.vdot(u, v))
+def _inner(u: Sequence, v: Sequence) -> complex:
+    # conjugate-linear in the first argument; an explicit loop, since sum()
+    # compensates float sums from Python 3.12 on
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    acc = 0.0
+    for x, y in zip(u, v):
+        acc += x.conjugate() * y
+    return complex(acc)
+
+
+def _norm(v: Sequence) -> float:
+    return sqrt(_inner(v, v).real)
 
 
 def check_realization(logic: Logic, r: Realization,
@@ -196,7 +207,7 @@ def check_realization(logic: Logic, r: Realization,
         raise MissingAtom(f"no vectors for atoms: {', '.join(missing)}")
     realized = [a for a in logic.atoms if a in r.vectors]
     for a in realized:
-        if r.vectors[a].shape != (r.dimension,):
+        if len(r.vectors[a]) != r.dimension:
             raise ValueError(f"vector for {a!r} is not {r.dimension}-dimensional")
     tol = r.tolerance
 
@@ -235,15 +246,11 @@ def check_realization(logic: Logic, r: Realization,
         skipped_contexts=tuple(skipped))
 
 
-def _state_vector(r: Realization, psi) -> np.ndarray:
-    import numpy as np
-    if isinstance(psi, str):
-        vec = r.vector(psi)
-    else:
-        vec = np.asarray(psi)
-        if vec.shape != (r.dimension,):
-            raise ValueError(f"psi is not {r.dimension}-dimensional")
-    norm = float(np.linalg.norm(vec))
+def _state_vector(r: Realization, psi) -> Sequence:
+    vec = r.vector(psi) if isinstance(psi, str) else psi
+    if len(vec) != r.dimension:
+        raise ValueError(f"psi is not {r.dimension}-dimensional")
+    norm = _norm(vec)
     if not abs(norm - 1) <= r.tolerance:
         raise NonUnitState(f"psi has norm {norm}, expected 1")
     return vec
@@ -271,7 +278,7 @@ def projector(v) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def maximal_operator(vectors: Sequence[np.ndarray],
+def maximal_operator(vectors: Sequence[Sequence],
                      eigenvalues: Sequence[float]) -> np.ndarray:
     """Weighted spectral sum over an orthonormal context.
 
@@ -328,12 +335,10 @@ def recover_projectors(A: np.ndarray,
 
 def angle(u, v) -> float:
     """Angle between the rays of two unit vectors, in [0, pi/2]."""
-    import numpy as np
-    uu, vv = np.asarray(u), np.asarray(v)
-    for w in (uu, vv):
-        if not abs(float(np.linalg.norm(w)) - 1) <= DEFAULT_TOLERANCE:
-            raise NonUnitVector(f"norm {float(np.linalg.norm(w))}, expected 1")
-    return acos(min(abs(_inner(uu, vv)), 1.0))
+    for w in (u, v):
+        if not abs((norm := _norm(w)) - 1) <= DEFAULT_TOLERANCE:
+            raise NonUnitVector(f"norm {norm}, expected 1")
+    return acos(min(abs(_inner(u, v)), 1.0))
 
 
 def quantum_vs_classical(logic: Logic, r: Realization, psi,

@@ -393,17 +393,21 @@ class MixtureWeights(_Record):
     """Nonnegative rational weights summing to exactly one.
 
     Strings are read by ``logic.parse_rational``, other non-``Fraction``
-    values by ``Fraction(value)``.  The checks run on the integer numerators
-    over the weights' common denominator (``logic.scale_to_integers``),
-    kept as ``_scaled``; :func:`convex_mixture` and ``urn_simulate`` read
-    them through :func:`_scaled_weights`.
+    values by ``Fraction(value)``; a value too large to read (an infinite
+    float, ``"1e5000"``) raises ``InvalidInput``.  The checks run on the
+    integer numerators over the weights' common denominator
+    (``logic.scale_to_integers``), kept as ``_scaled``; :func:`convex_mixture`
+    and ``urn_simulate`` read them through :func:`_scaled_weights`.
     """
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(w if isinstance(w, Fraction) else parse_rational(w) if isinstance(w, str)
-                   else Fraction(w) for w in self.weights)
+        try:
+            ws = tuple(w if isinstance(w, Fraction) else parse_rational(w) if isinstance(w, str)
+                       else Fraction(w) for w in self.weights)
+        except OverflowError as err:
+            raise InvalidInput(str(err)) from None
         object.__setattr__(self, "weights", ws)
         nums, d = scale_to_integers(ws)
         # d > 0, so each numerator has its weight's sign

@@ -1,4 +1,4 @@
-"""Each subcommand loads only its own layers; numpy only the realization ones.
+"""Each subcommand loads only its own layers, and none of them loads numpy.
 
 Each case runs in a fresh interpreter, because once any code in a process
 has imported a module it stays in ``sys.modules``.
@@ -38,7 +38,7 @@ print(json.dumps([code, "numpy" in sys.modules,
                   sorted(m for m in sys.modules if m.startswith("ctxlab.")),
                   [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
-# dataclasses takes 10-13 ms to import, most of it inspect; numpy loads inspect
+# dataclasses takes 10-13 ms to import, most of it inspect
 COSTLY = {"dataclasses", "inspect"}
 
 
@@ -96,8 +96,28 @@ def test_combinatorial_commands_do_not_load_numpy(argv):
     assert probe(argv)[:2] == (0, False)
 
 
-def test_born_still_loads_numpy():
-    assert probe(["born", "--catalog", "specker_bug", "--psi", "a"])[:2] == (0, True)
+REALIZATION = {
+    "realization-check": ["realization-check", "--catalog", "triangle4d"],
+    "born": ["born", "--catalog", "specker_bug", "--psi", "a"],
+    "born-psi-vector": ["born", "--catalog", "square4d", "--psi", "1 0 0 0"],
+    "violate": ["violate", "--catalog", "specker_bug", "--psi", "a",
+                "--ineq", "b <= 0"],
+}
+
+
+@pytest.mark.parametrize("argv", REALIZATION.values(), ids=REALIZATION)
+def test_realization_commands_load_no_numpy(argv):
+    # vectors are tuples of floats; numpy took about 130 ms of each call
+    code, numpy, modules, costly = probe(argv)
+    assert (code, numpy, costly) == (0, False, set())
+    assert "realization" in modules
+
+
+def test_spectral_operator_loads_numpy():
+    # the matrix functions still build arrays, so the probe above can fail
+    assert "numpy" in loaded_after(
+        "from ctxlab.realization import maximal_operator; "
+        "maximal_operator([(1.0, 0.0), (0.0, 1.0)], (1.0, 2.0))", prefix="numpy")
 
 
 SOURCE = ["--catalog", "pentagon"]
@@ -228,9 +248,10 @@ def test_lazily_loaded_domain_errors_exit_1(argv):
     ["urn", *SOURCE, "--context", "0", "--draws", "100", "--seed", "1"],
     ["catalog", "--json"],
     ["export-dot", *SOURCE],
-], ids=lambda argv: argv[0])
+    *REALIZATION.values(),
+], ids=[*"validate states classify property mixture hull member axiom-check paste "
+        "certify-vi urn catalog export-dot".split(), *REALIZATION])
 def test_records_load_neither_dataclasses_nor_inspect(argv, tmp_path):
-    # realization-check, born and violate load numpy, which loads inspect
     (tmp_path / "fifth.weights").write_text("1/5\n" * 5 + "0\n" * 6)
     (tmp_path / "half.assign").write_text("".join(f"{a} 1/2\n" for a in "13579"))
     code, _, _, costly = probe(argv, cwd=tmp_path)

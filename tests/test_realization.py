@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from math import acos, asin, pi, sqrt
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ctxlab.polytope import parse_inequality
 from ctxlab.realization import (FeasibilityWindow, NonOrthonormalContext,
+                                _inner,
                                 NonUnitState, NonUnitVector, Realization,
                                 RepeatedEigenvalue, VectorParseError, angle,
                                 born_probabilities, bug_pasting_feasibility,
@@ -111,7 +113,9 @@ class TestParse:
 
     def test_parse_vector_helper(self):
         v = parse_vector(["1/sqrt(2)", "0", "-1/sqrt(2)", "0"])
-        assert v @ v == pytest.approx(1.0, abs=1e-12)
+        assert v == (1 / sqrt(2), 0.0, -1 / sqrt(2), 0.0)
+        assert [type(x) for x in v] == [float] * 4
+        assert [type(x) for x in parse_vector(["(0,1)", "1"])] == [complex] * 2
 
 
 class TestCheckRealization:
@@ -195,6 +199,16 @@ class TestBorn:
         assert p["a"] == pytest.approx(1.0, abs=1e-12)
         assert set(p) == {"a", "b"}
 
+    def test_values_pinned_to_the_bit(self):
+        # the Born rule adds products left to right with no fused
+        # multiply-add, so an exactly orthogonal pair reads exactly 0
+        p = born_probabilities(load_logic("specker_bug"),
+                               load_realization("specker_bug"), "a")
+        assert (p["a"], p["b"]) == (1.0000000000000004, 0.11111111111111117)
+        p = born_probabilities(load_logic("square4d"),
+                               load_realization("square4d"), "2")
+        assert p["3"] == 0.0 and all(type(x) is float for x in p.values())
+
     def test_two_dim_basis(self):
         from ctxlab.logic import Logic
         lg = Logic(atoms=("0", "1"), contexts=(("0", "1"),))
@@ -214,6 +228,14 @@ class TestBorn:
         r = load_realization("triangle4d")
         with pytest.raises(ValueError, match=r"^psi is not 4-dimensional$"):
             born_probabilities(lg, r, np.array([1.0, 0.0, 0.0]))
+
+    def test_atom_vector_of_wrong_length_refused(self):
+        # a hand-built realization is not checked on construction
+        from ctxlab.logic import Logic
+        lg = Logic(atoms=("0", "1"), contexts=(("0", "1"),))
+        r = Realization(2, {"0": (1.0, 0.0), "1": (0.0, 1.0, 0.0)})
+        with pytest.raises(ValueError):
+            born_probabilities(lg, r, "0")
 
     def test_unrealized_psi_atom(self):
         lg = load_logic("specker_bug")
@@ -235,6 +257,50 @@ class TestBorn:
         p = born_probabilities(lg, r, psi)
         for ctx in lg.contexts:
             assert sum(p[a] for a in ctx) == pytest.approx(1.0, abs=1e-9)
+
+
+def _exact_inner(u, v) -> tuple[Fraction, Fraction]:
+    """sum(conj(x) * y) in exact rationals, as (real, imaginary) parts."""
+    re = im = Fraction(0)
+    for x, y in zip(u, v):
+        a, b, c, d = map(Fraction, (complex(x).real, complex(x).imag,
+                                    complex(y).real, complex(y).imag))
+        re += a * c + b * d
+        im += a * d - b * c
+    return re, im
+
+
+_UNIT = st.floats(-1, 1)
+_COMPONENT = st.one_of(_UNIT, st.builds(complex, _UNIT, _UNIT))
+
+
+class TestInner:
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.tuples(_COMPONENT, _COMPONENT)] * n)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_and_vdot(self, pairs):
+        u, v = zip(*pairs)
+        got = _inner(u, v)
+        assert type(got) is complex
+        # relative to the terms' size, plus a floor for products that underflow
+        tol = 1e-15 * sum(abs(x) * abs(y) for x, y in pairs) + 1e-300
+        re, im = _exact_inner(u, v)
+        assert abs(Fraction(got.real) - re) <= Fraction(tol)
+        assert abs(Fraction(got.imag) - im) <= Fraction(tol)
+        assert abs(got - np.vdot(np.array(u), np.array(v))) <= 2 * tol
+
+    @given(st.tuples(_COMPONENT, _COMPONENT), st.lists(_COMPONENT, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_swapped_negated_pair_is_exactly_orthogonal(self, xy, rest):
+        # (x, y, 0...) against (conj y, -conj x, r...): each product rounds
+        # the same way with opposite sign, so a fused multiply-add would
+        # leave the first product's rounding error where the sum is 0
+        x, y = xy
+        zeros = [0.0] * len(rest)
+        u = (x, y, *zeros)
+        v = (y.conjugate(), -x.conjugate(), *rest)
+        assert _exact_inner(u, v) == (0, 0)
+        assert _inner(u, v) == 0
 
 
 class TestOperators:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxlab.logic import Logic, parse_logic
+from ctxlab.logic import InvalidInput, Logic, parse_logic
 from ctxlab.states import (
     ConditionFailed,
     ForeignStates,
@@ -408,9 +408,12 @@ class TestMixtures:
             MixtureWeights((Fraction(3, 2), Fraction(-1, 2)))
 
     def test_text_weights_refuse_huge_exponents_before_building_them(self):
-        # Fraction("1e5000") would build 10**5000 and sum it
-        with pytest.raises(OverflowError, match="^exponent magnitude over 4300$"):
+        # Fraction("1e5000") would build 10**5000 and sum it; the refusal is
+        # a domain error, which ``except ValueError`` catches too
+        with pytest.raises(InvalidInput, match="^exponent magnitude over 4300$"):
             MixtureWeights(("1e5000",))
+        with pytest.raises(InvalidInput, match="^cannot convert Infinity to integer ratio$"):
+            MixtureWeights((float("inf"),))
 
 
 class TestCheckMeasure:
