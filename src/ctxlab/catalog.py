@@ -4,7 +4,7 @@ Each entry bundles a logic shipped as a data file, the classification the
 state machinery must reproduce, any known vector realization, and short notes.
 A realization's vector file is parsed into tuples of floats on the first
 read of ``entry.realization``, the one read that imports the realization
-module; no entry, listed, loaded or parsed, needs numpy.  The expected pair
+module; ctxlab has no runtime dependency, numpy included.  The expected pair
 properties are ``ctxlab.logic.PairProperty`` values, so the catalog never
 loads the state layer.  The angle window of
 ``impossible_fig6`` is two ``math`` calls, defined here and re-exported by

@@ -423,9 +423,7 @@ def paste_logics(first: Logic, second: Logic) -> Logic:
     else:
         name = first.name or second.name
 
-    idx = {a: i for i, a in enumerate(atoms)}
-    contexts = sorted(merged.values(), key=lambda c: sorted(map(idx.__getitem__, c)))
-    pasted = Logic(atoms=atoms, contexts=tuple(contexts), name=name)
+    pasted = canonical_logic(Logic(atoms=atoms, contexts=tuple(merged.values()), name=name))
 
     report = validate_logic(pasted)
     if not report.ok:

@@ -1,14 +1,15 @@
 """Hilbert-space vector realizations: Born probabilities, spectral operators.
 
 Atoms become unit vectors, contexts become orthonormal bases, and the Born
-rule turns a state vector into a probability assignment.  Arithmetic is
-64-bit floating point; vector files use an exact token grammar (integers,
-a/b, a/sqrt(b), complex pairs) so inputs stay reproducible.  Angles are
-measured between rays, so the sign of a vector never matters.  Vectors are
-tuples of Python floats (complex if any component is) and inner products add
-left to right, so only the matrix functions (``projector``,
-``maximal_operator``, ``recover_projectors``) import numpy.  Likewise the
-polytope layer, and through it the state layer, is imported only by
+rule turns a state vector into a probability assignment.  Vector files use an
+exact token grammar (integers, a/b, a/sqrt(b), complex pairs) so inputs stay
+reproducible.  Angles are measured between rays, so the sign of a vector
+never matters.  Vectors are tuples of Python floats (complex if any
+component is) and inner products add left to right; the matrix functions
+(``projector``, ``maximal_operator``, ``recover_projectors``) return tuples
+of rows whose entries have the type their arithmetic gives, so ``Fraction``
+input stays exact.  Nothing here imports numpy.  Likewise the polytope
+layer, and through it the state layer, is imported only by
 ``quantum_vs_classical`` (``MissingAtom`` comes from the logic layer).
 Every tolerance test is written so that NaN fails it.
 """
@@ -16,6 +17,7 @@ Every tolerance test is written so that NaN fails it.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from math import acos, sqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -25,8 +27,6 @@ from ctxlab.catalog import FeasibilityWindow, bug_pasting_feasibility
 from ctxlab.logic import Logic, LogicError, MissingAtom, _Record, _token_lines
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from ctxlab.polytope import Inequality
 
 DEFAULT_TOLERANCE = 1e-9
@@ -34,8 +34,10 @@ DEFAULT_TOLERANCE = 1e-9
 _REAL = r"[+-]?\d+(?:/(?:\d+|sqrt\(\d+\)))?"
 _REAL_TOKEN = re.compile(_REAL + r"\Z")
 _COMPLEX_TOKEN = re.compile(r"\((" + _REAL + r"),(" + _REAL + r")\)\Z")
-# parsed vectors; every function here also takes any sequence of numbers
+# parsed vectors, and matrices as tuples of rows; every function here also
+# takes any sequence of numbers (or of such sequences)
 Vector = tuple[complex, ...]
+Matrix = tuple[Vector, ...]
 
 
 class RealizationError(LogicError):
@@ -268,19 +270,22 @@ def born_probabilities(logic: Logic, r: Realization, psi) -> dict[str, float]:
     return {a: abs(_inner(r.vectors[a], vec)) ** 2 for a in logic.atoms if a in r.vectors}
 
 
-def projector(v) -> np.ndarray:
+def _product(X: Sequence[Sequence], Y: Sequence[Sequence]) -> Matrix:
+    # sum() compensates float sums from Python 3.12 on; no matrix is pinned
+    columns = tuple(zip(*Y))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in X)
+
+
+def projector(v: Sequence) -> Matrix:
     """Rank-1 projector v v-dagger onto the ray of a unit vector."""
-    import numpy as np
-    vec = np.asarray(v)
-    norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1) <= DEFAULT_TOLERANCE:
+    if not abs((norm := _norm(v)) - 1) <= DEFAULT_TOLERANCE:
         raise NonUnitVector(f"norm {norm}, expected 1")
-    return np.outer(vec, vec.conj())
+    return tuple(tuple(x * y.conjugate() for y in v) for x in v)
 
 
 def maximal_operator(vectors: Sequence[Sequence],
-                     eigenvalues: Sequence[float]) -> np.ndarray:
-    """Weighted spectral sum over an orthonormal context.
+                     eigenvalues: Sequence[float]) -> Matrix:
+    """U diag(lambda) U-dagger, where the columns of U are an orthonormal context.
 
     Distinct eigenvalues make the operator carry the whole context: its
     eigenspaces recover every projector (see recover_projectors).
@@ -291,46 +296,38 @@ def maximal_operator(vectors: Sequence[Sequence],
         raise ValueError("need at least one vector")
     if len(set(eigenvalues)) != len(eigenvalues):
         raise RepeatedEigenvalue(f"eigenvalues not distinct: {eigenvalues}")
-    import numpy as np
-    vecs = [np.asarray(v) for v in vectors]
-    for i, u in enumerate(vecs):
-        if not abs(float(np.linalg.norm(u)) - 1) <= DEFAULT_TOLERANCE:
+    for i, u in enumerate(vectors):
+        if not abs(_norm(u) - 1) <= DEFAULT_TOLERANCE:
             raise NonOrthonormalContext(f"vector {i} is not unit norm")
-        for j in range(i + 1, len(vecs)):
-            if not abs(_inner(u, vecs[j])) <= DEFAULT_TOLERANCE:
+        for j in range(i + 1, len(vectors)):
+            if not abs(_inner(u, vectors[j])) <= DEFAULT_TOLERANCE:
                 raise NonOrthonormalContext(
                     f"vectors {i} and {j} are not orthogonal")
-    out = np.zeros((vecs[0].shape[0], vecs[0].shape[0]),
-                   dtype=complex if any(np.iscomplexobj(v) for v in vecs)
-                   else float)
-    for lam, u in zip(eigenvalues, vecs):
-        out += lam * np.outer(u, u.conj())
-    return out
+    return _product(tuple(zip(*vectors)), [[lam * x.conjugate() for x in u]
+                                           for lam, u in zip(eigenvalues, vectors)])
 
 
-def recover_projectors(A: np.ndarray,
-                       eigenvalues: Sequence[float]) -> list[np.ndarray]:
+def recover_projectors(A: Sequence[Sequence],
+                       eigenvalues: Sequence[float]) -> list[Matrix]:
     """Lagrange polynomials of the operator: f_i(A) with f_i(lambda_j) = delta_ij.
 
     Given the operator built from an orthonormal context with these
-    eigenvalues, returns that context's projectors.
+    eigenvalues, returns that context's projectors (exactly, for Fractions).
     """
     if len(set(eigenvalues)) != len(eigenvalues):
         raise RepeatedEigenvalue(f"eigenvalues not distinct: {eigenvalues}")
-    import numpy as np
-    A = np.asarray(A)
-    if A.shape != (len(eigenvalues),) * 2:
-        raise ValueError(f"need one eigenvalue per dimension: {len(eigenvalues)} "
-                         f"eigenvalues for an operator of shape {A.shape}")
-    eye = np.eye(A.shape[0], dtype=A.dtype)
-    out = []
-    for i, li in enumerate(eigenvalues):
-        E = eye
-        for j, lj in enumerate(eigenvalues):
-            if j != i:
-                E = E @ ((A - lj * eye) / (li - lj))
-        out.append(E)
-    return out
+    n = len(eigenvalues)
+    if len(A) != n or not all(hasattr(row, "__len__") and len(row) == n for row in A):
+        raise ValueError(f"need a square operator with one eigenvalue per "
+                         f"dimension: {n} eigenvalues for {len(A)} rows")
+    # an identity of ints, so that rational input stays exact
+    eye = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+    def factor(li, lj):  # (A - lj I) / (li - lj)
+        return [[(a - lj * e) / (li - lj) for a, e in zip(row, erow)]
+                for row, erow in zip(A, eye)]
+    return [reduce(_product, (factor(li, lj) for lj in eigenvalues if lj != li), eye)
+            for li in eigenvalues]
 
 
 def angle(u, v) -> float:

@@ -394,10 +394,11 @@ class MixtureWeights(_Record):
 
     Strings are read by ``logic.parse_rational``, other non-``Fraction``
     values by ``Fraction(value)``; a value too large to read (an infinite
-    float, ``"1e5000"``) raises ``InvalidInput``.  The checks run on the
-    integer numerators over the weights' common denominator
-    (``logic.scale_to_integers``), kept as ``_scaled``; :func:`convex_mixture`
-    and ``urn_simulate`` read them through :func:`_scaled_weights`.
+    float, ``"1e5000"``) or a zero denominator (``"1/0"``) raises
+    ``InvalidInput``.  The checks run on the integer numerators over the
+    weights' common denominator (``logic.scale_to_integers``), kept as
+    ``_scaled``; :func:`convex_mixture` and ``urn_simulate`` read them
+    through :func:`_scaled_weights`.
     """
 
     weights: tuple[Fraction, ...]
@@ -408,6 +409,8 @@ class MixtureWeights(_Record):
                        else Fraction(w) for w in self.weights)
         except OverflowError as err:
             raise InvalidInput(str(err)) from None
+        except ZeroDivisionError:  # only text reaches it: "1/0"
+            raise InvalidInput("zero denominator in a weight") from None
         object.__setattr__(self, "weights", ws)
         nums, d = scale_to_integers(ws)
         # d > 0, so each numerator has its weight's sign

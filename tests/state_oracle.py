@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ctxlab.logic import Logic
+from ctxlab.logic import InvalidInput, Logic
 from ctxlab.polytope import VertexSet
 from ctxlab.states import (MeasureReport, StateSpaceReport, TwoValuedState,
                            WeightsNotNormalized, enumerate_states)
@@ -107,10 +107,16 @@ def pair_target_values(logic: Logic, antecedent: str, target: str) -> set[int]:
 
 
 def mixture_weights(values) -> tuple[Fraction, ...]:
-    """Each value as a Fraction; raises what ``Fraction`` raises, or
-    :class:`WeightsNotNormalized` for a negative weight or a sum other
-    than 1."""
-    ws = tuple(Fraction(w) for w in values)
+    """Each value as a Fraction; raises what ``Fraction`` raises, but
+    :class:`InvalidInput` where that is ``OverflowError`` (an infinite
+    float) or ``ZeroDivisionError`` ("1/0"), or :class:`WeightsNotNormalized`
+    for a negative weight or a sum other than 1."""
+    try:
+        ws = tuple(Fraction(w) for w in values)
+    except OverflowError as err:
+        raise InvalidInput(str(err)) from None
+    except ZeroDivisionError:
+        raise InvalidInput("zero denominator in a weight") from None
     if any(w < 0 for w in ws):
         raise WeightsNotNormalized("negative weight")
     if sum(ws, Fraction(0)) != 1:

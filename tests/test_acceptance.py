@@ -210,8 +210,8 @@ def test_criterion_12_spectral_round_trip():
                 continue
             vecs = [r.vector(a) for a in ctx]
             eigenvalues = [float(k) for k in range(1, len(vecs) + 1)]
-            A = maximal_operator(vecs, eigenvalues)
-            projectors = recover_projectors(A, eigenvalues)
+            A = np.asarray(maximal_operator(vecs, eigenvalues))
+            projectors = map(np.asarray, recover_projectors(A, eigenvalues))
             total = np.zeros_like(A)
             for E in projectors:
                 assert np.max(np.abs(E @ E - E)) <= 1e-12

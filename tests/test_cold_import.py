@@ -113,11 +113,18 @@ def test_realization_commands_load_no_numpy(argv):
     assert "realization" in modules
 
 
-def test_spectral_operator_loads_numpy():
-    # the matrix functions still build arrays, so the probe above can fail
-    assert "numpy" in loaded_after(
-        "from ctxlab.realization import maximal_operator; "
-        "maximal_operator([(1.0, 0.0), (0.0, 1.0)], (1.0, 2.0))", prefix="numpy")
+def test_spectral_operators_load_no_numpy():
+    # the matrix functions compute on tuples of rows as well
+    assert loaded_after(
+        "from ctxlab.realization import maximal_operator, projector, recover_projectors; "
+        "projector((0.0, 1.0)); "
+        "recover_projectors(maximal_operator([(1.0, 0.0), (0.0, 1.0)], (1.0, 2.0)), "
+        "(1.0, 2.0))", prefix="numpy") == []
+
+
+def test_loaded_after_sees_numpy():
+    # so that the probe above can fail
+    assert "numpy" in loaded_after("import numpy", prefix="numpy")
 
 
 SOURCE = ["--catalog", "pentagon"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ctxlab.polytope import parse_inequality
 from ctxlab.realization import (FeasibilityWindow, NonOrthonormalContext,
-                                _inner,
+                                _inner, _product,
                                 NonUnitState, NonUnitVector, Realization,
                                 RepeatedEigenvalue, VectorParseError, angle,
                                 born_probabilities, bug_pasting_feasibility,
@@ -303,6 +303,20 @@ class TestInner:
         assert _inner(u, v) == 0
 
 
+@st.composite
+def _contexts(draw):
+    """An orthonormal basis of dimension 1-5, real or complex: the columns
+    of the Q factor of a drawn matrix; and distinct integer eigenvalues."""
+    n = draw(st.integers(1, 5))
+    entries = st.lists(_UNIT, min_size=n * n, max_size=n * n)
+    m = np.array(draw(entries)).reshape(n, n)
+    if draw(st.booleans()):
+        m = m + 1j * np.array(draw(entries)).reshape(n, n)
+    q = np.linalg.qr(m)[0]
+    eigenvalues = draw(st.permutations(range(-n, n + 1)))[:n]
+    return [tuple(q[:, k].tolist()) for k in range(n)], [float(x) for x in eigenvalues]
+
+
 class TestOperators:
     def test_projector_standard_basis(self):
         np.testing.assert_allclose(projector([1.0, 0.0]),
@@ -317,7 +331,7 @@ class TestOperators:
 
     def test_projector_complex_is_hermitian(self):
         v = np.array([1.0, 1j]) / sqrt(2)
-        E = projector(v)
+        E = np.asarray(projector(v))
         np.testing.assert_allclose(E, E.conj().T, atol=1e-12)
         np.testing.assert_allclose(E @ E, E, atol=1e-12)
 
@@ -378,7 +392,7 @@ class TestOperators:
         vecs = [r.vectors[a] for a in ctx]
         lam = (1.0, 2.0, 3.0, 4.0)
         A = maximal_operator(vecs, lam)
-        Es = recover_projectors(A, lam)
+        Es = map(np.asarray, recover_projectors(A, lam))
         eye = np.zeros_like(A)
         for E, v in zip(Es, vecs):
             np.testing.assert_allclose(E, projector(v), atol=1e-12)
@@ -389,6 +403,32 @@ class TestOperators:
     def test_recover_rejects_repeats(self):
         with pytest.raises(RepeatedEigenvalue):
             recover_projectors(np.diag([1.0, 2.0]), (1.0, 1.0))
+
+    @given(_contexts())
+    @settings(max_examples=200, deadline=None)
+    def test_operator_and_projectors_match_numpy(self, context):
+        vecs, lam = context
+        A = maximal_operator(vecs, lam)
+        us = np.array(vecs)
+        expect = sum(x * np.outer(u, u.conj()) for x, u in zip(lam, us))
+        # relative to the size of the terms, plus a floor for underflow
+        size = sum(abs(x) * np.outer(abs(u), abs(u)) for x, u in zip(lam, us))
+        assert np.all(np.abs(np.asarray(A) - expect) <= 1e-14 * size + 1e-300)
+        for E, u in zip(recover_projectors(A, lam), vecs):
+            assert np.max(np.abs(np.asarray(E) - np.asarray(projector(u)))) <= 1e-12
+
+    def test_rational_context_round_trips_exactly(self):
+        # Fractions in give exact Fractions out, no float in between
+        basis = [tuple(Fraction(x, 3) for x in row)
+                 for row in ((1, 2, 2), (2, 1, -2), (2, -2, 1))]
+        A = maximal_operator(basis, (1, 2, 3))
+        assert {type(x) for row in A for x in row} == {Fraction}
+        Es = recover_projectors(A, (1, 2, 3))
+        for E, u in zip(Es, basis):
+            assert E == projector(u)
+            assert _product(E, E) == E
+        assert [[sum(E[r][c] for E in Es) for c in range(3)] for r in range(3)] == [
+            [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 class TestAngle:

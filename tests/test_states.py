@@ -9,7 +9,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctxlab.logic import InvalidInput, Logic, parse_logic
 from ctxlab.states import (
@@ -415,6 +415,10 @@ class TestMixtures:
         with pytest.raises(InvalidInput, match="^cannot convert Infinity to integer ratio$"):
             MixtureWeights((float("inf"),))
 
+    def test_text_weight_with_zero_denominator_is_a_domain_error(self):
+        with pytest.raises(InvalidInput, match="^zero denominator in a weight$"):
+            MixtureWeights((Fraction(1, 2), "1/0"))
+
 
 class TestCheckMeasure:
     def test_exotic_pentagon_half_measure(self):
@@ -577,6 +581,8 @@ def weight_inputs(draw):
 
 
 @given(weight_inputs())
+@example([float("inf")])
+@example([float("-inf")])
 @settings(max_examples=400, deadline=None)
 def test_mixture_weights_accept_and_reject_like_fraction_sums(values):
     assert (_weights_outcome(lambda v: MixtureWeights(v).weights, values)
