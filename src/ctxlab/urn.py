@@ -5,6 +5,8 @@ then induces a partition of the state-index set, and drawing "balls" (state
 indices) from an urn with mixture weights reproduces the convex-mixture
 probabilities empirically.  State indices are 1-based throughout this module,
 matching the canonical enumeration order used in probability formulas.
+Urn draws take their 64-bit integers from one ``getrandbits`` call per
+block of 2^16 (see :func:`urn_simulate`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from typing import Mapping, Sequence
 
 from ctxlab.logic import Logic, LogicError, _Record
@@ -23,6 +25,10 @@ from ctxlab.states import (MixtureWeights, TwoValuedState, _columns, _rows,
                            _scaled_weights, enumerate_states)
 
 RNG_ID = "mt19937-u64"
+
+_BLOCK = 1 << 16  # draws per getrandbits call
+_TOP = 7 if sys.byteorder == "little" else 0  # top byte's offset in a word
+_MARKED = bytes(255) + b"\x01"  # the 255 marker to 1, other bytes to 0
 
 
 class UnknownContext(LogicError):
@@ -88,13 +94,24 @@ def urn_simulate(logic: Logic,
 
     Sampling compares an exact rational uniform variate (64 random bits over
     2^64) against exact cumulative weight thresholds, so the only floating
-    point anywhere is in the caller's hands.  Deterministic given the seed.
+    point anywhere is in the caller's hands.  Deterministic given the seed,
+    which must be an int, as must the draw count (bools are refused).
     Both sides are integers: with the weights as numerators over their
     common denominator D (see :class:`~ctxlab.states.MixtureWeights`), the
     cumulative weight c_i = C_i / D becomes the threshold ceil(c_i * 2^64),
-    computed as ``-((-C_i << 64) // D)`` with no Fraction, and each draw
-    is one integer bisect over the thresholds.
+    computed as ``-((-C_i << 64) // D)`` with no Fraction, and a draw's
+    ball is the number of thresholds at or below its 64 bits.
+    A block of up to 2^16 draws is one ``getrandbits(64 * size)`` call,
+    which equals ``size`` successive ``getrandbits(64)`` values packed low
+    word first (CPython fills it from 32-bit words, least significant
+    first), so memory is bounded by the block and the stream is unchanged.
+    A 256-entry table maps a draw's top byte to the ball owning all of its
+    2^56 values; a byte that a threshold splits, or that belongs to ball
+    255 or later, maps to 255, and those draws are bisected in full.
     """
+    for name, value in (("seed", seed), ("draw count", draws)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, not {type(value).__name__}")
     if states is None:
         states = enumerate_states(logic)
     nums, d = _scaled_weights(weights, states)
@@ -116,10 +133,27 @@ def urn_simulate(logic: Logic,
     # ball type -> true atom of this context, precomputed per state
     true_atom = [context[row.index(1)] for row in _rows(logic, states, context)]
 
+    # table[j] = the ball whose range [previous threshold, threshold)
+    # covers [j, j + 1) * 2^56, for balls 0..254; else the 255 marker
+    table = bytearray(b"\xff" * 256)
+    for ball, (lo, hi) in enumerate(zip([0, *scaled[:254]], scaled[:255])):
+        lo, hi = -(-lo >> 56), hi >> 56
+        table[lo:hi] = bytes((ball,)) * max(hi - lo, 0)
+
     # u = bits/2^64 < 1 = c_last, so the bisect always lands on a ball;
-    # the draws are counted per ball in one pass, then folded onto atoms
+    # each block gets a fresh Counter, as popping the marker from a running
+    # one would drop ball 255's earlier counts; balls then fold onto atoms
     rng = random.Random(seed)
-    balls = Counter(map(partial(bisect_right, scaled), map(rng.getrandbits, repeat(64, draws))))
+    balls = Counter()
+    for start in range(0, draws, _BLOCK):
+        size = min(_BLOCK, draws - start)
+        blob = rng.getrandbits(64 * size).to_bytes(8 * size, sys.byteorder)
+        marks = blob[_TOP::8].translate(table)
+        hits = Counter(marks)
+        if hits.pop(255, 0):
+            hits.update(map(partial(bisect_right, scaled),
+                            compress(memoryview(blob).cast("Q"), marks.translate(_MARKED))))
+        balls.update(hits)
     counts = {a: 0 for a in context}
     for ball, k in balls.items():
         counts[true_atom[ball]] += k

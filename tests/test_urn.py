@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
 
-from ctxlab.logic import Logic
+from ctxlab.logic import Logic, parse_logic
 from ctxlab.states import (MixtureWeights, TwoValuedState, WeightCountMismatch,
                            convex_mixture, enumerate_states)
 from ctxlab.urn import (RNG_ID, UnknownContext, partition_representation,
@@ -165,6 +166,20 @@ class TestUrnSimulate:
         with pytest.raises(ValueError):
             urn_simulate(logic, None, uniform(11), 0, 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [None, 7.0, "7", True])
+    def test_seed_must_be_int(self, seed, monkeypatch):
+        logic = load_logic("pentagon")
+        monkeypatch.setattr(urn, "random", SimpleNamespace(Random=lambda seed: pytest.fail("drew")))
+        with pytest.raises(ValueError, match="seed must be an int"):
+            urn_simulate(logic, None, uniform(11), 0, 10, seed=seed)
+
+    @pytest.mark.parametrize("draws", [True, False, 2.5, 10.0, "10", None])
+    def test_draw_count_must_be_int(self, draws, monkeypatch):
+        logic = load_logic("pentagon")
+        monkeypatch.setattr(urn, "random", SimpleNamespace(Random=lambda seed: pytest.fail("drew")))
+        with pytest.raises(ValueError, match="draw count must be an int"):
+            urn_simulate(logic, None, uniform(11), 0, draws, seed=1)
+
     def test_draw_count_fits_ssize_t(self):
         logic = load_logic("pentagon")
         with pytest.raises(ValueError, match="at most"):
@@ -223,15 +238,16 @@ def weights_of_kind(kind: str, n: int) -> list[Fraction]:
 
 
 class ScriptedBits:
-    """Stands in for ``random.Random``: getrandbits(64) returns the given
-    values in order."""
+    """Stands in for ``random.Random``: getrandbits(64 * m) returns the
+    next m given values packed low word first, as CPython packs m
+    successive getrandbits(64) values."""
 
     def __init__(self, values):
         self._values = iter(values)
 
     def getrandbits(self, k):
-        assert k == 64
-        return next(self._values)
+        assert k % 64 == 0
+        return sum(next(self._values) << 64 * i for i in range(k // 64))
 
 
 class TestUrnMatchesOracle:
@@ -258,6 +274,18 @@ class TestUrnMatchesOracle:
         res = urn_simulate(logic, states, weights, 1, 100_000, seed=2018)
         assert res.counts == urn_oracle.urn_counts(logic, states, weights, 1, 100_000, 2018)
 
+    @pytest.mark.parametrize("context_index", [0, 5])
+    def test_more_than_255_balls_across_blocks(self, context_index):
+        # the 12-cycle has 322 states, so balls 255 and up are only ever
+        # bisected, and 100000 draws span two blocks of 2^16
+        logic = parse_logic("".join(f"context s{i} m{i} s{(i + 1) % 12}\n" for i in range(12)))
+        states = enumerate_states(logic)
+        assert len(states) == 322
+        weights = uniform(322)
+        res = urn_simulate(logic, states, weights, context_index, 100_000, seed=33)
+        assert res.counts == urn_oracle.urn_counts(logic, states, weights, context_index,
+                                                   100_000, 33)
+
     @pytest.mark.parametrize("kind", ["uniform", "sparse", "dyadic", "wide"])
     def test_draws_on_and_next_to_every_threshold(self, kind, monkeypatch):
         # 64-bit draws at floor and ceil of each c * 2^64 and one off them,
@@ -271,9 +299,39 @@ class TestUrnMatchesOracle:
             t = c * (1 << 64)
             bits += [min(max(v, 0), top)
                      for v in (math.floor(t) - 1, math.floor(t), math.ceil(t), math.ceil(t) + 1)]
+        # some draws have a top byte whose 2^56-wide range a threshold
+        # splits (bisected in full), others one that a single ball owns
+        split = {t >> 56 for t in (math.ceil(c * (1 << 64)) for c in accumulate(weights))
+                 if t % (1 << 56)}
+        assert {b >> 56 in split for b in bits} == {True, False}
         monkeypatch.setattr(urn, "random", SimpleNamespace(Random=lambda seed: ScriptedBits(bits)))
         for i in range(len(logic.contexts)):
             res = urn_simulate(logic, states, weights, i, len(bits), seed=0)
             want = urn_oracle.urn_counts(logic, states, weights, i, len(bits), 0,
                                          rng=ScriptedBits(bits))
             assert res.counts == want
+
+
+class TestBlockDraws:
+    """The bulk draws read the same stream and keep memory bounded."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2018, 2 ** 70 + 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000])
+    def test_bulk_bits_are_packed_single_draws(self, seed, k):
+        one_by_one = random.Random(seed)
+        packed = sum(one_by_one.getrandbits(64) << 64 * i for i in range(k))
+        assert random.Random(seed).getrandbits(64 * k) == packed
+
+    def test_memory_bounded_by_the_block(self):
+        logic = load_logic("pentagon")
+        states = enumerate_states(logic)
+        weights = uniform(len(states))
+        draws = 4 * urn._BLOCK + 1
+        tracemalloc.start()
+        try:
+            res = urn_simulate(logic, states, weights, 0, draws, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(res.counts.values()) == draws
+        assert peak < 4 << 20
