@@ -101,6 +101,7 @@ def urn_simulate(logic: Logic,
     cumulative weight c_i = C_i / D becomes the threshold ceil(c_i * 2^64),
     computed as ``-((-C_i << 64) // D)`` with no Fraction, and a draw's
     ball is the number of thresholds at or below its 64 bits.
+
     A block of up to 2^16 draws is one ``getrandbits(64 * size)`` call,
     which equals ``size`` successive ``getrandbits(64)`` values packed low
     word first (CPython fills it from 32-bit words, least significant
