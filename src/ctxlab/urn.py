@@ -6,7 +6,8 @@ indices) from an urn with mixture weights reproduces the convex-mixture
 probabilities empirically.  State indices are 1-based throughout this module,
 matching the canonical enumeration order used in probability formulas.
 Urn draws take their 64-bit integers from one ``getrandbits`` call per
-block of 2^16 (see :func:`urn_simulate`).
+block of 2^16 and are counted per run of consecutive states that share
+their true atom in the drawn context (see :func:`urn_simulate`).
 """
 
 from __future__ import annotations
@@ -14,21 +15,18 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Mapping, Sequence
 
 from ctxlab.logic import Logic, LogicError, _Record
-from ctxlab.states import (MixtureWeights, TwoValuedState, _columns, _rows,
+from ctxlab.states import (MixtureWeights, TwoValuedState, _columns,
                            _scaled_weights, enumerate_states)
 
 RNG_ID = "mt19937-u64"
 
 _BLOCK = 1 << 16  # draws per getrandbits call
 _TOP = 7 if sys.byteorder == "little" else 0  # top byte's offset in a word
-_MARKED = bytes(255) + b"\x01"  # the 255 marker to 1, other bytes to 0
 
 
 class UnknownContext(LogicError):
@@ -95,24 +93,33 @@ def urn_simulate(logic: Logic,
     Sampling compares an exact rational uniform variate (64 random bits over
     2^64) against exact cumulative weight thresholds, so the only floating
     point anywhere is in the caller's hands.  Deterministic given the seed,
-    which must be an int, as must the draw count (bools are refused).
+    which must be a nonnegative int (``random.Random`` seeds from the
+    absolute value, so -5 would draw what 5 draws), and the draw count must
+    be an int too (bools are refused).
     Both sides are integers: with the weights as numerators over their
     common denominator D (see :class:`~ctxlab.states.MixtureWeights`), the
-    cumulative weight c_i = C_i / D becomes the threshold ceil(c_i * 2^64),
-    computed as ``-((-C_i << 64) // D)`` with no Fraction, and a draw's
-    ball is the number of thresholds at or below its 64 bits.
+    cumulative weight c = C / D becomes the threshold ceil(c * 2^64),
+    computed as ``-((-C << 64) // D)`` with no Fraction.
 
-    A block of up to 2^16 draws is one ``getrandbits(64 * size)`` call,
-    which equals ``size`` successive ``getrandbits(64)`` values packed low
-    word first (CPython fills it from 32-bit words, least significant
-    first), so memory is bounded by the block and the stream is unchanged.
-    A 256-entry table maps a draw's top byte to the ball owning all of its
-    2^56 values; a byte that a threshold splits, or that belongs to ball
-    255 or later, maps to 255, and those draws are bisected in full.
+    Consecutive positive-weight states with the same true atom in the
+    context form one run, and only the thresholds where the true atom
+    changes are kept; a draw lands in the run with the number of those
+    thresholds at or below its 64 bits, which gives the same count per
+    atom as finding its state.  A block of up to 2^16 draws is one
+    ``getrandbits(64 * size)`` call, which equals ``size`` successive
+    ``getrandbits(64)`` values packed low word first (CPython fills it from
+    32-bit words, least significant first), so memory is bounded by the
+    block and the stream is unchanged.  A 256-entry table maps a draw's
+    top byte to the context position of the run owning all of its 2^56
+    values, and each position's hits are one ``bytes.count``; a byte that
+    a run threshold splits, or whose run's position is 255 or more, maps
+    to the marker 255, and only those marked draws are bisected.
     """
     for name, value in (("seed", seed), ("draw count", draws)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     if states is None:
         states = enumerate_states(logic)
     nums, d = _scaled_weights(weights, states)
@@ -125,39 +132,63 @@ def urn_simulate(logic: Logic,
             f"context index {context_index} not in 0..{len(logic.contexts) - 1}")
     context = logic.contexts[context_index]
 
-    # scaled[i] = ceil(c_i * 2^64) = -((-C_i * 2^64) // D) for the exact
-    # cumulative weights c_i = C_i / D (floor division of the negated
-    # numerator rounds up); for integer p, p/2^64 < c_i iff p < scaled[i],
-    # so the integer bisect below reproduces the rational comparison exactly
-    scaled = [-((-c << 64) // d) for c in accumulate(nums)]
+    # each state's true atom, as its position in the context: one pass
+    # over the context's columns, last column first so that a state's
+    # first true atom wins
+    n = len(states)
+    true_pos = [-1] * n
+    for k, col in reversed(list(enumerate(_columns(logic, states, context)))):
+        i = col.find(1)
+        while i >= 0:
+            true_pos[i] = k
+            i = col.find(1, i + 1)
+    if -1 in true_pos:
+        raise ValueError(f"state {true_pos.index(-1) + 1} has no true atom in "
+                         f"context {context_index}")
 
-    # ball type -> true atom of this context, precomputed per state
-    true_atom = [context[row.index(1)] for row in _rows(logic, states, context)]
+    # runs of consecutive positive-weight states with the same true atom;
+    # a run ends at bounds[r] = ceil(C / D * 2^64) = -((-C * 2^64) // D)
+    # for the exact cumulative weight C / D of its last state (floor division
+    # of the negated numerator rounds up), and owner[r] is its position;
+    # for integer p, p/2^64 < C/D iff p < bounds[r], so the integer
+    # bisect below reproduces the rational comparison exactly
+    cum, ends, owner = 0, [], []
+    for w, k in zip(nums, true_pos):
+        if w:
+            cum += w
+            if owner and owner[-1] == k:
+                ends[-1] = cum
+            else:
+                ends.append(cum)
+                owner.append(k)
+    bounds = [-((-c << 64) // d) for c in ends]
 
-    # table[j] = the ball whose range [previous threshold, threshold)
-    # covers [j, j + 1) * 2^56, for balls 0..254; else the 255 marker
+    # table[j] = the position of the run whose range [previous bound,
+    # bound) covers [j, j + 1) * 2^56, for positions 0..254; else 255
     table = bytearray(b"\xff" * 256)
-    for ball, (lo, hi) in enumerate(zip([0, *scaled[:254]], scaled[:255])):
+    for k, lo, hi in zip(owner, [0, *bounds], bounds):
         lo, hi = -(-lo >> 56), hi >> 56
-        table[lo:hi] = bytes((ball,)) * max(hi - lo, 0)
+        if k < 255 and lo < hi:
+            table[lo:hi] = bytes((k,)) * (hi - lo)
+    listed = set(table) - {255}
 
-    # u = bits/2^64 < 1 = c_last, so the bisect always lands on a ball;
-    # each block gets a fresh Counter, as popping the marker from a running
-    # one would drop ball 255's earlier counts; balls then fold onto atoms
+    # u = bits/2^64 < 1 = the last bound, so the bisect always lands on a
+    # run; table hits are counted per position, marked draws one by one
     rng = random.Random(seed)
-    balls = Counter()
+    hits = [0] * len(context)
     for start in range(0, draws, _BLOCK):
         size = min(_BLOCK, draws - start)
         blob = rng.getrandbits(64 * size).to_bytes(8 * size, sys.byteorder)
         marks = blob[_TOP::8].translate(table)
-        hits = Counter(marks)
-        if hits.pop(255, 0):
-            hits.update(map(partial(bisect_right, scaled),
-                            compress(memoryview(blob).cast("Q"), marks.translate(_MARKED))))
-        balls.update(hits)
-    counts = {a: 0 for a in context}
-    for ball, k in balls.items():
-        counts[true_atom[ball]] += k
+        for k in listed:
+            hits[k] += marks.count(k)
+        i = marks.find(255)
+        if i >= 0:
+            words = memoryview(blob).cast("Q")
+            while i >= 0:
+                hits[owner[bisect_right(bounds, words[i])]] += 1
+                i = marks.find(255, i + 1)
+    counts = dict(zip(context, hits))
 
     frequencies = {a: Fraction(c, draws) for a, c in counts.items()}
     return UrnResult(context_index=context_index, context=context,

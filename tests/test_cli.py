@@ -354,6 +354,11 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at most" in err
 
+    def test_negative_seed_exits_1(self, capsys):
+        # random.Random seeds from the absolute value: -5 would draw what 5 draws
+        assert run(capsys, "urn", "--catalog", "pentagon", "--context", "0",
+                   "--seed", "-5") == (1, "", "error: seed must be nonnegative, not -5\n")
+
     def test_missing_coordinate_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "short.assign"
         path.write_text("1 1/2\n")

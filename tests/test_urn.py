@@ -173,6 +173,22 @@ class TestUrnSimulate:
         with pytest.raises(ValueError, match="seed must be an int"):
             urn_simulate(logic, None, uniform(11), 0, 10, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, -5, -(2 ** 70)])
+    def test_seed_must_be_nonnegative(self, seed, monkeypatch):
+        # random.Random seeds from the absolute value, so -5 would draw
+        # what 5 draws while reporting another seed
+        logic = load_logic("pentagon")
+        monkeypatch.setattr(urn, "random", SimpleNamespace(Random=lambda seed: pytest.fail("drew")))
+        with pytest.raises(ValueError, match=f"seed must be nonnegative, not {seed}$"):
+            urn_simulate(logic, None, uniform(11), 0, 10, seed=seed)
+
+    def test_state_without_true_atom_refused(self):
+        logic = Logic(atoms=("x", "y", "z"), contexts=(("x", "y", "z"),))
+        states = (TwoValuedState(atoms=("x", "y", "z"), bits=(0, 1, 0)),
+                  TwoValuedState(atoms=("x", "y", "z"), bits=(0, 0, 0)))
+        with pytest.raises(ValueError, match="state 2 has no true atom in context 0"):
+            urn_simulate(logic, states, (Fraction(1, 2),) * 2, 0, 10, seed=1)
+
     @pytest.mark.parametrize("draws", [True, False, 2.5, 10.0, "10", None])
     def test_draw_count_must_be_int(self, draws, monkeypatch):
         logic = load_logic("pentagon")
@@ -288,8 +304,9 @@ class TestUrnMatchesOracle:
 
     @pytest.mark.parametrize("kind", ["uniform", "sparse", "dyadic", "wide"])
     def test_draws_on_and_next_to_every_threshold(self, kind, monkeypatch):
-        # 64-bit draws at floor and ceil of each c * 2^64 and one off them,
-        # where a threshold rounded the wrong way would pick the wrong ball
+        # 64-bit draws at floor and ceil of every ball's threshold c * 2^64
+        # and one off them, where a threshold rounded the wrong way would
+        # credit the wrong atom
         logic = load_logic("specker_bug_combo")
         states = enumerate_states(logic)
         weights = weights_of_kind(kind, len(states))
@@ -299,8 +316,10 @@ class TestUrnMatchesOracle:
             t = c * (1 << 64)
             bits += [min(max(v, 0), top)
                      for v in (math.floor(t) - 1, math.floor(t), math.ceil(t), math.ceil(t) + 1)]
-        # some draws have a top byte whose 2^56-wide range a threshold
-        # splits (bisected in full), others one that a single ball owns
+        # some draws have a top byte whose 2^56-wide range a ball threshold
+        # splits, others one inside a single ball's range; the sampler keeps
+        # only the ball thresholds where the true atom changes (see
+        # test_draws_on_and_next_to_every_run_bound)
         split = {t >> 56 for t in (math.ceil(c * (1 << 64)) for c in accumulate(weights))
                  if t % (1 << 56)}
         assert {b >> 56 in split for b in bits} == {True, False}
@@ -310,6 +329,92 @@ class TestUrnMatchesOracle:
             want = urn_oracle.urn_counts(logic, states, weights, i, len(bits), 0,
                                          rng=ScriptedBits(bits))
             assert res.counts == want
+
+
+def wide_context_logic() -> Logic:
+    """A 300-atom context a0..a299 pasted to the context a0 b c at a0:
+    599 states, and context positions 255 and up in context 0."""
+    return parse_logic("context " + " ".join(f"a{i}" for i in range(300))
+                       + "\ncontext a0 b c\n")
+
+
+def run_bounds(states, weights, context) -> list[int]:
+    """ceil(c * 2^64) for each cumulative weight c after which the next
+    positive-weight state has another true atom in the context."""
+    atom = [next(a for a in context if s[a]) for s in states]
+    live = [(c, a) for c, w, a in zip(accumulate(weights), weights, atom) if w]
+    return [math.ceil(c * (1 << 64)) for (c, a), (_, b) in zip(live, live[1:]) if a != b]
+
+
+def sandwich_zeros(states, context) -> list[Fraction]:
+    """Equal weights, except zero for each state whose two neighbours
+    share a true atom in the context that it does not have."""
+    atom = [next(a for a in context if s[a]) for s in states]
+    zero = {j for j in range(1, len(states) - 1) if atom[j - 1] == atom[j + 1] != atom[j]}
+    assert zero
+    return [Fraction(0 if j in zero else 1, len(states) - len(zero))
+            for j in range(len(states))]
+
+
+class TestRuns:
+    """Counts per run of states that share a true atom, against
+    ``tests/urn_oracle.py``."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "sparse", "wide"])
+    @pytest.mark.parametrize("context_index", [0, 1])
+    def test_context_of_more_than_255_atoms(self, kind, context_index):
+        # context 0's positions 255..299 are never in the table, so their
+        # draws are always bisected
+        logic = wide_context_logic()
+        states = enumerate_states(logic)
+        assert len(states) == 599
+        weights = weights_of_kind(kind, len(states))
+        res = urn_simulate(logic, states, weights, context_index, 2000, seed=71)
+        assert res.counts == urn_oracle.urn_counts(logic, states, weights, context_index,
+                                                   2000, 71)
+        if context_index == 0:
+            assert sum(res.counts[f"a{i}"] for i in range(255, 300)) > 0
+
+    @pytest.mark.parametrize("context_index", [1, 3, 4])
+    def test_zero_weight_states_inside_a_run(self, context_index, monkeypatch):
+        # a zero-weight state with another true atom between two states
+        # with the same true atom: the two share one run
+        logic = load_logic("pentagon")
+        states = enumerate_states(logic)
+        context = logic.contexts[context_index]
+        weights = sandwich_zeros(states, context)
+        res = urn_simulate(logic, states, weights, context_index, 3000, seed=9)
+        assert res.counts == urn_oracle.urn_counts(logic, states, weights, context_index,
+                                                   3000, 9)
+        bits = [min(math.ceil(c * (1 << 64)) + e, (1 << 64) - 1)
+                for c in accumulate(weights) for e in (-1, 0, 1)]
+        monkeypatch.setattr(urn, "random", SimpleNamespace(Random=lambda seed: ScriptedBits(bits)))
+        res = urn_simulate(logic, states, weights, context_index, len(bits), seed=0)
+        assert res.counts == urn_oracle.urn_counts(logic, states, weights, context_index,
+                                                   len(bits), 0, rng=ScriptedBits(bits))
+
+    @pytest.mark.parametrize("name,kind", [("pentagon", "zeros"),
+                                           ("specker_bug_combo", "uniform"),
+                                           ("specker_bug_combo", "dyadic"),
+                                           ("specker_bug_combo", "wide"),
+                                           ("wide", "uniform"), ("wide", "sparse")])
+    def test_draws_on_and_next_to_every_run_bound(self, name, kind, monkeypatch):
+        logic = wide_context_logic() if name == "wide" else load_logic(name)
+        states = enumerate_states(logic)
+        top = (1 << 64) - 1
+        for i, context in enumerate(logic.contexts):
+            if kind == "zeros" and i not in (1, 3, 4):
+                continue
+            weights = (sandwich_zeros(states, context) if kind == "zeros"
+                       else weights_of_kind(kind, len(states)))
+            bounds = run_bounds(states, weights, context)
+            assert bounds
+            bits = [0, top] + [min(b + e, top) for b in bounds for e in (-1, 0, 1)]
+            monkeypatch.setattr(urn, "random",
+                                SimpleNamespace(Random=lambda seed: ScriptedBits(bits)))
+            res = urn_simulate(logic, states, weights, i, len(bits), seed=0)
+            assert res.counts == urn_oracle.urn_counts(logic, states, weights, i, len(bits), 0,
+                                                       rng=ScriptedBits(bits))
 
 
 class TestBlockDraws:
