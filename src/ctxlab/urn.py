@@ -135,8 +135,7 @@ def urn_simulate(logic: Logic,
     # each state's true atom, as its position in the context: one pass
     # over the context's columns, last column first so that a state's
     # first true atom wins
-    n = len(states)
-    true_pos = [-1] * n
+    true_pos = [-1] * len(states)
     for k, col in reversed(list(enumerate(_columns(logic, states, context)))):
         i = col.find(1)
         while i >= 0:

@@ -376,22 +376,16 @@ class TestRuns:
             assert sum(res.counts[f"a{i}"] for i in range(255, 300)) > 0
 
     @pytest.mark.parametrize("context_index", [1, 3, 4])
-    def test_zero_weight_states_inside_a_run(self, context_index, monkeypatch):
+    def test_zero_weight_states_inside_a_run(self, context_index):
         # a zero-weight state with another true atom between two states
-        # with the same true atom: the two share one run
+        # with the same true atom: the two share one run (draws on its
+        # bounds are in test_draws_on_and_next_to_every_run_bound)
         logic = load_logic("pentagon")
         states = enumerate_states(logic)
-        context = logic.contexts[context_index]
-        weights = sandwich_zeros(states, context)
+        weights = sandwich_zeros(states, logic.contexts[context_index])
         res = urn_simulate(logic, states, weights, context_index, 3000, seed=9)
         assert res.counts == urn_oracle.urn_counts(logic, states, weights, context_index,
                                                    3000, 9)
-        bits = [min(math.ceil(c * (1 << 64)) + e, (1 << 64) - 1)
-                for c in accumulate(weights) for e in (-1, 0, 1)]
-        monkeypatch.setattr(urn, "random", SimpleNamespace(Random=lambda seed: ScriptedBits(bits)))
-        res = urn_simulate(logic, states, weights, context_index, len(bits), seed=0)
-        assert res.counts == urn_oracle.urn_counts(logic, states, weights, context_index,
-                                                   len(bits), 0, rng=ScriptedBits(bits))
 
     @pytest.mark.parametrize("name,kind", [("pentagon", "zeros"),
                                            ("specker_bug_combo", "uniform"),
