@@ -13,7 +13,9 @@ Several objectives are minimized lexicographically on one tableau: once an
 objective is optimal, every column with a positive reduced cost is barred from
 entering the basis (by complementary slackness those variables are zero on the
 whole optimal face), the next cost row is installed, and the simplex carries
-on from the same basis.  A single objective is the ordinary LP.
+on from the same basis.  Once every nonbasic column is barred, the optimal
+face is the current basic solution alone, so the objectives left are not
+installed: none of them could pivot.  A single objective is the ordinary LP.
 
 The tableau is dense and fraction-free, in the manner of Bareiss (Math. Comp.
 22, 1968) and of Avis's lrs: every row, cost row included, is a primitive
@@ -208,10 +210,12 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
     objective over the optimal face of the ones before it, on one tableau.
 
     ``x`` is the optimal basic solution of the last objective, so it is
-    optimal for every objective in turn.  ``objective`` and ``dual`` belong to
-    ``costs[0]`` and certify it as in :func:`solve_standard`: stages after the
-    first pivot only on columns whose first reduced cost is zero, which leaves
-    that reduced cost row unchanged.  INFEASIBLE carries the Farkas vector;
+    optimal for every objective in turn; the objectives stop early when the
+    optimal face so far is one vertex, which fixes ``x`` and the pivots.
+    ``objective`` and ``dual`` belong to ``costs[0]`` and certify it as in
+    :func:`solve_standard`: stages after the first pivot only on columns
+    whose first reduced cost is zero, which leaves that reduced cost row
+    unchanged.  INFEASIBLE carries the Farkas vector;
     UNBOUNDED means some objective is unbounded below on the optimal face of
     those before it.  Inputs are ints or Fractions, taken as given; the
     polytope layer checks them.
@@ -251,6 +255,9 @@ def solve_lexicographic(costs: Sequence[Sequence], A: Sequence[Sequence],
     for k, c in enumerate(costs):
         if k:  # keep to the optimal face of the objectives so far
             t.barred = [barred or d > 0 for barred, d in zip(t.barred, t.cost)]
+            basic = set(t.basis)
+            if all(barred or j in basic for j, barred in enumerate(t.barred)):
+                break  # the face is the current vertex: no later stage can pivot
         t.set_costs([*c, *padding])
         if t.run() == UNBOUNDED:
             return LPResult(status=UNBOUNDED)

@@ -14,11 +14,15 @@ vertex or point coordinate, or inequality or equality entry, raises ``ValueError
 ``axiom_implied`` check; the LP layer below takes what they pass).  Linear
 algebra runs on integers, scaled by ``logic.scale_to_integers``: ``_rref``
 and canonical forms eliminate with the exact LP's ``_pivot`` and ``_reduce``,
-``_Hull`` scales the vertices once to a common denominator, double
-description keeps rows and rays primitive int tuples, with a ray's zero set
-an int bitmask, canonical forms hand the exact LP only int rows, right-hand
-sides and objectives, and membership ranks the facets by integer
-cross-multiplication.  Fractions are built where a result leaves the module.
+a ``VertexSet`` carries its vertices as int rows over a common denominator
+(``vertices_from_states`` hands over its 0/1 rows, other sets are scaled
+once on first use), which ``_Hull`` reads and the set's hash is taken
+from, double description keeps rows and rays primitive int tuples, with a
+ray's zero set an int bitmask, canonical forms are primitive int rows
+[coeffs | bound], checked and sorted as such, that hand the exact LP only
+int rows, right-hand sides and objectives, and membership ranks the facets
+by integer cross-multiplication.  Fractions are built where a result
+leaves the module.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -37,6 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from ctxlab.exactlp import (INFEASIBLE, OPTIMAL, _pivot, _primitive, _reduce, check_invariant,
@@ -64,7 +69,9 @@ def _require_exact(values, what: str) -> None:
 class VertexSet(_Record):
     """Deduplicated vertex list with multiplicities, sorted lexicographically.
     Construction raises ``ValueError`` for a coordinate that is not an int or
-    a Fraction, or a vertex whose length is not that of ``labels``."""
+    a Fraction, a vertex whose length is not that of ``labels``, or counts
+    that are not one count of at least 1 per vertex.  ``_Hull`` reads only the
+    integer form ``_ints``, by which a set of integral vertices also hashes."""
 
     labels: tuple[str, ...]
     vertices: tuple[Vector, ...]
@@ -72,6 +79,10 @@ class VertexSet(_Record):
 
     def __post_init__(self):
         n = len(self.labels)
+        if len(self.counts) != len(self.vertices):
+            raise ValueError(f"{len(self.counts)} counts for {len(self.vertices)} vertices")
+        if any(c < 1 for c in self.counts):
+            raise ValueError(f"vertex count {min(self.counts)} is below 1")
         # one pass over the lengths and the coordinate types; the scan per
         # vertex below runs only to name the first bad vertex or value
         if set(map(len, self.vertices)) <= {n} and all(
@@ -82,6 +93,20 @@ class VertexSet(_Record):
             if len(v) != n:
                 raise ValueError(f"vertex has {len(v)} coordinates for {n} labels")
             _require_exact(v, "vertex coordinate")
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, scale): the vertices times scale, the lcm of their
+        denominators, as int tuples."""
+        n = len(self.labels)
+        flat, scale = scale_to_integers([x for v in self.vertices for x in v])
+        # one slice per vertex: with no labels each is empty (a stride of 0 fails)
+        return tuple(tuple(flat[k * n:(k + 1) * n]) for k in range(len(self.vertices))), scale
+
+    def __hash__(self) -> int:
+        # hash(Fraction(k)) == hash(k): at scale 1 the rows hash as the vertices
+        rows, scale = self._ints
+        return hash((self.labels, rows if scale == 1 else self.vertices, self.counts))
 
 
 class _LinearForm(_Record):
@@ -189,8 +214,8 @@ class _Hull:
     """The affine hull of a nonempty vertex set, and all that facet
     enumeration and membership read off it, in integers.
 
-    ``ints`` are the vertices (ints or Fractions) times ``scale``, the lcm
-    of their denominators; ``v0`` is the first and ``basis``/``pivots`` the
+    ``ints`` and ``scale`` are the vertex set's integer form
+    (``VertexSet._ints``); ``v0`` is the first row and ``basis``/``pivots`` the
     RREF of the differences v - v0.  A point x of the hull is fixed by its
     ``dim`` reduced coordinates, scale * x - v0 on the pivots (``reduce``).
     ``equality_ints`` are the canonical hull equalities as integer
@@ -202,14 +227,10 @@ class _Hull:
     """
 
     def __init__(self, vset: VertexSet):
-        self.labels = vset.labels
-        flat, scale = scale_to_integers([x for v in vset.vertices for x in v])
-        self.scale, n = scale, len(self.labels)
-        # one slice per vertex: with no labels each is empty (a stride of 0 fails)
-        self.ints = [flat[k * n:(k + 1) * n] for k in range(len(vset.vertices))]
-        self.v0 = v0 = self.ints[0]
-        self.basis, self.pivots = _rref([[a - b for a, b in zip(v, v0)]
-                                         for v in self.ints[1:]])
+        self.labels, n = vset.labels, len(vset.labels)
+        self.ints, self.scale = ints, scale = vset._ints
+        self.v0 = v0 = ints[0]
+        self.basis, self.pivots = _rref([[a - b for a, b in zip(v, v0)] for v in ints[1:]])
         self.dim = len(self.pivots)
         self.equality_ints = []
         for a in _nullspace(self.basis, self.pivots, n):  # a.x == a.v0 / scale
@@ -218,8 +239,7 @@ class _Hull:
 
     @cached_property
     def equalities(self) -> tuple[Equality, ...]:
-        return tuple(Equality(self.labels, tuple(map(Fraction, vec[:-1])), Fraction(vec[-1]))
-                     for vec in self.equality_ints)
+        return tuple(_from_row(Equality, self.labels, vec) for vec in self.equality_ints)
 
     def reduce(self, point: Vector) -> Vector:
         return tuple(self.scale * point[p] - self.v0[p] for p in self.pivots)
@@ -232,31 +252,21 @@ class _Hull:
     def rref(self) -> tuple[list[list[int]], list[int]]:
         return _rref(self.equality_ints)
 
-    def canonical(self, red_coeffs: Sequence, red_bound) -> Inequality:
-        """Canonical form of red_coeffs . y <= red_bound in reduced
-        coordinates (ints)."""
+    def canonical(self, red_coeffs: Sequence, red_bound) -> list[int]:
+        """Canonical int row [coeffs | bound] of red_coeffs . y <= red_bound
+        in reduced coordinates (ints)."""
         aug = [0] * len(self.labels) + [red_bound]
         for c, p in zip(red_coeffs, self.pivots):
             aug[p] = self.scale * c
             aug[-1] += c * self.v0[p]
-        return _canonical_form(self.labels, aug, *self.rref)
+        return _canonical_form(aug, *self.rref)
 
-    def supports(self, form: _LinearForm) -> bool:
-        """Whether coeffs . x <= bound holds on every vertex, with equality on
-        at least one: the maximum over the vertices is the bound.  The form
-        must be integral (canonical forms are)."""
-        check_invariant(form.bound.denominator == 1
-                        and all(c.denominator == 1 for c in form.coeffs),
-                        "canonical form is integral")
-        terms = [(k, c.numerator) for k, c in enumerate(form.coeffs) if c]
-        rhs = self.scale * form.bound.numerator
-        tight = False
-        for v in self.ints:
-            lhs = sum(c * v[k] for k, c in terms)
-            if lhs > rhs:
-                return False
-            tight = tight or lhs == rhs
-        return tight
+    def supports(self, row: list[int]) -> bool:
+        """Whether the int row [coeffs | bound] holds on every vertex, with
+        equality on at least one: the maximum over the vertices is the bound."""
+        check_invariant(all(type(c) is int for c in row), "canonical form is integral")
+        # map stops at the end of v, before the bound
+        return max(sum(map(mul, row, v)) for v in self.ints) == self.scale * row[-1]
 
 
 def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
@@ -276,23 +286,28 @@ def canonical_inequality(labels: tuple[str, ...], coeffs: Sequence[Fraction],
     rr, piv = _rref(rows)
     if piv and piv[-1] == len(coeffs):
         raise InvalidInput("equalities are inconsistent")
-    return _canonical_form(labels, scale_to_integers(aug)[0], rr, piv)
+    return _from_row(Inequality, tuple(labels),
+                     _canonical_form(scale_to_integers(aug)[0], rr, piv))
 
 
-def _canonical_form(labels: tuple[str, ...], aug: list[int],
-                    rr: list[list[int]], piv: list[int]) -> Inequality:
+def _from_row(cls, labels: tuple[str, ...], row: Sequence[int]):
+    """The ``Inequality`` or ``Equality`` of the int row [coeffs | bound]."""
+    return cls(labels, tuple(map(Fraction, row[:-1])), Fraction(row[-1]))
+
+
+def _canonical_form(aug: list[int], rr: list[list[int]], piv: list[int]) -> list[int]:
     """:func:`canonical_inequality` of the int row ``aug`` = [coeffs | bound]
-    given the ``_rref`` of the equalities' rows [coeffs | bound].  Each step
-    scales ``aug`` by a positive integer, which the final primitive scaling
-    removes; ``_reduce`` may update ``aug`` in place."""
+    given the ``_rref`` of the equalities' rows [coeffs | bound], as a
+    primitive int row.  Each step scales ``aug`` by a positive integer,
+    which the final primitive scaling removes; ``_reduce`` may update
+    ``aug`` in place."""
     aug = _reduce(aug, rr, piv)
     if rr:
         s = _nonneg_representative(aug[:-1], rr, piv)
         if s is not None:
             bound = aug[-1] + sum(s[p] * row[-1] / row[p] for row, p in zip(rr, piv))
             aug = scale_to_integers(s + [bound])[0]
-    vec = _primitive(aug)
-    return Inequality(tuple(labels), tuple(map(Fraction, vec[:-1])), Fraction(vec[-1]))
+    return _primitive(aug)
 
 
 def _nonneg_representative(reduced: list[int], rr: list[list[int]],
@@ -411,9 +426,11 @@ def vertices_from_states(logic: Logic,
             seen.add(a)
     counted = Counter(_rows(logic, states, labels))
     ordered = sorted(counted)
-    return VertexSet(labels=labels,
+    vset = VertexSet(labels=labels,
                      vertices=tuple(tuple(map(_BIT_FRACTIONS.__getitem__, v)) for v in ordered),
                      counts=tuple(counted[v] for v in ordered))
+    vset.__dict__["_ints"] = tuple(ordered), 1  # the cached integer form, already built
+    return vset
 
 
 @lru_cache(maxsize=256)
@@ -425,14 +442,13 @@ def facet_enumeration(vset: VertexSet) -> Polytope:
         raise InvalidInput("no vertices")
     hull = _Hull(vset)
     M = [(1,) + y for y in hull.reduced]
-    facets = [hull.canonical(tuple(-v for v in ray[1:]), ray[0])
-              for ray in _extreme_rays(M) if any(ray[1:])]
-    for f in facets:  # soundness: valid on every vertex and tight somewhere
-        check_invariant(hull.supports(f), "facet not supporting")
-
-    facets.sort(key=lambda f: (f.coeffs, f.bound))
-    return Polytope(vset.labels, vset.vertices, vset.counts, hull.dim,
-                    hull.equalities, tuple(facets))
+    rows = [hull.canonical(tuple(-v for v in ray[1:]), ray[0])
+            for ray in _extreme_rays(M) if any(ray[1:])]
+    for row in rows:  # soundness: valid on every vertex and tight somewhere
+        check_invariant(hull.supports(row), "facet not supporting")
+    rows.sort()  # by coefficients, then bound: the rows are of one length
+    return Polytope(vset.labels, vset.vertices, vset.counts, hull.dim, hull.equalities,
+                    tuple(_from_row(Inequality, vset.labels, row) for row in rows))
 
 
 def evaluate_inequality(ineq: Inequality, point: Mapping[str, object],
@@ -466,8 +482,7 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
         lhs, rhs = sum(c * x for c, x in zip(vec[:-1], ints)), s * vec[-1]
         if lhs != rhs:
             sign = 1 if lhs > rhs else -1
-            sep = Inequality(vset.labels, tuple(Fraction(sign * v) for v in vec[:-1]),
-                             Fraction(sign * vec[-1]))
+            sep = _from_row(Inequality, vset.labels, [sign * v for v in vec])
             return MembershipResult(inside=False, separator=sep,
                                     value_at_point=_dot(sep.coeffs, p),
                                     max_over_vertices=sep.bound)

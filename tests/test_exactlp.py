@@ -358,6 +358,43 @@ def test_large_scales_stay_exact():
     assert res.status == OPTIMAL
 
 
+@contextmanager
+def installed_cost_rows():
+    """Record every cost row ``exactlp._Tableau.set_costs`` installs."""
+    rows, set_costs = [], exactlp._Tableau.set_costs
+
+    def recording_set_costs(t, costs):
+        rows.append(list(costs))
+        set_costs(t, costs)
+
+    with mock.patch.object(exactlp._Tableau, "set_costs", recording_set_costs):
+        yield rows
+
+
+def test_unique_first_optimum_installs_no_later_cost_row():
+    # x + y + s = 1: min x + y is 0 at the one point s = 1, where x and y
+    # both have reduced cost 1 and are barred, so no later objective could
+    # pivot and none is installed
+    costs = [[1, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with installed_cost_rows() as rows:
+        res = assert_matches_oracle(costs, [[1, 1, 1]], [1])
+    assert len(rows) == 2  # phase 1 and the first objective
+    assert (res.x, res.objective, res.dual) == ((0, 0, 1), 0, (0,))
+
+
+def test_tied_optimal_face_still_refines():
+    # the LP of a canonical form with a tie: x - y = 0 on the hull, so every
+    # representative (1 + t, 1 - t) of x + y <= 2 has coefficient sum 2 and
+    # s0 + s1 = 2 is optimal throughout; the second objective moves to
+    # s = (0, 2), the lexicographically smallest, and bars s0, which
+    # leaves the third nothing to do
+    costs = [[1, 1], [1, 0], [0, 1]]
+    with installed_cost_rows() as rows:
+        res = assert_matches_oracle(costs, [[1, 1]], [2])
+    assert [r[:2] for r in rows[1:]] == costs[:2]
+    assert (res.x, res.objective) == ((0, 2), 2)
+
+
 _RATIONAL = st.one_of(st.integers(-10**6, 10**6),
                       st.fractions(max_denominator=10**4))
 

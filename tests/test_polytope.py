@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 
 import numpy as np
@@ -198,17 +199,18 @@ class TestFacetEnumeration:
     @pytest.mark.parametrize("shift", [1, -1])
     @pytest.mark.parametrize("call", ["facet_enumeration", "membership"])
     def test_soundness_check_rejects_a_shifted_bound(self, monkeypatch, shift, call):
-        # every canonical form, facet or separator, comes from _canonical_form
+        # every canonical form, facet or separator, is the int row
+        # [coeffs | bound] that _canonical_form returns
         canonical = polytope._canonical_form
 
         def shifted(*args):
-            f = canonical(*args)
-            return Inequality(f.labels, f.coeffs, f.bound + shift)
+            row = canonical(*args)
+            return [*row[:-1], row[-1] + shift]
 
         vs = vset(["x", "y"], [[0, 0], [1, 0], [0, 1]])
         facet_enumeration.cache_clear()
         monkeypatch.setattr(polytope, "_canonical_form", shifted)
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match="facet not supporting"):
             if call == "facet_enumeration":
                 facet_enumeration(vs)
             else:
@@ -713,6 +715,18 @@ class TestVertexCoordinates:
             VertexSet(("x", "y"), rows, (1,) * len(rows))
         assert str(err.value) == reason
 
+    @pytest.mark.parametrize("counts, reason", [
+        ((1, 2), "2 counts for 1 vertices"),
+        ((), "0 counts for 1 vertices"),
+        ((0,), "vertex count 0 is below 1"),
+        ((-1,), "vertex count -1 is below 1"),
+    ])
+    def test_bad_counts_raise(self, counts, reason):
+        # a count without a vertex would reach Polytope.counts unchecked
+        with pytest.raises(ValueError) as err:
+            VertexSet(("x",), ((F(1),),), counts)
+        assert str(err.value) == reason
+
     def test_bool_coordinates_count_as_ints(self):
         assert VertexSet(("x", "y"), ((False, True), (1, F(0))), (1, 1)).vertices
 
@@ -819,6 +833,34 @@ def test_hull_matches_fraction_reference_on_rational_sets(rows, data):
         else:
             sep = got.separator
             assert all(type(v) is F for v in (*sep.coeffs, sep.bound, got.value_at_point))
+
+
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("name", WITH_LOGIC)
+def test_carried_rows_match_rebuilt_sets(name, projected):
+    """``vertices_from_states`` hands its sorted 0/1 rows to the set it
+    builds.  Sets rebuilt with fresh Fraction and with int coordinates
+    equal it both ways, hash as its fields do, are cache hits of its
+    polytope, and ``_Hull`` reads the same hull off the carried rows as off
+    the scaled Fractions."""
+    logic = catalog_get(name).logic
+    carried = vertices_from_states(logic, project=logic.atoms[::2] if projected else None)
+    labels, counts = carried.labels, carried.counts
+    as_fraction = VertexSet(labels, tuple(tuple(F(int(x)) for x in v) for v in carried.vertices),
+                            counts)
+    as_int = VertexSet(labels, tuple(tuple(map(int, v)) for v in carried.vertices), counts)
+    for a, b in permutations((carried, as_fraction, as_int), 2):
+        assert a == b and hash(a) == hash(b)
+    assert hash(carried) == hash((labels, carried.vertices, counts))
+    facet_enumeration.cache_clear()
+    P = facet_enumeration(carried)
+    assert facet_enumeration(as_fraction) is P and facet_enumeration(as_int) is P
+    assert facet_enumeration.cache_info()[:2] == (2, 1)  # hits, misses
+    facet_enumeration.cache_clear()
+    got, want = polytope._Hull(carried), polytope._Hull(as_fraction)
+    assert (got.scale, want.scale) == (1, 1)
+    for field in ("basis", "pivots", "equality_ints", "reduced"):
+        assert getattr(got, field) == getattr(want, field)
 
 
 @pytest.mark.parametrize("seed,name", enumerate(WITH_LOGIC))

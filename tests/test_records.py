@@ -96,8 +96,9 @@ def _vertex_set(draw) -> dict:
     labels = draw(ATOMS)
     rows = st.tuples(*[st.one_of(st.integers(-2, 2), st.fractions(max_denominator=4))
                        for _ in labels])
-    return {"labels": tuple(labels), "vertices": tuple(draw(st.lists(rows, max_size=3))),
-            "counts": tuple(draw(st.lists(st.integers(1, 3), max_size=3)))}
+    vertices = tuple(draw(st.lists(rows, max_size=3)))
+    counts = st.lists(st.integers(1, 3), min_size=len(vertices), max_size=len(vertices))
+    return {"labels": tuple(labels), "vertices": vertices, "counts": tuple(draw(counts))}
 
 
 @st.composite
