@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 from fractions import Fraction
 from importlib import resources
 
@@ -47,6 +48,62 @@ def exotic(tmp_path):
     path = tmp_path / "exotic.assign"
     path.write_text("".join(f"{a} 1/2\n" for a in ("1", "3", "5", "7", "9")))
     return str(path)
+
+
+# (exit code, argv): every subcommand, both member verdicts and both
+# certify-vi branches; "{name}" is the file of that name in ``cli_inputs``
+RUNS = [
+    (0, ["validate", "--catalog", "pentagon"]),
+    (0, ["states", "--catalog", "pentagon"]),
+    (0, ["classify", "--catalog", "indefinite_fig5c"]),
+    (0, ["property", "--catalog", "specker_bug", "--given", "a", "--target", "b"]),
+    (0, ["mixture", "--catalog", "pentagon", "--weights", "{uniform11}"]),
+    (0, ["hull", "--catalog", "pentagon", "--project", "1,3,5,7,9"]),
+    (0, ["member", "--catalog", "pentagon", "--assign", "{exotic}",
+         "--project", "1,3,5,7,9"]),
+    (0, ["member", "--catalog", "pentagon", "--assign", "{mix}"]),
+    (1, ["axiom-check", "--catalog", "pentagon", "--ineq", "1 + 3 + 5 + 7 + 9 <= 2"]),
+    (0, ["axiom-check", "--catalog", "pentagon", "--ineq", "1 + 2 + 3 <= 1"]),
+    (0, ["realization-check", "--catalog", "specker_bug"]),
+    (0, ["born", "--catalog", "specker_bug", "--psi", "a"]),
+    (0, ["violate", "--catalog", "specker_bug", "--psi", "a", "--ineq", "a + b <= 1"]),
+    (0, ["paste", "--catalog", "tifs_fig5a", "--catalog2", "tits_fig5b"]),
+    (0, ["certify-vi", "--catalog", "tifs_fig5a", "--catalog2", "tits_fig5b",
+         "--given", "a", "--target", "b"]),
+    (1, ["certify-vi", "--catalog", "tits_fig5b", "--catalog2", "tifs_fig5a",
+         "--given", "a", "--target", "b"]),
+    (0, ["urn", "--catalog", "pentagon", "--context", "0", "--draws", "50",
+         "--seed", "9"]),
+    (0, ["catalog"]),
+    (0, ["export-dot", "--catalog", "triangle4d"]),
+]
+TEXT_ARGVS = [argv for _, argv in RUNS] + [["validate", "--logic", "{unused}"]]
+# whole text-mode stdout, stderr and exit code of each TEXT_ARGVS call,
+# keyed by the argv joined with spaces
+TEXT_GOLDENS = json.loads((pathlib.Path(__file__).parent / "data"
+                           / "cli_text.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, uniform11, exotic):
+    mix, unused = tmp_path / "mix.assign", tmp_path / "unused.logic"
+    mix.write_text("".join(f"{a} {'3/11' if a % 2 else '5/11'}\n" for a in range(1, 11)))
+    unused.write_text("atom z\ncontext a b\n")
+    return {"uniform11": uniform11, "exotic": exotic, "mix": str(mix),
+            "unused": str(unused)}
+
+
+def _fill(argv, inputs) -> list[str]:
+    return [arg.format(**inputs) for arg in argv]
+
+
+class TestFullText:
+
+    @pytest.mark.parametrize("argv", TEXT_ARGVS,
+                             ids=lambda argv: "_".join(argv).replace(" ", ""))
+    def test_text_matches_golden(self, capsys, cli_inputs, argv):
+        code, out, err = run(capsys, *_fill(argv, cli_inputs))
+        assert {"code": code, "stdout": out, "stderr": err} == TEXT_GOLDENS[" ".join(argv)]
 
 
 class TestPinnedOutputs:
@@ -584,44 +641,9 @@ class TestTextOutputs:
 
 class TestJsonOutputs:
 
-    def test_all_commands_validate_against_schemas(self, capsys, tmp_path,
-                                                   uniform11, exotic):
-        mix = tmp_path / "mix.assign"
-        mix.write_text("\n".join(
-            ["1 3/11", "2 5/11", "3 3/11", "4 5/11", "5 3/11",
-             "6 5/11", "7 3/11", "8 5/11", "9 3/11", "10 5/11"]) + "\n")
-        runs = [
-            (0, ["validate", "--catalog", "pentagon"]),
-            (0, ["states", "--catalog", "pentagon"]),
-            (0, ["classify", "--catalog", "indefinite_fig5c"]),
-            (0, ["property", "--catalog", "specker_bug",
-                 "--given", "a", "--target", "b"]),
-            (0, ["mixture", "--catalog", "pentagon", "--weights", uniform11]),
-            (0, ["hull", "--catalog", "pentagon", "--project", "1,3,5,7,9"]),
-            (0, ["member", "--catalog", "pentagon", "--assign", exotic,
-                 "--project", "1,3,5,7,9"]),
-            (0, ["member", "--catalog", "pentagon", "--assign", str(mix)]),
-            (1, ["axiom-check", "--catalog", "pentagon",
-                 "--ineq", "1 + 3 + 5 + 7 + 9 <= 2"]),
-            (0, ["axiom-check", "--catalog", "pentagon",
-                 "--ineq", "1 + 2 + 3 <= 1"]),
-            (0, ["realization-check", "--catalog", "specker_bug"]),
-            (0, ["born", "--catalog", "specker_bug", "--psi", "a"]),
-            (0, ["violate", "--catalog", "specker_bug", "--psi", "a",
-                 "--ineq", "a + b <= 1"]),
-            (0, ["paste", "--catalog", "tifs_fig5a",
-                 "--catalog2", "tits_fig5b"]),
-            (0, ["certify-vi", "--catalog", "tifs_fig5a",
-                 "--catalog2", "tits_fig5b", "--given", "a", "--target", "b"]),
-            (1, ["certify-vi", "--catalog", "tits_fig5b",
-                 "--catalog2", "tifs_fig5a", "--given", "a", "--target", "b"]),
-            (0, ["urn", "--catalog", "pentagon", "--context", "0",
-                 "--draws", "50", "--seed", "9"]),
-            (0, ["catalog"]),
-            (0, ["export-dot", "--catalog", "triangle4d"]),
-        ]
-        for expected_code, argv in runs:
-            code, payload, _ = run_json(capsys, *argv)
+    def test_all_commands_validate_against_schemas(self, capsys, cli_inputs):
+        for expected_code, argv in RUNS:
+            code, payload, _ = run_json(capsys, *_fill(argv, cli_inputs))
             assert code == expected_code, argv
             assert isinstance(payload, dict), argv
 
