@@ -26,17 +26,17 @@ _EXPORTS = {
         "facet_enumeration", "canonical_inequality", "evaluate_inequality",
         "membership", "axiom_implied", "parse_inequality"),
     "realization": (
-        "Realization", "RealizationReport", "FeasibilityWindow",
-        "ViolationReport", "RealizationError", "VectorParseError",
-        "parse_vectors", "check_realization", "born_probabilities",
-        "projector", "maximal_operator", "recover_projectors", "angle",
-        "bug_pasting_feasibility", "quantum_vs_classical"),
+        "Realization", "RealizationReport", "ViolationReport",
+        "RealizationError", "VectorParseError", "parse_vectors",
+        "check_realization", "born_probabilities", "projector",
+        "maximal_operator", "recover_projectors", "angle",
+        "quantum_vs_classical"),
     "urn": (
         "PartitionRepresentation", "UrnResult", "UnknownContext",
         "partition_representation", "urn_simulate"),
     "catalog": (
-        "CatalogEntry", "ExpectedStates", "UnknownEntry", "catalog_list",
-        "catalog_get"),
+        "CatalogEntry", "ExpectedStates", "FeasibilityWindow", "UnknownEntry",
+        "catalog_list", "catalog_get", "bug_pasting_feasibility"),
     "exactlp": (),
 }
 

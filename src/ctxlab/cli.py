@@ -6,6 +6,8 @@ membership, axiom implication, vector realizations, Born probabilities,
 inequality violation, pasting, value-indefiniteness certification, urn
 sampling, the fixture catalog, and DOT export.  Adding one takes a
 ``_cmd_*`` handler, one ``_COMMANDS`` row and its schema in ``schemas/``.
+A handler builds its JSON payload and reads its text lines off it, so each
+result value is formatted once and the text cannot disagree with the JSON.
 
 Exit codes: 0 success, 1 domain failure (message on stderr), 2 usage error.
 Exit 1 means a negative verdict or a refused input: a ``ctxlab.LogicError``
@@ -53,6 +55,10 @@ def _frac(q) -> str:
 
 def _flt(x) -> str:
     return format(float(x), ".12g")
+
+
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
 
 
 def _form_text(form: Inequality | Equality) -> str:
@@ -211,15 +217,15 @@ def _expect(args, got: str, what: str) -> int:
 def _cmd_validate(args) -> int:
     logic = _logic(args)
     report = validate_logic(logic)
-    lines = [f"logic: {logic.name or '<anonymous>'}",
-             f"ok: {'yes' if report.ok else 'no'}"]
-    for v in report.violations:
-        lines.append(f"violation {v.rule}: {v.message}")
     payload = {"command": "validate", "name": logic.name,
                "ok": report.ok,
                "violations": [{"rule": v.rule, "message": v.message,
                                "offenders": [str(o) for o in v.offenders]}
                               for v in report.violations]}
+    lines = [f"logic: {payload['name'] or '<anonymous>'}",
+             f"ok: {_yes(payload['ok'])}"]
+    lines += [f"violation {v['rule']}: {v['message']}"
+              for v in payload["violations"]]
     _emit(args, payload, "\n".join(lines))
     return 0 if report.ok else 1
 
@@ -243,19 +249,19 @@ def _cmd_classify(args) -> int:
     from ctxlab.states import classify_states
     logic = _logic(args)
     rep = classify_states(logic)
-    lines = [f"count: {rep.count}",
-             f"unital: {'yes' if rep.unital else 'no'}"]
-    if rep.non_unital_atoms:
-        lines.append("non_unital: " + " ".join(rep.non_unital_atoms))
-    lines.append(f"separating: {'yes' if rep.separating else 'no'}")
-    if rep.inseparable_pairs:
-        lines.append("inseparable: " +
-                     " ".join(f"{x}~{y}" for x, y in rep.inseparable_pairs))
     payload = {"command": "classify", "count": rep.count,
                "unital": rep.unital,
                "non_unital_atoms": list(rep.non_unital_atoms),
                "separating": rep.separating,
                "inseparable_pairs": [list(p) for p in rep.inseparable_pairs]}
+    lines = [f"count: {payload['count']}",
+             f"unital: {_yes(payload['unital'])}"]
+    if payload["non_unital_atoms"]:
+        lines.append("non_unital: " + " ".join(payload["non_unital_atoms"]))
+    lines.append(f"separating: {_yes(payload['separating'])}")
+    if payload["inseparable_pairs"]:
+        lines.append("inseparable: " + " ".join(
+            f"{x}~{y}" for x, y in payload["inseparable_pairs"]))
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -276,26 +282,26 @@ def _cmd_mixture(args) -> int:
     states = enumerate_states(logic)
     weights = _read_weights(args.weights, len(states))
     probs = convex_mixture(states, weights)
-    lines = [f"{a} {_frac(probs[a])}" for a in logic.atoms]
     payload = {"command": "mixture", "exact": True,
                "probabilities": {a: _frac(probs[a]) for a in logic.atoms}}
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(f"{a} {q}" for a, q
+                                   in payload["probabilities"].items()))
     return 0
 
 
 def _cmd_hull(args) -> int:
     from ctxlab.polytope import facet_enumeration
     poly = facet_enumeration(_vertex_set(args, _logic(args)))
-    lines = ["labels: " + " ".join(poly.labels),
-             f"dim: {poly.affine_dim}",
-             f"vertices: {len(poly.vertices)}"]
-    lines += [f"equality: {_form_text(e)}" for e in poly.equalities]
-    lines += [f"facet: {_form_text(f)}" for f in poly.facets]
     payload = {"command": "hull", "labels": list(poly.labels),
                "affine_dim": poly.affine_dim,
                "vertex_count": len(poly.vertices),
                "equalities": [_form_json(e) for e in poly.equalities],
                "facets": [_form_json(f) for f in poly.facets]}
+    lines = ["labels: " + " ".join(payload["labels"]),
+             f"dim: {payload['affine_dim']}",
+             f"vertices: {payload['vertex_count']}"]
+    lines += [f"equality: {e['text']}" for e in payload["equalities"]]
+    lines += [f"facet: {f['text']}" for f in payload["facets"]]
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -305,21 +311,19 @@ def _cmd_member(args) -> int:
     logic = _logic(args)
     point = _read_assignment(args.assign)
     res = membership(point, _vertex_set(args, logic))
+    payload = {"command": "member", "inside": res.inside, "weights": None,
+               "separator": None, "value": None, "max_over_vertices": None}
+    lines = [f"inside: {_yes(payload['inside'])}"]
     if res.inside:
-        lines = ["inside: yes",
-                 "weights: " + " ".join(_frac(w) for w in res.weights)]
-        payload = {"command": "member", "inside": True,
-                   "weights": [_frac(w) for w in res.weights],
-                   "separator": None, "value": None, "max_over_vertices": None}
+        payload["weights"] = [_frac(w) for w in res.weights]
+        lines.append("weights: " + " ".join(payload["weights"]))
     else:
-        lines = ["inside: no",
-                 f"separator: {_form_text(res.separator)}",
-                 f"value: {_frac(res.value_at_point)}",
-                 f"max_over_vertices: {_frac(res.max_over_vertices)}"]
-        payload = {"command": "member", "inside": False, "weights": None,
-                   "separator": _form_json(res.separator),
-                   "value": _frac(res.value_at_point),
-                   "max_over_vertices": _frac(res.max_over_vertices)}
+        payload.update(separator=_form_json(res.separator),
+                       value=_frac(res.value_at_point),
+                       max_over_vertices=_frac(res.max_over_vertices))
+        lines += [f"separator: {payload['separator']['text']}",
+                  f"value: {payload['value']}",
+                  f"max_over_vertices: {payload['max_over_vertices']}"]
     _emit(args, payload, "\n".join(lines))
     return _expect(args, "inside" if res.inside else "outside", "point")
 
@@ -329,20 +333,20 @@ def _cmd_axiom_check(args) -> int:
     logic = _logic(args)
     ineq = parse_inequality(args.ineq)
     res = axiom_implied(logic, ineq)
-    lines = [f"inequality: {_form_text(ineq)}",
-             f"implied: {'yes' if res.implied else 'no'}"]
-    if res.region_empty:
-        lines.append("region: empty")
-    if res.optimum is not None:
-        lines.append(f"optimum: {_frac(res.optimum)}")
-    if res.witness is not None:
-        lines.append("witness: " + " ".join(
-            f"{a}={_frac(w)}" for a, w in zip(logic.atoms, res.witness)))
     payload = {"command": "axiom-check", "inequality": _form_text(ineq),
                "implied": res.implied, "region_empty": res.region_empty,
                "optimum": None if res.optimum is None else _frac(res.optimum),
                "witness": None if res.witness is None
                else {a: _frac(w) for a, w in zip(logic.atoms, res.witness)}}
+    lines = [f"inequality: {payload['inequality']}",
+             f"implied: {_yes(payload['implied'])}"]
+    if payload["region_empty"]:
+        lines.append("region: empty")
+    if payload["optimum"] is not None:
+        lines.append(f"optimum: {payload['optimum']}")
+    if payload["witness"] is not None:
+        lines.append("witness: " + " ".join(
+            f"{a}={w}" for a, w in payload["witness"].items()))
     _emit(args, payload, "\n".join(lines))
     return 0 if res.implied else 1
 
@@ -352,20 +356,6 @@ def _cmd_realization_check(args) -> int:
     logic = _logic(args)
     r, partial = _realization(args)
     report = check_realization(logic, r, allow_partial=partial)
-    lines = [f"dimension: {report.dimension}",
-             f"ok: {'yes' if report.ok else 'no'}"]
-    for atom, norm in report.norm_failures:
-        lines.append(f"bad_norm: {atom} {_flt(norm)}")
-    for f in report.context_failures:
-        x, y = f.pair
-        lines.append(f"bad_context: {f.context_index} {x},{y} inner {_flt(f.value)}")
-    for x, y in report.collinear_pairs:
-        lines.append(f"collinear: {x} {y}")
-    if report.missing_atoms:
-        lines.append("missing: " + " ".join(report.missing_atoms))
-    if report.skipped_contexts:
-        lines.append("skipped_contexts: " +
-                     " ".join(str(i) for i in report.skipped_contexts))
     payload = {"command": "realization-check", "ok": report.ok,
                "dimension": report.dimension,
                "norm_failures": [[a, float(n)] for a, n in report.norm_failures],
@@ -376,6 +366,17 @@ def _cmd_realization_check(args) -> int:
                "collinear_pairs": [list(p) for p in report.collinear_pairs],
                "missing_atoms": list(report.missing_atoms),
                "skipped_contexts": list(report.skipped_contexts)}
+    lines = [f"dimension: {payload['dimension']}",
+             f"ok: {_yes(payload['ok'])}"]
+    lines += [f"bad_norm: {a} {_flt(n)}" for a, n in payload["norm_failures"]]
+    lines += [f"bad_context: {f['context']} {','.join(f['pair'])} "
+              f"inner {_flt(f['value'])}" for f in payload["context_failures"]]
+    lines += [f"collinear: {x} {y}" for x, y in payload["collinear_pairs"]]
+    if payload["missing_atoms"]:
+        lines.append("missing: " + " ".join(payload["missing_atoms"]))
+    if payload["skipped_contexts"]:
+        lines.append("skipped_contexts: " +
+                     " ".join(str(i) for i in payload["skipped_contexts"]))
     _emit(args, payload, "\n".join(lines))
     return 0 if report.ok else 1
 
@@ -385,18 +386,17 @@ def _cmd_born(args) -> int:
     logic = _logic(args)
     r, _ = _realization(args)
     probs = born_probabilities(logic, r, _psi(args, r))
-    atoms = [a for a in logic.atoms if a in probs]
-    if args.atom:
-        if args.atom not in probs:
-            raise LogicError(f"no probability for atom {args.atom!r}; "
-                               "it has no vector in this realization")
-        text = _flt(probs[args.atom])
-        shown = [args.atom]
-    else:
-        text = "\n".join(f"{a} {_flt(probs[a])}" for a in atoms)
-        shown = atoms
+    if args.atom and args.atom not in probs:
+        raise LogicError(f"no probability for atom {args.atom!r}; "
+                         "it has no vector in this realization")
+    shown = [args.atom] if args.atom else [a for a in logic.atoms if a in probs]
     payload = {"command": "born", "psi": args.psi,
                "probabilities": {a: float(probs[a]) for a in shown}}
+    if args.atom:
+        text = _flt(payload["probabilities"][args.atom])
+    else:
+        text = "\n".join(f"{a} {_flt(p)}"
+                         for a, p in payload["probabilities"].items())
     _emit(args, payload, text)
     return 0
 
@@ -408,16 +408,16 @@ def _cmd_violate(args) -> int:
     r, _ = _realization(args)
     ineqs = [parse_inequality(e) for e in args.ineq]
     rep = quantum_vs_classical(logic, r, _psi(args, r), ineqs)
-    lines = []
-    results = []
-    for ineq, value, satisfied in rep.evaluations:
-        lines += [f"inequality: {_form_text(ineq)}",
-                  f"value: {_flt(value)}",
-                  f"violated: {'no' if satisfied else 'yes'}"]
-        results.append({"inequality": _form_text(ineq), "value": float(value),
-                        "violated": not satisfied})
-    payload = {"command": "violate", "psi": args.psi, "results": results,
+    payload = {"command": "violate", "psi": args.psi,
+               "results": [{"inequality": _form_text(ineq), "value": float(value),
+                            "violated": not satisfied}
+                           for ineq, value, satisfied in rep.evaluations],
                "any_violated": bool(rep.violated)}
+    lines = []
+    for res in payload["results"]:
+        lines += [f"inequality: {res['inequality']}",
+                  f"value: {_flt(res['value'])}",
+                  f"violated: {_yes(res['violated'])}"]
     _emit(args, payload, "\n".join(lines))
     return 0 if rep.violated else 1
 
@@ -441,21 +441,19 @@ def _cmd_certify_vi(args) -> int:
     except ConditionFailed as err:
         payload = {"command": "certify-vi", "indefinite": False,
                    "condition": err.which, "detail": str(err)}
-        _emit(args, payload, f"indefinite: no\ncondition: {err.which}")
-        print(f"error: {err}", file=sys.stderr)
+    else:
+        payload = {"command": "certify-vi", "indefinite": True,
+                   "antecedent": cert.antecedent, "target": cert.target,
+                   "pasted_atoms": len(cert.pasted.atoms),
+                   "pasted_contexts": len(cert.pasted.contexts),
+                   "pasted_states": cert.pasted_state_count}
+    # the text shows each field but the command and the refusal's detail
+    _emit(args, payload, "\n".join(
+        f"{key}: {_yes(value) if key == 'indefinite' else value}"
+        for key, value in payload.items() if key not in ("command", "detail")))
+    if not payload["indefinite"]:
+        print(f"error: {payload['detail']}", file=sys.stderr)
         return 1
-    lines = ["indefinite: yes",
-             f"antecedent: {cert.antecedent}",
-             f"target: {cert.target}",
-             f"pasted_atoms: {len(cert.pasted.atoms)}",
-             f"pasted_contexts: {len(cert.pasted.contexts)}",
-             f"pasted_states: {cert.pasted_state_count}"]
-    payload = {"command": "certify-vi", "indefinite": True,
-               "antecedent": cert.antecedent, "target": cert.target,
-               "pasted_atoms": len(cert.pasted.atoms),
-               "pasted_contexts": len(cert.pasted.contexts),
-               "pasted_states": cert.pasted_state_count}
-    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -473,50 +471,44 @@ def _cmd_urn(args) -> int:
         weights = MixtureWeights((Fraction(1, len(states)),) * len(states))
     res = urn_simulate(logic, states, weights, args.context, args.draws,
                        seed=args.seed)
-    lines = ["context: " + " ".join(res.context),
-             f"draws: {res.draws}",
-             f"seed: {res.seed}",
-             f"rng: {res.rng}"]
-    lines += [f"{a} {res.counts[a]} {_frac(res.frequencies[a])}"
-              for a in res.context]
     payload = {"command": "urn", "context_index": res.context_index,
                "context": list(res.context), "draws": res.draws,
                "seed": res.seed, "rng": res.rng,
                "counts": {a: res.counts[a] for a in res.context},
                "frequencies": {a: _frac(res.frequencies[a]) for a in res.context}}
+    lines = ["context: " + " ".join(payload["context"])]
+    lines += [f"{key}: {payload[key]}" for key in ("draws", "seed", "rng")]
+    lines += [f"{a} {payload['counts'][a]} {payload['frequencies'][a]}"
+              for a in payload["context"]]
     _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def _cmd_catalog(args) -> int:
     from ctxlab.catalog import catalog_get, catalog_list
-    lines = []
     entries = []
-    for name in catalog_list():
-        e = catalog_get(name)
+    for e in map(catalog_get, catalog_list()):
+        entry = {"name": e.name, "atoms": None, "contexts": None, "states": None,
+                 "realized": e.realized, "angle_window": None, "notes": e.notes}
         if e.logic is not None:
-            lines.append(f"{name} atoms={len(e.logic.atoms)} "
-                         f"contexts={len(e.logic.contexts)} "
-                         f"states={e.expected.state_count} "
-                         f"realized={'yes' if e.realized else 'no'}")
-            entries.append({"name": name, "atoms": len(e.logic.atoms),
-                            "contexts": len(e.logic.contexts),
-                            "states": e.expected.state_count,
-                            "realized": e.realized,
-                            "angle_window": None, "notes": e.notes})
+            entry.update(atoms=len(e.logic.atoms), contexts=len(e.logic.contexts),
+                         states=e.expected.state_count)
         else:
             w = e.angle_window
-            lines.append(f"{name} angle_window=[{_flt(w.tifs_min_angle)}, "
-                         f"{_flt(w.tits_max_angle)}] "
-                         f"feasible={'yes' if w.feasible else 'no'}")
-            entries.append({"name": name, "atoms": None, "contexts": None,
-                            "states": None, "realized": False,
-                            "angle_window": {
-                                "tifs_min_angle": w.tifs_min_angle,
-                                "tits_max_angle": w.tits_max_angle,
-                                "feasible": w.feasible},
-                            "notes": e.notes})
+            entry["angle_window"] = {"tifs_min_angle": w.tifs_min_angle,
+                                     "tits_max_angle": w.tits_max_angle,
+                                     "feasible": w.feasible}
+        entries.append(entry)
     payload = {"command": "catalog", "entries": entries}
+    lines = []
+    for e in entries:
+        w = e["angle_window"]
+        if w is None:
+            lines.append(f"{e['name']} atoms={e['atoms']} contexts={e['contexts']} "
+                         f"states={e['states']} realized={_yes(e['realized'])}")
+        else:
+            lines.append(f"{e['name']} angle_window=[{_flt(w['tifs_min_angle'])}, "
+                         f"{_flt(w['tits_max_angle'])}] feasible={_yes(w['feasible'])}")
     _emit(args, payload, "\n".join(lines))
     return 0
 

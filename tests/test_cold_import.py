@@ -76,6 +76,12 @@ def test_pair_property_loads_only_logic():
     assert loaded_after("ctxlab.PairProperty") == ["ctxlab.logic"]
 
 
+def test_angle_window_loads_only_catalog_and_logic():
+    # both names live in the catalog layer; realization only re-exports them
+    assert loaded_after("ctxlab.FeasibilityWindow; ctxlab.bug_pasting_feasibility()") == [
+        "ctxlab.catalog", "ctxlab.logic"]
+
+
 def test_import_does_not_load_numpy():
     assert probe(None)[:2] == (None, False)
 

@@ -24,16 +24,16 @@ EXPECTED = {
                  "vertices_from_states", "facet_enumeration",
                  "canonical_inequality", "evaluate_inequality", "membership",
                  "axiom_implied", "parse_inequality"],
-    "realization": ["Realization", "RealizationReport", "FeasibilityWindow",
-                    "ViolationReport", "RealizationError", "VectorParseError",
-                    "parse_vectors", "check_realization",
-                    "born_probabilities", "projector", "maximal_operator",
-                    "recover_projectors", "angle", "bug_pasting_feasibility",
+    "realization": ["Realization", "RealizationReport", "ViolationReport",
+                    "RealizationError", "VectorParseError", "parse_vectors",
+                    "check_realization", "born_probabilities", "projector",
+                    "maximal_operator", "recover_projectors", "angle",
                     "quantum_vs_classical"],
     "urn": ["PartitionRepresentation", "UrnResult", "UnknownContext",
             "partition_representation", "urn_simulate"],
-    "catalog": ["CatalogEntry", "ExpectedStates", "UnknownEntry",
-                "catalog_list", "catalog_get"],
+    "catalog": ["CatalogEntry", "ExpectedStates", "FeasibilityWindow",
+                "UnknownEntry", "catalog_list", "catalog_get",
+                "bug_pasting_feasibility"],
 }
 SUBMODULES = ("logic", "states", "polytope", "realization", "urn", "catalog",
               "exactlp")
@@ -50,6 +50,13 @@ def test_names_are_home_module_objects(module):
     home = importlib.import_module(f"ctxlab.{module}")
     for name in EXPECTED[module]:
         assert getattr(ctxlab, name) is getattr(home, name), name
+
+
+def test_every_name_is_filed_under_the_module_that_defines_it():
+    # a name filed under a module that only re-exports it loads that module
+    # on first access for nothing
+    for name, module in ctxlab._HOME.items():
+        assert getattr(ctxlab, name).__module__ == f"ctxlab.{module}", name
 
 
 @pytest.mark.parametrize("module", SUBMODULES)

@@ -202,6 +202,14 @@ class TestTwoValuedState:
             assert all(type(b) is int and b in (0, 1) for b in s.bits)
         assert TwoValuedState(("a", "b", "c"), [0, 1, 0]).bits == (0, 1, 0)
 
+    @pytest.mark.parametrize("bits", [(1, 0), (0, 1, 0, 1), (0, 2, 0), b"\x01\x00\xff"],
+                             ids=["short", "long", "two", "byte255"])
+    def test_refuses_bits_of_wrong_length_or_value(self, bits):
+        # readers index a state by its atoms' positions and test bits for
+        # truth, so a short, long or non-0/1 state would give wrong answers
+        with pytest.raises(ValueError, match="bits for 3 atoms|is not 0 or 1"):
+            TwoValuedState(("a", "b", "c"), bits)
+
     def test_bit_string_and_lookup(self):
         logic = load_logic("specker_bug_combo")
         for s in enumerate_states(logic):
