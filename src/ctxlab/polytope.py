@@ -4,8 +4,8 @@ Vertices are truth assignments read as 0/1 vectors (optionally projected to a
 subset of atoms); coordinates must be ints or Fractions.  Facets are
 enumerated with the double description method inside the affine hull of the
 vertex set; affine-hull equalities are reported separately from proper
-facets.  Membership tests run an exact rational LP and return either convex
-weights or a separating inequality: a violated hull equality or one of the
+facets.  Membership tests run an exact LP and return either convex weights
+or a separating inequality: a violated hull equality or one of the
 enumerated facets.  Both take all they derive from the vertex set (hull
 equalities, reduced coordinates) from ``_Hull``.  Everything here is exact
 rational or integer arithmetic; there is no floating-point fallback: a float
@@ -17,12 +17,13 @@ and canonical forms eliminate with the exact LP's ``_pivot`` and ``_reduce``,
 a ``VertexSet`` carries its vertices as int rows over a common denominator
 (``vertices_from_states`` hands over its 0/1 rows, other sets are scaled
 once on first use), which ``_Hull`` reads and the set's hash is taken
-from, double description keeps rows and rays primitive int tuples, with a
-ray's zero set an int bitmask, canonical forms are primitive int rows
-[coeffs | bound], checked and sorted as such, that hand the exact LP only
-int rows, right-hand sides and objectives, and membership ranks the facets
-by integer cross-multiplication.  Fractions are built where a result
-leaves the module.
+from, double description evaluates dense primitive int rows on primitive
+int rays, with a ray's zero set an int bitmask, canonical forms are
+primitive int rows [coeffs | bound], checked and sorted as such, that hand
+the exact LP only ints, and membership scales the point once to ints over
+its common denominator s, passes the LP integer right-hand sides, divides
+its solution by s, and scans the facets as int rows.  Fractions are built
+where a result leaves the module.
 
 Canonical form of an inequality: coefficients and bound are coprime integers,
 sense is <=, and among all representatives modulo the affine-hull equalities
@@ -206,10 +207,6 @@ def _nullspace(rr: list[list[int]], piv: list[int], n: int) -> list[list[int]]:
     return out
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 class _Hull:
     """The affine hull of a nonempty vertex set, and all that facet
     enumeration and membership read off it, in integers.
@@ -217,13 +214,13 @@ class _Hull:
     ``ints`` and ``scale`` are the vertex set's integer form
     (``VertexSet._ints``); ``v0`` is the first row and ``basis``/``pivots`` the
     RREF of the differences v - v0.  A point x of the hull is fixed by its
-    ``dim`` reduced coordinates, scale * x - v0 on the pivots (``reduce``).
+    ``dim`` reduced coordinates, scale * x - v0 on the pivots.
     ``equality_ints`` are the canonical hull equalities as integer
     [coeffs | bound], one per null-space vector.  Their Fraction form
     (``equalities``), the vertices in reduced coordinates (``reduced``) and
-    the equalities' ``rref`` are computed on first use: membership builds
-    only the one equality a point violates, a point off the hull needs
-    nothing else, and a point inside only ``reduced``.
+    the equalities' ``rref`` are computed on first use: membership tests
+    a point on ``equality_ints``, all that a point off the hull needs, and
+    a point inside needs only ``reduced`` besides.
     """
 
     def __init__(self, vset: VertexSet):
@@ -240,9 +237,6 @@ class _Hull:
     @cached_property
     def equalities(self) -> tuple[Equality, ...]:
         return tuple(_from_row(Equality, self.labels, vec) for vec in self.equality_ints)
-
-    def reduce(self, point: Vector) -> Vector:
-        return tuple(self.scale * point[p] - self.v0[p] for p in self.pivots)
 
     @cached_property
     def reduced(self) -> list[tuple[int, ...]]:
@@ -355,7 +349,6 @@ def _extreme_rays(M: list[Sequence]) -> list[tuple[int, ...]]:
     """
     n, d = len(M), len(M[0])
     rows = [_primitive(scale_to_integers(row)[0]) for row in M]
-    supports = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
     rr, piv = _rref([list(col) + [int(j == t) for j in range(d)]
                      for t, col in enumerate(zip(*rows))])
     chosen = [p for p in piv if p < n]
@@ -366,7 +359,7 @@ def _extreme_rays(M: list[Sequence]) -> list[tuple[int, ...]]:
 
     for i in chosen + sorted(set(range(n)).difference(chosen)):
         bit = 1 << i
-        vals = [sum(a * r[k] for k, a in supports[i]) for r in rays]
+        vals = [sum(map(mul, rows[i], r)) for r in rays]
         pos = [t for t, v in enumerate(vals) if v > 0]
         neg = [t for t, v in enumerate(vals) if v < 0]
         new_rays: list[tuple[int, ...]] = []
@@ -390,7 +383,7 @@ def _extreme_rays(M: list[Sequence]) -> list[tuple[int, ...]]:
                      for t in keep] + new_zero
 
     for r in rays:  # internal consistency: every kept ray satisfies the cone
-        check_invariant(all(sum(a * r[k] for k, a in s) >= 0 for s in supports),
+        check_invariant(all(sum(map(mul, row, r)) >= 0 for row in rows),
                         "ray leaves the cone")
     rays.sort()
     return rays
@@ -468,9 +461,11 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
     with the largest polar ratio (a.p - a.c) / (b - a.c), c the centroid of
     the deduplicated vertices; ties go to the facet whose polar vertex z
     (the facet as z.(y - c) <= 1 in the hull's reduced coordinates y) is
-    lexicographically smallest.  That facet is scanned from
-    ``facet_enumeration(vset)``, so later outside queries on an equal vertex
-    set read the memoized facets.  Point coordinates are ints or Fractions.
+    lexicographically smallest, scanned as int rows from the memoized
+    ``facet_enumeration(vset)``.  The point (ints or Fractions) is scaled
+    once to ints over its common denominator s: the LP's right-hand sides
+    are s times the reduced point and the convexity row's 1, which changes
+    no pivot, and its solution over s is the weights.
     """
     p = tuple(point[a] if a in point else _missing(a) for a in vset.labels)
     _require_exact(p, "point coordinate")
@@ -478,24 +473,20 @@ def membership(point: Mapping[str, object], vset: VertexSet) -> MembershipResult
         return MembershipResult(inside=False)
     hull = _Hull(vset)
     ints, s = scale_to_integers(p)
-    for vec in hull.equality_ints:
-        lhs, rhs = sum(c * x for c, x in zip(vec[:-1], ints)), s * vec[-1]
-        if lhs != rhs:
-            sign = 1 if lhs > rhs else -1
-            sep = _from_row(Inequality, vset.labels, [sign * v for v in vec])
-            return MembershipResult(inside=False, separator=sep,
-                                    value_at_point=_dot(sep.coeffs, p),
-                                    max_over_vertices=sep.bound)
-
-    reduced, m, y_p = hull.reduced, len(hull.reduced), hull.reduce(p)
-    cols = [list(col) for col in zip(*reduced)]
-    res = solve_standard([0] * m, cols + [[1] * m], [*y_p, 1])
-    if res.status == OPTIMAL:
-        return MembershipResult(inside=True, weights=res.x)
-
-    sep = _separator(hull, ints, s, facet_enumeration(vset).facets)
-    return MembershipResult(inside=False, separator=sep, value_at_point=_dot(sep.coeffs, p),
-                            max_over_vertices=sep.bound)
+    for vec in hull.equality_ints:  # map stops at the end of ints, before the bound
+        if (lhs := sum(map(mul, vec, ints))) != s * vec[-1]:
+            row = vec if lhs > s * vec[-1] else [-v for v in vec]
+            break
+    else:
+        A = [list(col) for col in zip(*hull.reduced)] + [[1] * len(hull.reduced)]
+        b = [hull.scale * ints[q] - s * hull.v0[q] for q in hull.pivots] + [s]
+        res = solve_standard([0] * len(A[0]), A, b)
+        if res.status == OPTIMAL:
+            return MembershipResult(inside=True, weights=tuple(x / s for x in res.x))
+        row = _separator(hull, ints, s, facet_enumeration(vset).facets)
+    return MembershipResult(inside=False, separator=_from_row(Inequality, vset.labels, row),
+                            value_at_point=Fraction(sum(map(mul, row, ints)), s),
+                            max_over_vertices=Fraction(row[-1]))
 
 
 def _missing(a: str):
@@ -503,26 +494,28 @@ def _missing(a: str):
 
 
 def _separator(hull: _Hull, point: list[int], s: int,
-               facets: Sequence[Inequality]) -> Inequality:
-    """The facet :func:`membership` specifies for the in-hull point ``point``
-    / s, scanned from the integral ``facets``.  With m vertices, M = m * scale
-    and u = a.T, T the sum of the scaled vertices, the polar ratio of a.x <= b
-    is (M a.point - s u) / (s (M b - u)), with M b - u > 0; a tied facet's
-    polar vertex is z_j = m a.basis_j / (basis_j[pivot_j] (M b - u))."""
+               facets: Sequence[Inequality]) -> list[int]:
+    """The int row [coeffs | bound] of the facet :func:`membership`
+    specifies for the in-hull point ``point`` / s, each of the integral
+    ``facets`` read as one int row.  With m vertices, M = m * scale and u =
+    a.T, T the sum of the scaled vertices, the polar ratio of a.x <= b is
+    (M a.point - s u) / (s (M b - u)), with M b - u > 0; a tied facet's
+    polar vertex is z_j = m a.basis_j / (basis_j[pivot_j] (M b - u)), ranked
+    as the ints z_j L basis_j[pivot_j] / m, L the lcm of the tied M b - u."""
     m = len(hull.ints)
     M, total = m * hull.scale, [sum(col) for col in zip(*hull.ints)]
     best, tied = (s, 1), []  # ratio 1: the point on the facet's plane
     for f in facets:
-        terms = [(k, c.numerator) for k, c in enumerate(f.coeffs) if c]
-        u = sum(c * total[k] for k, c in terms)
-        num, den = M * sum(c * point[k] for k, c in terms) - s * u, M * f.bound.numerator - u
+        row = [c.numerator for c in f.coeffs] + [f.bound.numerator]
+        u = sum(map(mul, row, total))
+        num, den = M * sum(map(mul, row, point)) - s * u, M * row[-1] - u
         if (order := num * best[1] - best[0] * den) > 0:
             best, tied = (num, den), []
         if order >= 0:
-            tied.append((f, terms, den))
+            tied.append((row, den))
     check_invariant(best[0] > s * best[1], "a point outside the polytope violates a facet")
-    return min(tied, key=lambda t: [Fraction(m * sum(c * row[k] for k, c in t[1]), row[p] * t[2])
-                                    for row, p in zip(hull.basis, hull.pivots)])[0]
+    L = lcm(*(den for _, den in tied))
+    return min(tied, key=lambda t: [sum(map(mul, t[0], b)) * (L // t[1]) for b in hull.basis])[0]
 
 
 def axiom_implied(logic: Logic, ineq: Inequality) -> ImplicationResult:

@@ -78,19 +78,23 @@ class TwoValuedState:
     ctxlab record, whose ``__setattr__`` and ``__delattr__`` it shares:
     equal when the class, the atoms and the bits are equal, hashable, and
     assignment or deletion raises ``dataclasses.FrozenInstanceError``.
-    Construction raises ``ValueError`` for bits whose count is not that of
-    ``atoms``, or for a bit that is not 0 or 1.
+    ``atoms`` is kept as a tuple.  Construction raises ``ValueError`` for
+    bits whose count is not that of ``atoms``, a bit that is not 0 or 1, or
+    an atom named twice.
     """
 
     __slots__ = ("atoms", "_raw")
 
-    def __init__(self, atoms: tuple[str, ...], bits: Sequence[int]):
-        raw = bytes(bits)
+    def __init__(self, atoms: Sequence[str], bits: Sequence[int]):
+        atoms, raw = tuple(atoms), bytes(bits)
         if len(raw) != len(atoms):
             raise ValueError(f"state has {len(raw)} bits for {len(atoms)} atoms")
         stray = raw.translate(None, b"\x00\x01")
         if stray:
             raise ValueError(f"state bit {stray[0]} is not 0 or 1")
+        if len(set(atoms)) < len(atoms):
+            repeated = next(a for i, a in enumerate(atoms) if a in atoms[:i])
+            raise ValueError(f"state repeats atom {repeated!r}")
         _set_atoms(self, atoms)
         _set_raw(self, raw)
 

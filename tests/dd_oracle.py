@@ -2,8 +2,9 @@
 
 Rows and rays stay Fractions, zero sets are frozensets, and every new ray's
 zero set is recomputed with dot products against each processed row, and
-the elimination is the Fraction reference in ``rref_oracle``.  It shares
-only ``_dot`` with the integer kernel ``polytope._extreme_rays``; tests
+the elimination and the dot product are the Fraction references in
+``rref_oracle``.  It shares no code with the integer kernel
+``polytope._extreme_rays``, which evaluates its int rows itself; tests
 compare the two ray lists, order included, on random pointed cones.
 """
 
@@ -12,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ctxlab.exactlp import check_invariant
-from ctxlab.polytope import Vector, _dot
+from ctxlab.polytope import Vector
 from canonical_oracle import integer_primitive
-from rref_oracle import rref
+from rref_oracle import dot, rref
 
 
 def extreme_rays(M: list[Vector]) -> list[Vector]:
@@ -45,7 +46,7 @@ def extreme_rays(M: list[Vector]) -> list[Vector]:
 
     remaining = [i for i in range(len(M)) if i not in set(chosen)]
     for i in remaining:
-        vals = [_dot(M[i], r) for r in rays]
+        vals = [dot(M[i], r) for r in rays]
         pos = [t for t, v in enumerate(vals) if v > 0]
         zero = [t for t, v in enumerate(vals) if v == 0]
         neg = [t for t, v in enumerate(vals) if v < 0]
@@ -71,7 +72,7 @@ def extreme_rays(M: list[Vector]) -> list[Vector]:
                 w = [vals[p] * bm - vals[m_] * bp
                      for bp, bm in zip(rays[p], rays[m_])]
                 wn = integer_primitive(w)
-                zs = frozenset(j for j in processed if _dot(M[j], wn) == 0) | {i}
+                zs = frozenset(j for j in processed if dot(M[j], wn) == 0) | {i}
                 new_rays.append(wn)
                 new_zero.append(zs)
         keep = pos + zero
@@ -81,6 +82,6 @@ def extreme_rays(M: list[Vector]) -> list[Vector]:
         processed.append(i)
 
     for r in rays:  # internal consistency: every kept ray satisfies the cone
-        check_invariant(all(_dot(row, r) >= 0 for row in M), "ray leaves the cone")
+        check_invariant(all(dot(row, r) >= 0 for row in M), "ray leaves the cone")
     order = sorted(range(len(rays)), key=lambda t: rays[t])
     return [rays[t] for t in order]

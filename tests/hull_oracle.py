@@ -28,10 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from ctxlab.exactlp import OPTIMAL, solve_lexicographic, solve_standard
-from ctxlab.polytope import (Equality, Inequality, MembershipResult,
-                             VertexSet, _dot)
+from ctxlab.polytope import Equality, Inequality, MembershipResult, VertexSet
 from canonical_oracle import canonical_form_oracle, integer_primitive
-from rref_oracle import nullspace, rref
+from rref_oracle import dot, nullspace, rref
 
 
 class FractionHull:
@@ -44,7 +43,7 @@ class FractionHull:
         self.dim = len(self.pivots)
         equalities = []
         for a in nullspace(self.basis, self.pivots, len(self.v0)):
-            vec = integer_primitive(list(a) + [_dot(a, self.v0)])
+            vec = integer_primitive(list(a) + [dot(a, self.v0)])
             coeffs, bound = vec[:-1], vec[-1]
             if next(v for v in coeffs if v != 0) < 0:
                 coeffs, bound = tuple(-v for v in coeffs), -bound
@@ -78,8 +77,8 @@ def brute_facets(vset: VertexSet) -> set[tuple]:
         if len(piv) != k - 1:
             continue
         normal = nullspace(rr, piv, k)[0]
-        vals = [_dot(normal, y) for y in red]
-        base = _dot(normal, pts[0])
+        vals = [dot(normal, y) for y in red]
+        base = dot(normal, pts[0])
         if all(v <= base for v in vals):
             pass
         elif all(v >= base for v in vals):
@@ -99,13 +98,13 @@ def fraction_membership(point, vset: VertexSet) -> MembershipResult:
     p = tuple(Fraction(point[a]) for a in vset.labels)
     hull = FractionHull(vset)
     for eq in hull.equalities:
-        val = _dot(eq.coeffs, p)
+        val = dot(eq.coeffs, p)
         if val != eq.bound:
             sign = 1 if val > eq.bound else -1
             sep = Inequality(vset.labels, tuple(sign * v for v in eq.coeffs),
                              sign * eq.bound)
             return MembershipResult(inside=False, separator=sep,
-                                    value_at_point=_dot(sep.coeffs, p),
+                                    value_at_point=dot(sep.coeffs, p),
                                     max_over_vertices=sep.bound)
     reduced, k, m = hull.reduced, hull.dim, len(hull.reduced)
     y_p = hull.reduce(p)
@@ -128,7 +127,7 @@ def fraction_membership(point, vset: VertexSet) -> MembershipResult:
     costs += [split([Fraction(int(i == j)) for j in range(k)]) for i in range(k)]
     res = solve_lexicographic(costs, A, [Fraction(1)] * m)
     z = [res.x[j] - res.x[k + j] for j in range(k)]
-    sep = hull.canonical(z, 1 + _dot(z, centroid))
+    sep = hull.canonical(z, 1 + dot(z, centroid))
     return MembershipResult(inside=False, separator=sep,
-                            value_at_point=_dot(sep.coeffs, p),
+                            value_at_point=dot(sep.coeffs, p),
                             max_over_vertices=sep.bound)

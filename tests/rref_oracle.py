@@ -1,14 +1,22 @@
-"""Reference reduced row echelon form and null space in Fraction arithmetic.
+"""Reference reduced row echelon form, null space and dot product in
+Fraction arithmetic.
 
 Plain Gauss-Jordan elimination: the pivot row is divided by its pivot entry
 and subtracted from every other row.  It shares no code with the
 fraction-free kernel ``polytope._rref``; tests compare the two, and the hull
-and double description oracles use this one.
+and double description oracles use this one.  ``dot`` is the Fraction inner
+product the oracles and the polytope tests evaluate facets with; ctxlab
+itself evaluates int rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
+
+
+def dot(u: Sequence, v: Sequence) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import gcd, lcm
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from ctxlab import polytope
 from ctxlab.catalog import catalog_get
-from ctxlab.exactlp import InternalError
+from ctxlab.exactlp import InternalError, solve_standard
 from ctxlab.logic import scale_to_integers
 from ctxlab.polytope import (Equality, Inequality, MembershipResult,
                              MissingCoordinate, VertexSet, _extreme_rays,
@@ -26,8 +27,8 @@ from canonical_oracle import (canonical_form_oracle, eliminate_pivots,
 from dd_oracle import extreme_rays
 from helpers import PRISM, load_logic
 from hull_oracle import FractionHull, brute_facets, fraction_membership
-from rref_oracle import rref
-from test_golden import WITH_LOGIC
+from rref_oracle import dot, rref
+from test_golden import WITH_LOGIC, WITH_STATES
 from test_golden import _points as golden_points
 
 F = Fraction
@@ -174,14 +175,13 @@ class TestFacetEnumeration:
     @pytest.mark.parametrize("name", ["triangle4d", "square4d", "pentagon",
                                       "specker_bug"])
     def test_soundness_and_tightness(self, name):
-        from ctxlab.polytope import _dot
         lg = load_logic(name)
         vs = vertices_from_states(lg)
         P = facet_enumeration(vs)
         for eq in P.equalities:
-            assert all(_dot(eq.coeffs, v) == eq.bound for v in vs.vertices)
+            assert all(dot(eq.coeffs, v) == eq.bound for v in vs.vertices)
         for f in P.facets:
-            vals = [_dot(f.coeffs, v) for v in vs.vertices]
+            vals = [dot(f.coeffs, v) for v in vs.vertices]
             assert max(vals) == f.bound
             tight = [v for v, val in zip(vs.vertices, vals) if val == f.bound]
             diffs = [[a - b for a, b in zip(t, tight[0])] for t in tight[1:]]
@@ -448,14 +448,13 @@ class TestMembership:
         assert r.value_at_point > r.max_over_vertices
 
     def test_separator_is_tight_on_vertices(self):
-        from ctxlab.polytope import _dot
         lg = load_logic("triangle4d")
         vs = vertices_from_states(lg)
         point = {a: F(1, 2) if a in ("1", "4", "7") else F(0)
                  for a in vs.labels}
         r = membership(point, vs)
         assert not r.inside
-        vals = [_dot(r.separator.coeffs, v) for v in vs.vertices]
+        vals = [dot(r.separator.coeffs, v) for v in vs.vertices]
         assert max(vals) == r.separator.bound == r.max_over_vertices
         assert r.value_at_point > r.max_over_vertices
 
@@ -659,9 +658,8 @@ def test_random_01_polytopes_match_brute_oracle(nverts, dim, data):
     vs = vset(labels, rows)
     P = facet_enumeration(vs)
     assert facet_pairs(P) == brute_facets(vs)
-    from ctxlab.polytope import _dot
     for f in P.facets:
-        vals = [_dot(f.coeffs, v) for v in vs.vertices]
+        vals = [dot(f.coeffs, v) for v in vs.vertices]
         assert max(vals) == f.bound
 
 
@@ -771,17 +769,17 @@ def specified_separator(x, vs):
     about the centroid c is z = a' / (b' - a'.c), and the facet with the
     largest ratio z.(y_x - c) wins, ties going to the smallest z."""
     ref = FractionHull(vs)
-    if any(polytope._dot(e.coeffs, x) != e.bound for e in ref.equalities):
+    if any(dot(e.coeffs, x) != e.bound for e in ref.equalities):
         return None
     m = len(ref.reduced)
     c = [sum(col) / m for col in zip(*ref.reduced)]
     d = [y - cj for y, cj in zip(ref.reduce(x), c)]
 
     def rank(f):
-        a = [polytope._dot(f.coeffs, row) for row in ref.basis]
-        z = [aj / (f.bound - polytope._dot(f.coeffs, ref.v0) - polytope._dot(a, c))
+        a = [dot(f.coeffs, row) for row in ref.basis]
+        z = [aj / (f.bound - dot(f.coeffs, ref.v0) - dot(a, c))
              for aj in a]
-        return -polytope._dot(z, d), z
+        return -dot(z, d), z
 
     return min(facet_enumeration(vs).facets, key=rank)
 
@@ -868,6 +866,50 @@ def test_separator_follows_the_tie_rule_on_golden_points(seed, name):
     vs = vertices_from_states(catalog_get(name).logic)
     for x in golden_points(vs.vertices, seed):
         assert_specified_separator(x, vs, membership(dict(zip(vs.labels, x)), vs))
+
+
+def test_membership_hands_the_lp_ints_only(monkeypatch):
+    """``membership`` scales the point once to ints over its common
+    denominator: every entry of c, A and b it passes the exact LP is an
+    int, for inside mixtures, points off the hull and exotic measures (the
+    axiom-region optima of facets the measure axioms do not imply)."""
+    queries = []
+    for seed, name in enumerate(WITH_STATES):
+        logic = catalog_get(name).logic
+        vs = vertices_from_states(logic)
+        exotic = [axiom_implied(logic, f).witness for f in facet_enumeration(vs).facets]
+        for x in golden_points(vs.vertices, seed) + [w for w in exotic if w is not None]:
+            queries.append((dict(zip(vs.labels, x)), vs))
+    calls = []
+
+    def spy(c, A, b):
+        calls.append((c, A, b))
+        return solve_standard(c, A, b)
+
+    monkeypatch.setattr(polytope, "solve_standard", spy)  # axiom_implied's LP is done
+    verdicts = Counter(membership(point, vs).inside for point, vs in queries)
+    assert verdicts[True] and verdicts[False] and calls
+    for c, A, b in calls:
+        assert all(type(v) is int for v in chain(c, chain.from_iterable(A), b))
+
+
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("name", WITH_STATES)
+def test_weights_over_large_denominators_match_the_fraction_oracle(name, projected):
+    """Mixtures with weights over the primes 983, 991 and 997, so the
+    point's common denominator is up to their product: the LP's right-hand
+    sides grow by that factor, and the weights still equal the oracle's."""
+    logic = catalog_get(name).logic
+    vs = vertices_from_states(logic, project=logic.atoms[::2] if projected else None)
+    rng = random.Random(997)
+    for _ in range(3):
+        w = [F(rng.randint(0, 3), rng.choice((983, 991, 997))) for _ in vs.vertices[1:]]
+        w.insert(0, 1 - sum(w))
+        assert w[0] > 0
+        point = {a: sum(wi * v[k] for wi, v in zip(w, vs.vertices))
+                 for k, a in enumerate(vs.labels)}
+        got = membership(point, vs)
+        assert got.inside and got == fraction_membership(point, vs)
 
 
 @given(st.sampled_from(["pentagon", "triangle4d", "square4d", "specker_bug"]),

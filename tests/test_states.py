@@ -210,6 +210,20 @@ class TestTwoValuedState:
         with pytest.raises(ValueError, match="bits for 3 atoms|is not 0 or 1"):
             TwoValuedState(("a", "b", "c"), bits)
 
+    def test_keeps_atoms_as_a_tuple(self):
+        # a list kept as given would make the state unhashable and unequal
+        # to the one built with a tuple
+        s, t = TwoValuedState(["a", "b"], (0, 1)), TwoValuedState(("a", "b"), (0, 1))
+        assert type(s.atoms) is tuple
+        assert s == t and hash(s) == hash(t)
+        assert TwoValuedState(iter("ab"), [1, 0])["b"] == 0
+
+    @pytest.mark.parametrize("atoms", [("a", "a"), ("a", "b", "a")])
+    def test_refuses_a_repeated_atom(self, atoms):
+        # s["a"] would read the first position only
+        with pytest.raises(ValueError, match="state repeats atom 'a'"):
+            TwoValuedState(atoms, (0,) * (len(atoms) - 1) + (1,))
+
     def test_bit_string_and_lookup(self):
         logic = load_logic("specker_bug_combo")
         for s in enumerate_states(logic):
